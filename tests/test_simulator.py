@@ -7,8 +7,9 @@ import scipy.linalg
 
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  InsufficientExcitationError, PolynomialSpec,
-                                 Trajectory, assemble_closed_loop, integrate,
-                                 lcg_uniform, open_loop,
+                                 Trajectory, assemble_closed_loop,
+                                 coupled_split, integrate, lcg_uniform,
+                                 open_loop,
                                  project_initial_condition,
                                  read_snapshots, reduced_dynamics_fit,
                                  tail_energy, write_snapshots,
@@ -121,10 +122,62 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(disk_system, np.zeros(300), 0.5, 0.1)
 
+    def test_initial_state_shape_checked(self, disk_system):
+        for size in (299, 301):
+            for method in ("expm_step", "rk4"):
+                with pytest.raises(ValueError):
+                    integrate(disk_system, np.ones(size), 0.05, 1.0,
+                              method=method)
+
     def test_tail_energy_bounded_and_decaying(self, disk_traj_seed1):
         energy = tail_energy(disk_traj_seed1)
         assert np.all(np.isfinite(energy))
         assert energy[-1] < energy[0]
+
+
+def _open_loop_generator(disk, disk_modes):
+    modes, _ = disk_modes
+    return assemble_closed_loop(modes, None, disk).generator
+
+
+# (generator builder, expected coupled columns S)
+SPLIT_CASES = {
+    "disk": (lambda req: req.getfixturevalue("disk_system").generator,
+             [0, 1, 2, 3, 4]),
+    "ball": (lambda req: req.getfixturevalue("ball_system").generator,
+             [0, 1, 2, 3]),
+    "open_loop_diagonal": (
+        lambda req: _open_loop_generator(req.getfixturevalue("disk"),
+                                         req.getfixturevalue("disk_modes")),
+        []),
+    "nilpotent": (lambda req: np.array([[0.0, 1.0], [0.0, 0.0]]), [1]),
+    "dense_2x2": (lambda req: np.array([[-1.0, 0.3], [0.2, -0.5]]), [0, 1]),
+    # tail rates -1 and -2 equal the eigenvalues of the leading 2x2 block
+    "resonant": (lambda req: np.array([[-1.0, 0.0, 0.0, 0.0],
+                                       [0.5, -2.0, 0.0, 0.0],
+                                       [0.7, 0.4, -1.0, 0.0],
+                                       [0.2, -0.3, 0.0, -2.0]]), [0, 1]),
+}
+
+
+class TestCoupledSplit:
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_matches_dense_generator(self, case, request):
+        build, coupled = SPLIT_CASES[case]
+        gen = build(request)
+        n = gen.shape[0]
+        split = coupled_split(gen)
+        assert split.S.tolist() == coupled
+        assert sorted(split.S.tolist() + split.T.tolist()) == list(range(n))
+        dt = 0.05
+        step = split.step_map(dt)
+        prop = np.stack([step(e) for e in np.eye(n)], axis=1)
+        dense = scipy.linalg.expm(gen * dt)
+        assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
+        u = lcg_uniform(3, n)
+        exact = gen @ u
+        assert np.linalg.norm(split.derivative(u) - exact) \
+            <= 1e-14 * np.linalg.norm(exact)
 
 
 class TestOpenLoop:
