@@ -185,13 +185,6 @@ def count_unstable(modes) -> int:
     return int(sum(1 for mode in modes if mode.mu >= 0.0))
 
 
-def _disk_angular(mode: EigenMode, theta):
-    m, parity = mode.angular
-    if m == 0:
-        return np.ones_like(np.asarray(theta, dtype=float))
-    return np.cos(m * theta) if parity == "cos" else np.sin(m * theta)
-
-
 def _disk_angular_scalar(mode: EigenMode, theta: float) -> float:
     m, parity = mode.angular
     if m == 0:
@@ -268,9 +261,11 @@ def boundary_gram(row_modes, col_modes, domain: Domain = None) -> np.ndarray:
     """Matrix of boundary_inner over row_modes x col_modes."""
     amps_r = np.array([m.trace_amp for m in row_modes])
     amps_c = np.array([m.trace_amp for m in col_modes])
-    match = np.array([[mi.angular == mj.angular for mj in col_modes]
-                      for mi in row_modes])
-    return np.outer(amps_r, amps_c) * match
+    code = {key: k for k, key in enumerate(
+        dict.fromkeys(m.angular for m in (*row_modes, *col_modes)))}
+    codes_r = np.array([code[m.angular] for m in row_modes], dtype=int)
+    codes_c = np.array([code[m.angular] for m in col_modes], dtype=int)
+    return np.outer(amps_r, amps_c) * (codes_r[:, None] == codes_c[None, :])
 
 
 def interior_quadrature(domain: Domain, modes, refine: int = 1):

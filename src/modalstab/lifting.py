@@ -10,6 +10,10 @@ modal relations
 truncated to the retained mode table.  Boundary data is always given by its
 coefficients against the normal-trace family of the leading modes, so the
 right-hand sides reduce to rows of the extended boundary Gram matrix.
+
+The lift is linear and acts on stacks: boundary coefficients and states
+carry their mode index on the last axis, so a whole trajectory of K samples
+is lifted as one (K, N) array with one Gram build.
 """
 
 from dataclasses import dataclass
@@ -31,7 +35,8 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class BoundaryFunction:
-    """f = sum_j coefficients[j] * T_n(phi_j) over the leading modes."""
+    """f = sum_j coefficients[..., j] * T_n(phi_j) over the leading modes;
+    leading axes, if any, index a stack of boundary functions."""
 
     coefficients: np.ndarray
 
@@ -59,23 +64,30 @@ def lifting_denominators(gamma: float, modes) -> np.ndarray:
 
 def lifting_coefficients(gamma: float, f: BoundaryFunction, modes,
                          domain=None) -> LiftingCoefficients:
-    """Modal coefficients of the lifting of f, truncated to the mode table."""
+    """Modal coefficients of the lifting of f, truncated to the mode table.
+
+    Coefficients of shape (N,) give d of shape (n_sim,); a stack (K, N)
+    gives (K, n_sim), row k lifting row k."""
     c = np.asarray(f.coefficients, dtype=float)
+    n_trace = c.shape[-1]
     n_unstable = count_unstable(modes)
-    if c.size > n_unstable:
+    if n_trace > n_unstable:
         raise ValueError(
-            f"boundary data has {c.size} trace coefficients but only "
+            f"boundary data has {n_trace} trace coefficients but only "
             f"{n_unstable} leading modes are available")
     denom = lifting_denominators(gamma, modes)
-    beta = boundary_gram(modes, modes[: c.size])
-    return LiftingCoefficients(gamma=gamma, d=(beta @ c) / denom)
+    beta = boundary_gram(modes, modes[:n_trace])
+    return LiftingCoefficients(gamma=gamma, d=(c @ beta.T) / denom)
 
 
 def xi_coefficients(gain_set, U, i: int) -> LiftingCoefficients:
     """Lifting coefficients of the i-th homogenization term for state U,
-    whose boundary data has trace coefficients M_{gamma_i} A U."""
+    whose boundary data has trace coefficients M_{gamma_i} A U.
+
+    U is one leading-mode state (N,) or a stack of them (K, N); d is then
+    (n_sim,) or (K, n_sim)."""
     U = np.asarray(U, dtype=float)
-    c = gain_set.m_list[i] * (gain_set.a_gain @ U)
+    c = gain_set.m_list[i] * (U @ gain_set.a_gain.T)
     return lifting_coefficients(gain_set.gammas[i], BoundaryFunction(c),
                                 gain_set.modes)
 
@@ -96,7 +108,12 @@ def lifting_h2_full(coeffs: LiftingCoefficients, modes) -> float:
 def commutation_check(gain_set, trajectory, i: int, h: float) -> float:
     """Max deviation between the central difference of the lifted
     coefficients and the lifting of the central difference of the boundary
-    data; exact up to arithmetic noise."""
+    data, over the interior samples.
+
+    The lift is linear, so the two agree exactly in exact arithmetic: this
+    is a rounding-level consistency test of the lift, not a convergence
+    measure.  Both sides are lifted as whole stacks, one xi_coefficients
+    call each."""
     times = np.asarray(trajectory.times)
     if times.size < 3:
         raise InsufficientDataError("need at least 3 samples")
@@ -105,11 +122,6 @@ def commutation_check(gain_set, trajectory, i: int, h: float) -> float:
         raise ValueError(f"trajectory step {dt} exceeds requested h={h}")
     n = gain_set.n_unstable
     U = np.asarray(trajectory.states)[:, :n]
-    worst = 0.0
-    for k in range(1, times.size - 1):
-        lhs = (xi_coefficients(gain_set, U[k + 1], i).d
-               - xi_coefficients(gain_set, U[k - 1], i).d) / (2.0 * dt)
-        dU = (U[k + 1] - U[k - 1]) / (2.0 * dt)
-        rhs = xi_coefficients(gain_set, dU, i).d
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    d = xi_coefficients(gain_set, U, i).d
+    rhs = xi_coefficients(gain_set, (U[2:] - U[:-2]) / (2.0 * dt), i).d
+    return float(np.max(np.abs((d[2:] - d[:-2]) / (2.0 * dt) - rhs)))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from modalstab import lifting
 from modalstab.basis import boundary_gram, enumerate_modes
 from modalstab.lifting import (BoundaryFunction, InsufficientDataError,
                                ResonanceError, commutation_check,
                                lifting_coefficients, lifting_h2_full,
                                lifting_h2_surrogate, xi_coefficients)
-from modalstab.simulator import Trajectory
+from modalstab.simulator import (PolynomialSpec, Trajectory, integrate,
+                                 project_initial_condition)
 
 
 def dense_solve_oracle(gamma, c, modes):
@@ -100,6 +102,18 @@ class TestXiCoefficients:
             assert np.max(np.abs(lead - expected)) < 1e-12 * max(
                 1.0, np.max(np.abs(expected)))
 
+    @pytest.mark.parametrize("gains", ["disk_gains", "ball_gains"])
+    def test_stack_matches_rows(self, gains, request):
+        gs = request.getfixturevalue(gains)
+        rng = np.random.default_rng(11)
+        U = rng.standard_normal((7, gs.n_unstable))
+        for i in range(gs.n_unstable):
+            stacked = xi_coefficients(gs, U, i).d
+            rows = np.array([xi_coefficients(gs, u, i).d for u in U])
+            assert stacked.shape == rows.shape
+            assert np.max(np.abs(stacked - rows)) <= 1e-15 * np.max(
+                np.abs(rows))
+
     def test_single_mode_synthetic(self, synthetic_gain_set):
         gs = synthetic_gain_set
         U = np.array([2.0])
@@ -173,7 +187,53 @@ class TestSurrogates:
         assert abs(sups[1] - sups[0]) < 0.1 * sups[0]
 
 
+def per_sample_commutation(gain_set, trajectory, i):
+    """Reference: lift U[k+1], U[k-1] and their central difference one
+    sample at a time and keep the worst deviation."""
+    dt = float(trajectory.times[1] - trajectory.times[0])
+    U = np.asarray(trajectory.states)[:, :gain_set.n_unstable]
+    worst, scale = 0.0, 0.0
+    for k in range(1, len(trajectory.times) - 1):
+        lhs = (xi_coefficients(gain_set, U[k + 1], i).d
+               - xi_coefficients(gain_set, U[k - 1], i).d) / (2.0 * dt)
+        rhs = xi_coefficients(gain_set, (U[k + 1] - U[k - 1]) / (2.0 * dt),
+                              i).d
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        scale = max(scale, float(np.max(np.abs(rhs))))
+    return worst, scale
+
+
+@pytest.fixture(scope="module")
+def ball_traj_seed1(ball, ball_modes, ball_system):
+    modes, _ = ball_modes
+    u0 = project_initial_condition(ball, modes, PolynomialSpec(), seed=1)
+    return integrate(ball_system, u0, 0.05, 4.0)
+
+
 class TestCommutation:
+    @pytest.mark.parametrize("gains, traj", [
+        ("disk_gains", "disk_traj_seed1"), ("ball_gains", "ball_traj_seed1")])
+    def test_matches_per_sample_loop(self, gains, traj, request):
+        gs = request.getfixturevalue(gains)
+        trajectory = request.getfixturevalue(traj)
+        for i in range(gs.n_unstable):
+            got = commutation_check(gs, trajectory, i, 0.05)
+            ref, scale = per_sample_commutation(gs, trajectory, i)
+            assert abs(got - ref) <= 1e-15 * scale
+
+    def test_gram_built_at_most_twice(self, disk_gains, disk_traj_seed1,
+                                      monkeypatch):
+        calls = []
+        original = lifting.boundary_gram
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lifting, "boundary_gram", counting)
+        commutation_check(disk_gains, disk_traj_seed1, 0, 0.05)
+        assert 0 < len(calls) <= 2
+
     def test_closed_loop_trajectory(self, disk_gains, disk_traj_seed1):
         for i in range(5):
             dev = commutation_check(disk_gains, disk_traj_seed1, i, 0.05)
