@@ -1,6 +1,25 @@
 """Modal-decomposition boundary stabilization of the heat equation on the
 disk and ball: spectrum enumeration, lifting, gain synthesis, spectral
-Galerkin simulation, and decay verification."""
+Galerkin simulation, and decay verification.
+
+The environment variable MODALSTAB_THREADS caps BLAS parallelism.  It is
+applied here, before any submodule loads numpy or scipy, because the BLAS
+libraries read their thread settings when they load; thread variables that
+are already set take precedence.
+"""
+
+import os
+
+
+def _apply_thread_cap() -> None:
+    cap = os.environ.get("MODALSTAB_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
 
 from .basis import (Domain, EigenMode, SpectrumSummary, boundary_inner,
                     enumerate_modes, eval_mode, normal_trace,

@@ -4,6 +4,13 @@ Modes are enumerated in descending eigenvalue order with deterministic
 tie-breaking, L2-normalized with the radial factor positive near the origin,
 and carry closed-form normal-trace amplitudes so that boundary Gram entries
 reduce to products of per-mode constants.
+
+The Bessel work is batched: enumeration takes every order's zeros from one
+zero-finder call and every normalization constant from one recurrence, and
+the radial factor, which depends only on (order, k), is evaluated once per
+distinct pair at the distinct radii, one stacked recurrence per order,
+then gathered per mode (`_radial_values`, shared by the grid values and
+the quadrature projection).
 """
 
 import csv
@@ -76,32 +83,36 @@ class SpectrumSummary:
     eigenvalues: tuple
 
 
+def _zeros_below(zeros_fn, cut: float, need: str):
+    """Every order's zeros up to `cut`, from one zero-finder call.
+
+    Zeros of order m lie above m and more than 3 apart (Sturm comparison;
+    the closest pair, j_{0,1} and j_{0,2}, is 3.1 apart), so only orders
+    below the cut have any and order m has at most (cut - m) // 3 + 1.
+    Zeros grow with the order, so a zero of the top supported order below
+    the cut means higher orders would be needed as well.
+    """
+    orders = np.arange(min(math.ceil(cut), MAX_ORDER + 1))
+    zeros = zeros_fn(orders, (cut - orders) // 3 + 1)
+    if orders[-1] == MAX_ORDER and zeros[-1][0] <= cut:
+        raise CapacityError(f"{need} beyond {MAX_ORDER}")
+    return [z[z <= cut] for z in zeros]
+
+
 def _disk_candidates(n_sim: int):
     """All (alpha, angular, k) with the n_sim smallest alpha, deterministic
     order (alpha, m, cos before sin, k)."""
     cut = 2.0 * math.sqrt(n_sim) + 6.0
+    need = f"n_sim={n_sim} requires Bessel orders"
     while True:
         entries = []
-        m = 0
-        while True:
-            if m > MAX_ORDER:
-                raise CapacityError(
-                    f"n_sim={n_sim} requires Bessel orders beyond {MAX_ORDER}")
-            count = max(2, int(cut / math.pi - m / 2 + 2))
-            zeros = bessel_j_zeros(m, count)
-            while zeros[-1] <= cut:
-                count *= 2
-                zeros = bessel_j_zeros(m, count)
-            zeros = zeros[zeros <= cut]
-            if zeros.size == 0:
-                break
+        for m, zeros in enumerate(_zeros_below(bessel_j_zeros, cut, need)):
             for k, z in enumerate(zeros, start=1):
                 if m == 0:
                     entries.append((float(z), (0, "cos"), k))
                 else:
                     entries.append((float(z), (m, "cos"), k))
                     entries.append((float(z), (m, "sin"), k))
-            m += 1
         if len(entries) >= n_sim:
             entries.sort(key=lambda e: (e[0], e[1][0],
                                         0 if e[1][1] == "cos" else 1, e[2]))
@@ -112,25 +123,14 @@ def _disk_candidates(n_sim: int):
 def _ball_candidates(n_sim: int):
     """Ball analog; multiplicity 2l+1, order (alpha, l, m ascending, k)."""
     cut = (4.5 * math.pi * n_sim) ** (1.0 / 3.0) + 4.0
+    need = f"n_sim={n_sim} requires spherical degrees"
     while True:
         entries = []
-        l = 0
-        while True:
-            if l > MAX_ORDER:
-                raise CapacityError(
-                    f"n_sim={n_sim} requires spherical degrees beyond {MAX_ORDER}")
-            count = max(2, int(cut / math.pi - l / 2 + 2))
-            zeros = spherical_bessel_zeros(l, count)
-            while zeros[-1] <= cut:
-                count *= 2
-                zeros = spherical_bessel_zeros(l, count)
-            zeros = zeros[zeros <= cut]
-            if zeros.size == 0:
-                break
+        for l, zeros in enumerate(_zeros_below(spherical_bessel_zeros, cut,
+                                               need)):
             for k, z in enumerate(zeros, start=1):
                 for m in range(-l, l + 1):
                     entries.append((float(z), (l, m), k))
-            l += 1
         if len(entries) >= n_sim:
             entries.sort(key=lambda e: (e[0], e[1][0], e[1][1], e[2]))
             return entries[:n_sim]
@@ -156,21 +156,21 @@ def enumerate_modes(domain: Domain, lam: float, n_sim: int):
         cands = _ball_candidates(n_sim)
 
     trace_scale = math.sqrt(2.0 / R**3)
+    alphas = np.array([alpha for alpha, _, _ in cands])
+    orders = np.array([angular[0] for _, angular, _ in cands])
+    all_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
+    j_next = np.abs(all_fn(int(orders.max()) + 1, alphas)[
+        orders + 1, np.arange(alphas.size)])
     modes = []
-    for n, (alpha, angular, k) in enumerate(cands, start=1):
+    for n, ((alpha, angular, k), j) in enumerate(zip(cands, j_next.tolist()),
+                                                 start=1):
         kappa = (alpha / R) ** 2
         mu = lam - kappa
         if domain.shape == "disk":
-            m = angular[0]
-            j_next = float(bessel_j_all(m + 1, alpha)[m + 1])
-            if m == 0:
-                norm_const = 1.0 / (math.sqrt(math.pi) * R * abs(j_next))
-            else:
-                norm_const = math.sqrt(2.0) / (math.sqrt(math.pi) * R * abs(j_next))
+            scale = 1.0 if angular[0] == 0 else math.sqrt(2.0)
+            norm_const = scale / (math.sqrt(math.pi) * R * j)
         else:
-            l = angular[0]
-            j_next = float(spherical_j_all(l + 1, alpha)[l + 1])
-            norm_const = trace_scale / abs(j_next)
+            norm_const = trace_scale / j
         trace_amp = (-1.0) ** k * alpha * trace_scale
         modes.append(EigenMode(n=n, angular=angular, k=k, alpha=alpha,
                                kappa=kappa, mu=mu, norm_const=norm_const,
@@ -290,16 +290,26 @@ def interior_quadrature(domain: Domain, modes, refine: int = 1):
 
 
 def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
-    """norm_const * (radial Bessel factor) for each mode at radii r."""
+    """norm_const * (radial Bessel factor) for each mode at radii r.
+
+    The factor depends only on (order, k): each distinct pair is evaluated
+    once, at the distinct radii only, by one all-orders recurrence per
+    distinct order, and the table is gathered per mode.
+    """
     R = domain.radius
-    out = np.empty((len(modes), r.size))
-    for i, mode in enumerate(modes):
-        order = mode.angular[0]
-        x = mode.alpha * r / R
-        if domain.shape == "disk":
-            out[i] = mode.norm_const * bessel_j_all(order, x)[order]
-        else:
-            out[i] = mode.norm_const * spherical_j_all(order, x)[order]
+    all_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
+    r_unique, r_index = np.unique(r, return_inverse=True)
+    alpha = {(mode.angular[0], mode.k): mode.alpha for mode in modes}
+    pairs = sorted(alpha)
+    row = {pair: i for i, pair in enumerate(pairs)}
+    table = np.empty((len(pairs), r_unique.size))
+    for order in sorted({order for order, _ in pairs}):
+        rows = [i for i, (o, _) in enumerate(pairs) if o == order]
+        x = np.outer([alpha[pairs[i]] for i in rows], r_unique) / R
+        table[rows] = all_fn(order, x.ravel())[order].reshape(x.shape)
+    mode_rows = np.array([row[mode.angular[0], mode.k] for mode in modes])
+    out = table[mode_rows[:, None], r_index[None, :]]
+    out *= np.array([mode.norm_const for mode in modes])[:, None]
     return out
 
 

@@ -6,9 +6,8 @@ comments).  All artifacts are CSV / JSON / binary snapshots; runs are
 deterministic for a fixed seed.  Exit codes: 0 ok, 1 verification failed,
 2 bad input, 3 gains not validated, 4 synthesis failure.
 
-The environment variable MODALSTAB_THREADS caps BLAS parallelism; it is
-applied before the numeric modules load, so heavy imports happen inside the
-command functions.
+The environment variable MODALSTAB_THREADS caps BLAS parallelism; the
+package applies it on import, before the numeric modules load.
 """
 
 import argparse
@@ -289,7 +288,7 @@ def _run_simulation(cfg: RunConfig):
     diverged = bool(trajectory.truncated
                     or series.linf[-1] > max(series.linf[0], 1e-300))
     return (domain, modes, summary, gain_set, report, info, trajectory,
-            series, evaluator, diverged)
+            series, diverged)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -301,7 +300,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     try:
         (domain, modes, summary, gain_set, report, info, trajectory, series,
-         _, diverged) = _run_simulation(cfg)
+         diverged) = _run_simulation(cfg)
     except (SynthesisError, GainScalingError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS_FAILURE
@@ -339,12 +338,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     outdir = _ensure_outdir(cfg)
     try:
         (domain, modes, summary, gain_set, report, info, trajectory, series,
-         evaluator, diverged) = _run_simulation(cfg)
+         diverged) = _run_simulation(cfg)
     except (SynthesisError, GainScalingError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS_FAILURE
     claims = verify_claims(trajectory, gain_set, modes, domain,
-                           evaluator=evaluator)
+                           series=series)
     extra = {"gains": info, "diverged": diverged}
     if gain_set is not None and not diverged:
         try:
@@ -374,14 +373,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("MODALSTAB_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="modalstab",
@@ -397,7 +388,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--grid", type=int)
     args = parser.parse_args(argv)
-    _apply_thread_cap()
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.output:

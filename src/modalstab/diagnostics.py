@@ -223,15 +223,19 @@ def _fit_metric(times, values, window, tolerance: float = 0.05) -> MetricFit:
 
 def verify_claims(trajectory: Trajectory, gain_set, modes, domain,
                   window=(0.5, 3.5), resolution: int = 50,
-                  evaluator: GridEvaluator = None) -> dict:
+                  evaluator: GridEvaluator = None,
+                  series: NormSeries = None) -> dict:
     """Fit decay constants for every norm series and flag each metric.
 
     A metric passes when its fitted rate is positive and the series stays
     below the fitted envelope (5 percent slack) on the window; identically
-    zero series count as degenerate passes.
+    zero series count as degenerate passes.  `series` is the trajectory's
+    norm series when the caller has computed it already.
     """
-    series = compute_norm_series(trajectory, gain_set, modes, domain,
-                                 resolution=resolution, evaluator=evaluator)
+    if series is None:
+        series = compute_norm_series(trajectory, gain_set, modes, domain,
+                                     resolution=resolution,
+                                     evaluator=evaluator)
     metrics = {
         "u_norm": _fit_metric(series.times, series.u_norm, window),
         "h2_surrogate": _fit_metric(series.times, series.h2_surrogate, window),

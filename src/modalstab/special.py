@@ -7,8 +7,11 @@ global mutable state, so they are safe for concurrent use.
 Bessel functions are computed by a short power series for very small
 arguments and otherwise by backward (Miller) recurrence with on-the-fly
 normalization: the Neumann sum J_0 + 2*sum J_{2k} = 1 for the cylindrical
-family and sum (2l+1) j_l^2 = 1 for the spherical family.  Zeros are located
-by a coarse sign-change scan followed by safeguarded Newton iterations.
+family and sum (2l+1) j_l^2 = 1 for the spherical family.  One recurrence
+yields every order up to the requested one, so callers stack many
+arguments into one call.  Zeros of any set of orders come from one path: a
+single sign-change scan of all the orders on a shared grid, then one
+safeguarded Newton refinement of every bracket at once.
 """
 
 import math
@@ -170,23 +173,18 @@ def spherical_bessel_j(degree: int, x):
     return spherical_j_all(degree, x)[degree]
 
 
-def _cyl_f_df(order: int, x: np.ndarray):
-    vals = bessel_j_all(max(order, 1), x)
-    f = vals[order]
-    if order == 0:
-        df = -vals[1]
-    else:
-        df = vals[order - 1] - (order / x) * f
-    return f, df
+def _lane_f_df(all_fn, shift: int, orders: np.ndarray, x: np.ndarray):
+    """Value and derivative of each lane's own order at its point.
 
-
-def _sph_f_df(degree: int, x: np.ndarray):
-    vals = spherical_j_all(max(degree, 1), x)
-    f = vals[degree]
-    if degree == 0:
-        df = -vals[1]
-    else:
-        df = vals[degree - 1] - ((degree + 1) / x) * f
+    One all-orders recurrence covers every lane; the derivative follows
+    from the recurrence f_n' = f_{n-1} - ((n + shift)/x) f_n (shift 0 for
+    J_n, 1 for j_n), with f_0' = -f_1.
+    """
+    vals = all_fn(max(int(orders.max()), 1), x)
+    lane = np.arange(x.size)
+    f = vals[orders, lane]
+    below = vals[np.abs(orders - 1), lane]
+    df = np.where(orders == 0, -below, below - ((orders + shift) / x) * f)
     return f, df
 
 
@@ -196,7 +194,8 @@ def _refine_zeros(f_df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     Three bisection rounds shrink the brackets well inside the Newton basin
     of these simple oscillatory zeros; plain Newton then converges
     quadratically.  A bracketed bisection fallback guards the rare lane
-    where Newton leaves its bracket.
+    where Newton leaves its bracket; it bisects every lane, since f_df
+    evaluates each lane's own function.
     """
     a = lo.copy()
     b = hi.copy()
@@ -219,7 +218,7 @@ def _refine_zeros(f_df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         x = x_new
     stray = ~np.isfinite(x) | (x < lo) | (x > hi)
     if stray.any():
-        aa, bb = lo[stray].copy(), hi[stray].copy()
+        aa, bb = lo.copy(), hi.copy()
         ffa, _ = f_df(aa)
         for _ in range(60):
             mid = 0.5 * (aa + bb)
@@ -227,38 +226,57 @@ def _refine_zeros(f_df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             neg_side = fm * ffa > 0
             aa = np.where(neg_side, mid, aa)
             bb = np.where(neg_side, bb, mid)
-        x[stray] = 0.5 * (aa + bb)
+        x[stray] = 0.5 * (aa[stray] + bb[stray])
     return x
 
 
-def _zeros_by_scan(f_df, count: int, start: float) -> np.ndarray:
-    """First `count` positive zeros of f, scanning upward from `start`."""
-    zeros = []
-    x_prev = start
-    f_prev, _ = f_df(np.atleast_1d(x_prev))
-    f_prev = float(f_prev[0])
-    while len(zeros) < count:
-        grid = x_prev + _SCAN_STEP * np.arange(1, 121)
-        f_grid, _ = f_df(grid)
-        f_all = np.concatenate([[f_prev], f_grid])
-        x_all = np.concatenate([[x_prev], grid])
-        change = np.nonzero(f_all[:-1] * f_all[1:] < 0)[0]
-        if change.size:
-            lo = x_all[change]
-            hi = x_all[change + 1]
-            zeros.extend(_refine_zeros(f_df, lo, hi).tolist())
-        x_prev = float(grid[-1])
-        f_prev = float(f_grid[-1])
-    return np.array(zeros[:count])
+def _first_zeros(all_fn, shift: int, order, count):
+    """First `count` positive zeros of each order of one Bessel family.
 
-
-def bessel_j_zeros(order: int, count: int) -> np.ndarray:
-    """First `count` positive zeros of J_order, strictly increasing."""
-    _check_order(order)
-    if count < 1:
+    Every order is scanned at once: one all-orders evaluation on a uniform
+    grid from _SCAN_STEP upward (no zero of either family lies below 2.4,
+    and zeros are more than 3 apart, so each grid cell holds at most one),
+    extended until every order shows `count` sign changes; then one
+    refinement over all brackets.  An int `order` gives one array; a 1-D
+    array of orders (with an int or a matching array of counts) gives a
+    list of arrays, one per order.
+    """
+    orders = np.atleast_1d(np.asarray(order)).astype(int)
+    if orders.ndim > 1 or orders.size == 0:
+        raise ValueError("order must be an int or a nonempty 1-D array")
+    _check_order(int(orders.min()))
+    _check_order(int(orders.max()))
+    counts = np.broadcast_to(np.asarray(count), orders.shape).astype(int)
+    if counts.min() < 1:
         raise ValueError("count must be >= 1")
-    start = max(order, 1e-3)
-    return _zeros_by_scan(lambda x: _cyl_f_df(order, x), count, start)
+    # the k-th zero of order m lies near m + 1.86 m^(1/3) + (k - 1) pi
+    # (first zeros) or (k + m/2 - 1/4) pi (later ones); start just above
+    top = float(np.max(orders + 2.0 * np.cbrt(orders) + np.pi * (counts + 1)))
+    m_top = int(orders.max())
+    while True:
+        grid = _SCAN_STEP * np.arange(1, int(top / _SCAN_STEP) + 2)
+        f = all_fn(m_top, grid)[orders]
+        change = f[:, :-1] * f[:, 1:] < 0
+        if np.all(change.sum(axis=1) >= counts):
+            break
+        top *= 1.25
+    row, col = np.nonzero(change & (np.cumsum(change, axis=1)
+                                    <= counts[:, None]))
+    lane_orders = orders[row]
+    zeros = _refine_zeros(lambda x: _lane_f_df(all_fn, shift, lane_orders, x),
+                          grid[col], grid[col + 1])
+    if np.ndim(order) == 0:
+        return zeros
+    return np.split(zeros, np.cumsum(counts)[:-1])
+
+
+def bessel_j_zeros(order, count) -> np.ndarray:
+    """First `count` positive zeros of J_order, strictly increasing.
+
+    `order` may be a 1-D array of orders (and `count` an int or a matching
+    array); the result is then a list with one array per order.
+    """
+    return _first_zeros(bessel_j_all, 0, order, count)
 
 
 def bessel_j_zero(order: int, k: int) -> float:
@@ -266,13 +284,12 @@ def bessel_j_zero(order: int, k: int) -> float:
     return float(bessel_j_zeros(order, k)[k - 1])
 
 
-def spherical_bessel_zeros(degree: int, count: int) -> np.ndarray:
-    """First `count` positive zeros of j_degree, strictly increasing."""
-    _check_order(degree)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    start = max(degree, 1e-3)
-    return _zeros_by_scan(lambda x: _sph_f_df(degree, x), count, start)
+def spherical_bessel_zeros(degree, count) -> np.ndarray:
+    """First `count` positive zeros of j_degree, strictly increasing.
+
+    Accepts arrays of degrees (and counts) like `bessel_j_zeros`.
+    """
+    return _first_zeros(spherical_j_all, 1, degree, count)
 
 
 def spherical_bessel_zero(degree: int, k: int) -> float:

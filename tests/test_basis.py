@@ -1,16 +1,15 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
+from _oracles import oracle_zero_bisection
 from modalstab.basis import (CapacityError, Domain, DomainError,
                              boundary_gram, boundary_inner, enumerate_modes,
                              eval_mode, export_mode_table, interior_quadrature,
                              mode_values, normal_trace, project_function)
-from modalstab.special import quadrature_rule
-
-mp.mp.dps = 30
+from modalstab.special import (bessel_j, quadrature_rule,
+                               real_spherical_harmonic, spherical_bessel_j)
 
 LAMBDA = 6.61
 
@@ -29,33 +28,19 @@ BALL_TRACE_VALUE = -0.22155673136318950
 DISK_GRAM_11 = 1.4457964907366961
 # -(2 pi)(pi) 2 / R^3 = -pi^2/2, modes (l=0,k=1) x (l=0,k=2)
 BALL_GRAM_0102 = -4.9348022005446793
+# (angular, k) at fixed table positions n of the n_sim 300 tables: the
+# highest order, the highest k and the last mode
+TABLE_PINS = {
+    "disk": {288: ((29, "cos"), 1), 296: ((1, "cos"), 11),
+             300: ((10, "cos"), 7)},
+    "ball": {282: ((12, -12), 1), 279: ((1, -1), 5), 300: ((12, 6), 1)},
+}
 
 
-def oracle_zero_bisection(order, k, spherical=False):
-    """Independent zero: scan mpmath series values, bisect the bracket."""
-    if spherical:
-        f = lambda x: float(mp.sqrt(mp.pi / (2 * mp.mpf(x)))
-                            * mp.besselj(order + mp.mpf(1) / 2, mp.mpf(x)))
-    else:
-        f = lambda x: float(mp.besselj(order, mp.mpf(x)))
-    x = max(order, 1e-3)
-    found = 0
-    f_prev = f(x)
-    while True:
-        x_next = x + 0.25
-        f_next = f(x_next)
-        if f_prev * f_next < 0:
-            found += 1
-            if found == k:
-                lo, hi = x, x_next
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if f(lo) * f(mid) <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                return 0.5 * (lo + hi)
-        x, f_prev = x_next, f_next
+def _table_extremes(modes):
+    """The highest-order mode, the highest-k mode and the last mode."""
+    return [max(modes, key=lambda m: (m.angular[0], m.k)),
+            max(modes, key=lambda m: (m.k, m.angular[0])), modes[-1]]
 
 
 class TestEnumeration:
@@ -106,6 +91,23 @@ class TestEnumeration:
     def test_capacity_error(self, disk):
         with pytest.raises(CapacityError):
             enumerate_modes(disk, LAMBDA, 4000)
+
+    def test_capacity_edge(self, disk):
+        # the first n_sim whose candidate cut needs J_60's first zero
+        modes, _ = enumerate_modes(disk, LAMBDA, 946)
+        assert len(modes) == 946
+        with pytest.raises(CapacityError):
+            enumerate_modes(disk, LAMBDA, 947)
+
+    def test_alpha_sample_matches_bisection_oracle(self, disk, ball,
+                                                   disk_modes, ball_modes):
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            for n, key in TABLE_PINS[domain.shape].items():
+                assert (modes[n - 1].angular, modes[n - 1].k) == key
+            for mode in modes[::37] + _table_extremes(modes):
+                z = oracle_zero_bisection(mode.angular[0], mode.k,
+                                          spherical=(domain.shape == "ball"))
+                assert abs(mode.alpha - z) <= 1e-13 * z
 
     def test_radius_independent_ordering(self):
         small = Domain("disk", 0.5)
@@ -177,6 +179,82 @@ class TestEvalMode:
             norm_sq = float(np.dot(w, row * row))
             rayleigh = (LAMBDA - mode.kappa) * norm_sq
             assert abs(rayleigh - mode.mu) <= 1e-9 * max(1.0, abs(mode.mu))
+
+
+def _probe_points(domain):
+    """Centre, boundary points, and several points on each of a few shared
+    radii, so one radius serves many points."""
+    R = domain.radius
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(4, domain.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radii = np.array([0.0, R, 0.37 * R, 0.81 * R])
+    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, domain.dim)
+    return np.vstack([pts, rng.uniform(-0.55 * R, 0.55 * R,
+                                       size=(6, domain.dim))])
+
+
+def _mode_sample(modes):
+    """Modes sharing (order, k) pairs (cos/sin pairs, ball multiplets) and
+    the table's extremes."""
+    return list(modes[:12]) + _table_extremes(modes)
+
+
+def _per_mode_field(mode, domain, r, angles):
+    """One eigenfunction on a tensor grid of radii x angle samples, from
+    the single-order public evaluators (the per-mode reference)."""
+    R = domain.radius
+    if domain.shape == "disk":
+        m, parity = mode.angular
+        radial = bessel_j(m, mode.alpha * r / R)
+        ang = np.ones_like(angles) if m == 0 else \
+            (np.cos(m * angles) if parity == "cos" else np.sin(m * angles))
+    else:
+        l, m = mode.angular
+        radial = spherical_bessel_j(l, mode.alpha * r / R)
+        ang = real_spherical_harmonic(l, m, angles[0], angles[1])
+    return mode.norm_const * np.outer(radial, ang)
+
+
+class TestBatchedRadialFactors:
+    def test_mode_values_match_eval_mode(self, disk, ball, disk_modes,
+                                         ball_modes):
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            sample = _mode_sample(modes)
+            pts = _probe_points(domain)
+            vals = mode_values(sample, domain, pts)
+            ref = np.array([[eval_mode(m, domain, p) for p in pts]
+                            for m in sample])
+            assert np.max(np.abs(vals - ref)) <= 1e-13
+
+    def test_project_function_matches_per_mode_quadrature(
+            self, disk, ball, disk_modes, ball_modes):
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            sample = _mode_sample(modes)
+            rules = interior_quadrature(domain, sample)
+            r = rules[0].nodes
+            w_r = rules[0].weights * r ** (domain.dim - 1)
+            if domain.shape == "disk":
+                th = rules[1].nodes
+                angles, w_ang = th, rules[1].weights
+                f = lambda x, y: (4.0 - x * x - y * y) \
+                    * (1.0 + x + 0.5 * y * y)
+                fv = f(np.outer(r, np.cos(th)), np.outer(r, np.sin(th)))
+            else:
+                theta = np.arccos(rules[1].nodes)
+                tt, pp = np.meshgrid(theta, rules[2].nodes, indexing="ij")
+                angles = (tt.ravel(), pp.ravel())
+                w_ang = np.outer(rules[1].weights, rules[2].weights).ravel()
+                f = lambda x, y, z: (4.0 - x * x - y * y - z * z) \
+                    * (1.0 + x + 0.5 * y * y - 0.3 * z)
+                st, ct = np.sin(angles[0]), np.cos(angles[0])
+                fv = f(np.outer(r, st * np.cos(angles[1])),
+                       np.outer(r, st * np.sin(angles[1])), np.outer(r, ct))
+            coeffs = project_function(f, sample, domain)
+            ref = np.array([np.sum(np.outer(w_r, w_ang) * fv
+                                   * _per_mode_field(m, domain, r, angles))
+                            for m in sample])
+            assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestNormalTrace:

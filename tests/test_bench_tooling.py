@@ -1,5 +1,6 @@
 """The benchmark's tracer patches modalstab functions by name; a refactor
-that drops or renames one of them must fail here, not only in a traced
+that drops or renames one of them, or that brings back per-mode Bessel
+evaluations or per-order zero scans, must fail here, not only in a traced
 benchmark run."""
 
 import importlib.util
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import modalstab
 import modalstab.cli  # noqa: F401  (tracing.targets wraps cli.main)
+from modalstab.basis import Domain, enumerate_modes
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -25,3 +27,26 @@ def test_every_trace_target_resolves():
                for owner, attr, _, _ in targets
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_traced_verify_batches_bessel_work(tmp_path):
+    tracing = load_tracing()
+    config = tmp_path / "run.cfg"
+    config.write_text("n_sim = 40\ngrid = 12\nhorizon = 1\n"
+                      f"output_dir = {tmp_path / 'out'}\n")
+    tracer = tracing.Tracer()
+    tracer.install(tracing.targets(modalstab))
+    try:
+        code = modalstab.cli.main(["verify", "--config", str(config)])
+    finally:
+        tracer.uninstall()
+    assert code in (0, 1)
+    modes, _ = enumerate_modes(Domain("disk", 2.0), 6.61, 40)
+    orders = len({mode.angular[0] for mode in modes})
+    calls = tracing.layer_values(tracer, 0)
+    # one stacked recurrence per order for the grid and for the projection,
+    # one for the normalization constants, one scan for all zeros
+    assert calls["special.radial_calls"] <= 2 * orders + 2
+    assert calls["special.zero_calls"] <= 2
+    # verify_claims reuses the series the simulation already computed
+    assert calls["diagnostics.norm_series_calls"] == 1

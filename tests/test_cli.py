@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modalstab
 from modalstab.cli import (EXIT_BAD_INPUT, EXIT_GAINS_NOT_VALIDATED, EXIT_OK,
                            EXIT_VERIFY_FAILED, ConfigError, RunConfig,
                            cmd_simulate, cmd_spectrum, cmd_synthesize,
@@ -233,11 +237,20 @@ class TestMain:
                      "--output", str(out)]) == EXIT_OK
         assert (out / "spectrum_summary.json").exists()
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MODALSTAB_THREADS", "1")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        path = tmp_path / "run.cfg"
-        path.write_text(DISK_CFG + "n_sim = 40\n")
-        assert main(["spectrum", "--config", str(path),
-                     "--output", str(tmp_path / "o")]) == EXIT_OK
-        assert os.environ.get("OMP_NUM_THREADS") == "1"
+    def test_thread_cap_applied_on_import(self):
+        # BLAS reads its thread variables when numpy loads, so the cap must
+        # be set by the package import itself; an explicit setting wins
+        src = str(Path(modalstab.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_NUM_THREADS")}
+        env["MODALSTAB_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import os, modalstab; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                 "os.environ['OMP_NUM_THREADS'])")
+        run = lambda extra: subprocess.run(
+            [sys.executable, "-c", probe], env={**env, **extra},
+            capture_output=True, text=True, check=True).stdout.split()
+        assert run({}) == ["1", "1"]
+        assert run({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1"]

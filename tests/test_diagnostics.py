@@ -297,3 +297,16 @@ class TestVerifyClaims:
             assert set(entry) == {"metric", "gamma_hat", "sigma_hat",
                                   "residual", "pass", "degenerate"}
         assert payload["extra_field"] == 1
+
+    def test_precomputed_series_gives_same_report(self, disk, disk_modes,
+                                                  disk_gains, disk_traj_seed1,
+                                                  disk_evaluator):
+        modes, _ = disk_modes
+        series = compute_norm_series(disk_traj_seed1, disk_gains, modes, disk,
+                                     evaluator=disk_evaluator)
+        given = verify_claims(disk_traj_seed1, disk_gains, modes, disk,
+                              series=series)
+        rebuilt = verify_claims(disk_traj_seed1, disk_gains, modes, disk,
+                                evaluator=disk_evaluator)
+        assert given["series"] is series
+        assert claims_report_json(given) == claims_report_json(rebuilt)
