@@ -11,9 +11,9 @@ The generator is therefore block lower-triangular: its coupled columns S
 (at most the N leading ones) evolve on their own, and every other
 coordinate sees only itself and S.  The loop is LTI; its exact one-step map
 is built from an N x N exponential plus one (N+1)-square block exponential
-per tail row, with a classical Runge-Kutta integrator on the O(n_sim N)
-structured derivative retained as an independent cross-check.  Neither
-forms an n_sim x n_sim product.
+per tail row.  The classical Runge-Kutta cross-check is a polynomial map on
+the same blocks, P(hG)^n_sub with P the degree-4 Taylor polynomial, built
+once per run.  Neither forms an n_sim x n_sim product.
 """
 
 import struct
@@ -263,14 +263,15 @@ class CoupledSplit:
         """G u in O(n_sim |S|)."""
         return self.d * u + self.K @ u[self.S]
 
-    def step_map(self, dt: float):
+    def step_map(self, dt: float, flow=scipy.linalg.expm):
         """u -> exp(G dt) u from |S|+1-square exponentials.
 
         With A = G[S, S], u[S] <- exp(A dt) u[S]; row t of T takes the
         lower-left row F_t of exp([[A, 0], [G[t, S], d_t]] dt) (Van Loan
         1978), u_t <- e^{d_t dt} u_t + F_t u[S].  Each block exponential is
         exact whatever d_t is, so tail rates resonant with eig(A) need no
-        special handling.
+        special handling.  `flow` stands for exp on stacked square blocks;
+        any matrix function keeps the same split, a polynomial included.
         """
         S, T, s = self.S, self.T, self.S.size
         lead = (self.K[S] + np.diag(self.d[S])) * dt
@@ -278,9 +279,9 @@ class CoupledSplit:
         blocks[:, :s, :s] = lead
         blocks[:, s, :s] = self.K[T] * dt
         blocks[:, s, s] = self.d[T] * dt
-        E = scipy.linalg.expm(lead)
-        F = scipy.linalg.expm(blocks)[:, s, :s]
-        decay = np.exp(self.d[T] * dt)
+        E = flow(lead)
+        F = flow(blocks)[:, s, :s]
+        decay = flow((self.d[T] * dt)[:, None, None])[:, 0, 0]
 
         def step(u):
             lead_u = u[S]
@@ -310,12 +311,13 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
     assembled closed loop, and the diagonal rest T.  expm_step samples the
     exact flow with the split's one-step map, built once from an
     |S|-square exponential and one (|S|+1)-square block exponential per T
-    row, O(n_sim N^3) in all, and applied in O(n_sim N) per step.  rk4 runs
-    classical fourth-order steps on the O(n_sim N) derivative
-    d*u + K u[S], with internal substepping sized to the spectral radius,
-    as an independent check.  Neither forms an n_sim x n_sim product.  On
-    overflow past 1e12 the trajectory is truncated at the last valid sample
-    and flagged.
+    row, O(n_sim N^3) in all, and applied in O(n_sim N) per step.  rk4, an
+    independent check, replaces each exponential by P(hG)^n_sub, the
+    classical fourth-order step of a linear system (the degree-4 Taylor
+    polynomial of h G) raised to the n_sub substeps sized to the spectral
+    radius; the map is built once on the same split and applied like
+    expm_step.  Neither forms an n_sim x n_sim product.  On overflow past
+    1e12 the trajectory is truncated at the last valid sample and flagged.
     """
     if dt <= 0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
@@ -337,17 +339,17 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
                              + np.hypot(np.linalg.norm(split.K),
                                         np.linalg.norm(split.d - system.mu)))
         n_sub = max(1, int(np.ceil(dt * radius_bound / 0.5)))
-        h = dt / n_sub
-        deriv = split.derivative
 
-        def step(u):
-            for _ in range(n_sub):
-                k1 = deriv(u)
-                k2 = deriv(u + 0.5 * h * k1)
-                k3 = deriv(u + 0.5 * h * k2)
-                k4 = deriv(u + h * k3)
-                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            return u
+        def taylor4(x):
+            # one RK4 substep of a linear system is the degree-4 Taylor
+            # polynomial of h G, here by Horner over the stacked blocks
+            x = x / n_sub
+            eye = np.eye(x.shape[-1])
+            p = eye + x / 4.0
+            for j in (3.0, 2.0, 1.0):
+                p = eye + (x / j) @ p
+            return np.linalg.matrix_power(p, n_sub)
+        step = split.step_map(dt, taylor4)
     else:
         raise ValueError(f"unknown method {method!r}")
     for _ in range(n_steps):
@@ -370,16 +372,14 @@ def open_loop(modes, u0_coeffs, dt: float, horizon: float) -> Trajectory:
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
     u0 = np.asarray(u0_coeffs, dtype=float)
-    states = [u0]
-    truncated = False
-    for t in times[1:]:
-        nxt = u0 * np.exp(mu * t)
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > OVERFLOW_LIMIT:
-            truncated = True
-            break
-        states.append(nxt)
-    times = times[: len(states)]
-    return _finalize(times, states, np.zeros((n, n)), n, truncated)
+    with np.errstate(over="ignore", invalid="ignore"):
+        later = u0 * np.exp(np.outer(times[1:], mu))
+        # a row is bad when its max is over the limit, inf or NaN
+        bad = ~(np.max(np.abs(later), axis=1) <= OVERFLOW_LIMIT)
+    keep = int(np.argmax(bad)) if bad.any() else bad.size
+    states = np.vstack([u0, later[:keep]])
+    return _finalize(times[: keep + 1], states, np.zeros((n, n)), n,
+                     keep < bad.size)
 
 
 def reduced_dynamics_fit(trajectory: Trajectory,

@@ -1,8 +1,9 @@
 """Independent numeric oracles shared by the test modules.
 
 Everything here deliberately avoids the package's own evaluation paths:
-zeros come from plain bisection on high-precision series values, and surface
-integrals from explicit quadrature over boundary samples.
+zeros come from plain bisection on high-precision series values, surface
+integrals from explicit quadrature over boundary samples, and RK4 trajectories
+from textbook stages on the dense generator.
 """
 
 import math
@@ -77,3 +78,27 @@ def quadrature_boundary_gram(domain, modes):
             harm = real_spherical_harmonic(l, m, tt, pp)
             traces[i] = mode.trace_amp * harm.ravel() / R
     return (traces * w) @ traces.T
+
+
+def rk4_substep_loop(system, u0, dt, n_steps):
+    """Classical RK4 samples every dt with n_sub textbook substeps each.
+
+    n_sub follows integrate's documented rule, h (max|mu| +
+    ||G - diag(mu)||_F) <= 0.5, and every stage is a dense G @ u.
+    """
+    gen = np.asarray(system.generator, dtype=float)
+    radius = np.max(np.abs(system.mu)) \
+        + np.linalg.norm(gen - np.diag(system.mu))
+    n_sub = max(1, int(np.ceil(dt * radius / 0.5)))
+    h = dt / n_sub
+    u = np.asarray(u0, dtype=float)
+    states = [u]
+    for _ in range(n_steps):
+        for _ in range(n_sub):
+            k1 = gen @ u
+            k2 = gen @ (u + 0.5 * h * k1)
+            k3 = gen @ (u + 0.5 * h * k2)
+            k4 = gen @ (u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(u)
+    return np.array(states)

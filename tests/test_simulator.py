@@ -1,12 +1,14 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
-                                 InsufficientExcitationError, PolynomialSpec,
+                                 CoupledSplit, InsufficientExcitationError,
+                                 PolynomialSpec,
                                  Trajectory, assemble_closed_loop,
                                  coupled_split, integrate, lcg_uniform,
                                  open_loop,
@@ -15,6 +17,8 @@ from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  tail_energy, write_snapshots,
                                  write_trajectory_csv)
 from modalstab.diagnostics import decay_rate_fit
+
+from _oracles import rk4_substep_loop
 
 DISK_MU_1 = 5.1642035092633039
 
@@ -106,12 +110,13 @@ class TestIntegrate:
         for k in range(U.shape[0] - 1):
             assert np.linalg.norm(prop @ U[k] - U[k + 1]) < 1e-8
 
-    def test_overflow_truncation(self):
+    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
+    def test_overflow_truncation(self, method):
         system = ClosedLoopSystem(generator=np.array([[10.0]]),
                                   beta=np.zeros((1, 1)),
                                   coupling=np.zeros((1, 1)),
                                   mu=np.array([10.0]), n_unstable=1)
-        traj = integrate(system, [1.0], 0.5, 10.0)
+        traj = integrate(system, [1.0], 0.5, 10.0, method=method)
         assert traj.truncated
         assert traj.times.size < 21
         assert np.max(np.abs(traj.states)) <= 1e12
@@ -180,6 +185,39 @@ class TestCoupledSplit:
             <= 1e-14 * np.linalg.norm(exact)
 
 
+class TestRK4Map:
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_rk4_map_matches_substep_loop(self, case, request):
+        if case in ("disk", "ball"):
+            system = request.getfixturevalue(f"{case}_system")
+        else:
+            gen = SPLIT_CASES[case][0](request)
+            system = ClosedLoopSystem(generator=gen,
+                                      beta=np.zeros((gen.shape[0], 1)),
+                                      coupling=np.zeros((1, 1)),
+                                      mu=np.diag(gen).copy(), n_unstable=1)
+        u0 = lcg_uniform(5, system.generator.shape[0])
+        traj = integrate(system, u0, 0.05, 4.0, method="rk4")
+        loop = rk4_substep_loop(system, u0, 0.05, 80)
+        assert not traj.truncated and traj.states.shape == loop.shape
+        gap = np.linalg.norm(traj.states - loop, axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(loop, axis=1))
+
+    def test_rk4_makes_no_substep_derivative_calls(self, disk_system,
+                                                   disk_u0_seed1,
+                                                   monkeypatch):
+        calls = []
+        original = CoupledSplit.derivative
+
+        def counting(self, u):
+            calls.append(u.shape)
+            return original(self, u)
+        monkeypatch.setattr(CoupledSplit, "derivative", counting)
+        traj = integrate(disk_system, disk_u0_seed1, 0.05, 4.0, method="rk4")
+        assert traj.times.size == 81
+        assert calls == []
+
+
 class TestOpenLoop:
     def test_unstable_mode_growth_rate(self, disk_modes):
         modes, _ = disk_modes
@@ -211,6 +249,22 @@ class TestOpenLoop:
         u0 = np.full(300, 1e6)
         traj = open_loop(modes, u0, 0.5, 50.0)
         assert traj.truncated
+
+    # (mu, u0, samples kept): e^{5k} first passes 1e12 at k = 6; e^{1000}
+    # overflows and 0 * inf is NaN at the first step
+    @pytest.mark.parametrize("mu, u0, kept", [
+        ((10.0, -1.0), (1.0, 1.0), 6),
+        ((2000.0, -1.0), (0.0, 1.0), 1),
+    ])
+    def test_truncates_at_first_bad_row(self, mu, u0, kept):
+        modes = [SimpleNamespace(mu=m) for m in mu]
+        with np.errstate(all="raise"):
+            traj = open_loop(modes, u0, 0.5, 10.0)
+        assert traj.truncated
+        assert traj.times.size == kept and traj.states.shape == (kept, 2)
+        expected = np.array(u0) * np.exp(np.outer(traj.times, mu))
+        assert np.array_equal(traj.states, expected)
+        assert np.max(np.abs(traj.states)) <= 1e12
 
 
 class TestReducedFit:
