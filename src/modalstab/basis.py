@@ -11,11 +11,17 @@ the radial factor, which depends only on (order, k), is evaluated once per
 distinct pair at the distinct radii, one stacked recurrence per order,
 then gathered per mode (`_radial_values`, shared by the grid values and
 the quadrature projection).
+
+The angular factor exists once, in `angular_values`: 1, cos(m theta) or
+sin(m theta) on the disk and `special.real_spherical_harmonics` on the
+ball, evaluated once per distinct angular key (`angular_keys`).  Grid
+values, the quadrature projection, point evaluation and the normal traces
+(`boundary_traces`) all go through it.
 """
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +29,8 @@ from .special import (
     MAX_ORDER,
     bessel_j_all,
     bessel_j_zeros,
-    normalized_legendre_table,
     quadrature_rule,
+    real_spherical_harmonics,
     spherical_bessel_zeros,
     spherical_j_all,
 )
@@ -185,86 +191,115 @@ def count_unstable(modes) -> int:
     return int(sum(1 for mode in modes if mode.mu >= 0.0))
 
 
-def _disk_angular_scalar(mode: EigenMode, theta: float) -> float:
-    m, parity = mode.angular
-    if m == 0:
-        return 1.0
-    return math.cos(m * theta) if parity == "cos" else math.sin(m * theta)
+def angular_keys(modes):
+    """Distinct angular keys in first-appearance order, and each mode's row
+    among them."""
+    index = {}
+    rows = [index.setdefault(mode.angular, len(index)) for mode in modes]
+    return list(index), np.array(rows, dtype=int)
 
 
-def _ball_harmonic_scalar(mode: EigenMode, theta: float, phi: float) -> float:
-    return float(np.ravel(_ball_harmonic(mode, theta, phi))[0])
-
-
-def _ball_harmonic(mode: EigenMode, theta, phi):
-    l, m = mode.angular
-    table = normalized_legendre_table(l, np.cos(theta), np.sin(theta))
-    plm = table[l, abs(m)]
-    if m == 0:
-        return plm
-    if m > 0:
-        return math.sqrt(2.0) * plm * np.cos(m * np.asarray(phi, dtype=float))
-    return math.sqrt(2.0) * plm * np.sin(-m * np.asarray(phi, dtype=float))
-
-
-def eval_mode(mode: EigenMode, domain: Domain, point) -> float:
-    """Value of the L2-normalized eigenfunction at a point of the closure."""
-    p = np.asarray(point, dtype=float)
-    R = domain.radius
-    r = float(np.linalg.norm(p))
-    if r > R * (1.0 + 1e-12):
-        raise DomainError(f"point at radius {r} outside closure (R={R})")
+def point_angles(domain: Domain, points):
+    """Angles of Cartesian points (n, dim) as angular_values takes them:
+    theta on the disk, (cos theta, sin theta, phi) on the ball, with the
+    polar angle 0 at the origin."""
+    pts = np.asarray(points, dtype=float)
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
     if domain.shape == "disk":
-        m = mode.angular[0]
-        radial = float(bessel_j_all(m, mode.alpha * r / R)[m])
-        theta = math.atan2(p[1], p[0])
-        return mode.norm_const * radial * _disk_angular_scalar(mode, theta)
-    l = mode.angular[0]
-    radial = float(spherical_j_all(l, mode.alpha * r / R)[l])
-    theta = math.acos(p[2] / r) if r > 0 else 0.0
-    phi = math.atan2(p[1], p[0])
-    return mode.norm_const * radial * _ball_harmonic_scalar(mode, theta, phi)
+        return phi
+    r = np.linalg.norm(pts, axis=1)
+    ct = np.clip(np.where(r > 0, pts[:, 2] / np.where(r > 0, r, 1.0), 1.0),
+                 -1.0, 1.0)
+    return ct, np.sqrt(1.0 - ct * ct), phi
 
 
-def boundary_angular_factor(mode: EigenMode, domain: Domain, point) -> float:
-    """L2(boundary)-orthonormal angular factor of the mode at a boundary
-    point; the normal trace is trace_amp times this value."""
+def angular_values(keys, domain: Domain, angles) -> np.ndarray:
+    """Angular factors of the keys at the angles; shape (len(keys),) + the
+    angles' shape.
+
+    Disk keys (m, parity) give 1 (m = 0), cos(m theta) or sin(m theta) at
+    angles theta; ball keys (l, m) give the real spherical harmonic at
+    angles (cos theta, sin theta, phi), which broadcast.
+    """
+    if domain.shape == "ball":
+        return real_spherical_harmonics(keys, *angles)
+    theta = np.asarray(angles, dtype=float)
+    out = np.empty((len(keys),) + theta.shape)
+    for row, (m, parity) in zip(out, keys):
+        if m == 0:
+            row[...] = 1.0
+        else:
+            row[...] = np.cos(m * theta) if parity == "cos" \
+                else np.sin(m * theta)
+    return out
+
+
+def boundary_traces(modes, domain: Domain, angles) -> np.ndarray:
+    """Outward normal derivatives of the eigenfunctions at boundary angles;
+    shape (n_modes,) + the angles' shape.
+
+    Each is trace_amp times the L2(boundary)-orthonormal angular factor:
+    the disk factor over sqrt(2 pi R) (m = 0) or sqrt(pi R), the ball
+    harmonic over R.
+    """
+    keys, rows = angular_keys(modes)
+    R = domain.radius
+    factors = angular_values(keys, domain, angles)
+    if domain.shape == "disk":
+        for row, (m, _) in zip(factors, keys):
+            row *= 1.0 / math.sqrt(2.0 * math.pi * R) if m == 0 \
+                else 1.0 / math.sqrt(math.pi * R)
+    else:
+        factors /= R
+    amps = np.array([mode.trace_amp for mode in modes])
+    return (factors[rows].T * amps).T
+
+
+def boundary_angles(domain: Domain, point):
+    """point_angles of one boundary point; DomainError off the boundary."""
     p = np.asarray(point, dtype=float)
     R = domain.radius
     r = float(np.linalg.norm(p))
     if abs(r - R) > 1e-9 * R:
         raise DomainError(f"point at radius {r} is not on the boundary (R={R})")
-    if domain.shape == "disk":
-        m = mode.angular[0]
-        theta = math.atan2(p[1], p[0])
-        scale = 1.0 / math.sqrt(2.0 * math.pi * R) if m == 0 \
-            else 1.0 / math.sqrt(math.pi * R)
-        return scale * _disk_angular_scalar(mode, theta)
-    theta = math.acos(min(1.0, max(-1.0, p[2] / r)))
-    phi = math.atan2(p[1], p[0])
-    return _ball_harmonic_scalar(mode, theta, phi) / R
+    return point_angles(domain, p[None, :])
+
+
+def eval_mode(mode: EigenMode, domain: Domain, point) -> float:
+    """Value of the L2-normalized eigenfunction at a point of the closure."""
+    p = np.asarray(point, dtype=float)
+    r = float(np.linalg.norm(p))
+    if r > domain.radius * (1.0 + 1e-12):
+        raise DomainError(
+            f"point at radius {r} outside closure (R={domain.radius})")
+    return float(mode_values([mode], domain, p[None, :])[0, 0])
+
+
+def boundary_angular_factor(mode: EigenMode, domain: Domain, point) -> float:
+    """L2(boundary)-orthonormal angular factor of the mode at a boundary
+    point; the normal trace is trace_amp times this value."""
+    return normal_trace(replace(mode, trace_amp=1.0), domain, point)
 
 
 def normal_trace(mode: EigenMode, domain: Domain, point) -> float:
     """Outward normal derivative of the eigenfunction at a boundary point."""
-    return mode.trace_amp * boundary_angular_factor(mode, domain, point)
+    angles = boundary_angles(domain, point)
+    return float(boundary_traces([mode], domain, angles)[0, 0])
 
 
-def boundary_inner(mode_i: EigenMode, mode_j: EigenMode, domain: Domain = None) -> float:
+def boundary_inner(mode_i: EigenMode, mode_j: EigenMode) -> float:
     """L2(boundary) inner product of the two normal traces (closed form)."""
     if mode_i.angular != mode_j.angular:
         return 0.0
     return mode_i.trace_amp * mode_j.trace_amp
 
 
-def boundary_gram(row_modes, col_modes, domain: Domain = None) -> np.ndarray:
+def boundary_gram(row_modes, col_modes) -> np.ndarray:
     """Matrix of boundary_inner over row_modes x col_modes."""
     amps_r = np.array([m.trace_amp for m in row_modes])
     amps_c = np.array([m.trace_amp for m in col_modes])
-    code = {key: k for k, key in enumerate(
-        dict.fromkeys(m.angular for m in (*row_modes, *col_modes)))}
-    codes_r = np.array([code[m.angular] for m in row_modes], dtype=int)
-    codes_c = np.array([code[m.angular] for m in col_modes], dtype=int)
+    _, codes = angular_keys((*row_modes, *col_modes))
+    codes_r, codes_c = codes[:len(row_modes)], codes[len(row_modes):]
     return np.outer(amps_r, amps_c) * (codes_r[:, None] == codes_c[None, :])
 
 
@@ -314,115 +349,55 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
 
 
 def mode_values(modes, domain: Domain, points: np.ndarray) -> np.ndarray:
-    """Eigenfunction values at Cartesian points; shape (n_modes, n_points)."""
+    """Eigenfunction values at Cartesian points; shape (n_modes, n_points).
+
+    Each distinct angular key is evaluated once.  The angular rows come
+    before the radial table so that the Legendre table behind them is freed
+    before the largest array is allocated; the other order raises ball
+    peak RSS by about 40 MB at grid 40.
+    """
     pts = np.asarray(points, dtype=float)
-    r = np.linalg.norm(pts, axis=1)
-    radial = _radial_values(modes, domain, r)
-    if domain.shape == "disk":
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        ang_cache = {}
-        for i, mode in enumerate(modes):
-            key = mode.angular
-            if key not in ang_cache:
-                m, parity = key
-                if m == 0:
-                    ang_cache[key] = np.ones_like(theta)
-                else:
-                    ang_cache[key] = np.cos(m * theta) if parity == "cos" \
-                        else np.sin(m * theta)
-            radial[i] *= ang_cache[key]
-        return radial
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ct = np.where(r > 0, pts[:, 2] / np.where(r > 0, r, 1.0), 1.0)
-    ct = np.clip(ct, -1.0, 1.0)
-    st = np.sqrt(1.0 - ct * ct)
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    l_max = max(mode.angular[0] for mode in modes)
-    table = normalized_legendre_table(l_max, ct, st)
-    sqrt2 = math.sqrt(2.0)
-    trig_cache = {}
-    for i, mode in enumerate(modes):
-        l, m = mode.angular
-        if m == 0:
-            radial[i] *= table[l, 0]
-        else:
-            if m not in trig_cache:
-                trig_cache[m] = np.cos(m * phi) if m > 0 else np.sin(-m * phi)
-            radial[i] *= sqrt2 * table[l, abs(m)] * trig_cache[m]
-    return radial
+    keys, rows = angular_keys(modes)
+    angular = angular_values(keys, domain, point_angles(domain, pts))
+    values = _radial_values(modes, domain, np.linalg.norm(pts, axis=1))
+    for value, row in zip(values, rows):
+        value *= angular[row]
+    return values
 
 
 def project_function(f, modes, domain: Domain, refine: int = 1) -> np.ndarray:
     """Coefficients <f, phi_n> over the mode table by tensor quadrature.
 
     f must be callable on Cartesian coordinate arrays: f(x, y) on the disk,
-    f(x, y, z) on the ball.
+    f(x, y, z) on the ball.  The field is reduced against each distinct
+    angular key at every radial node, then against each mode's radial
+    factor.
     """
-    R = domain.radius
-    if domain.shape == "disk":
-        radial, azimuth = interior_quadrature(domain, modes, refine)
-        r = radial.nodes
-        th = azimuth.nodes
-        rr, tt = np.meshgrid(r, th, indexing="ij")
-        fvals = np.asarray(f(rr * np.cos(tt), rr * np.sin(tt)), dtype=float)
-        m_max = max(mode.angular[0] for mode in modes)
-        orders = np.arange(m_max + 1)
-        cos_t = np.cos(np.outer(orders, th)) * azimuth.weights  # (m_max+1, n_phi)
-        sin_t = np.sin(np.outer(orders, th)) * azimuth.weights
-        f_cos = fvals @ cos_t.T   # (n_r, m_max+1)
-        f_sin = fvals @ sin_t.T
-        rad_vals = _radial_values(modes, domain, r)
-        w_r = radial.weights * r
-        coeffs = np.empty(len(modes))
-        for i, mode in enumerate(modes):
-            m, parity = mode.angular
-            ang_slice = f_cos[:, m] if parity == "cos" else f_sin[:, m]
-            coeffs[i] = np.dot(rad_vals[i] * w_r, ang_slice)
-        return coeffs
-
-    radial, polar, azimuth = interior_quadrature(domain, modes, refine)
+    rules = interior_quadrature(domain, modes, refine)
+    radial, azimuth = rules[0], rules[-1]
     r = radial.nodes
-    ct = polar.nodes
-    st = np.sqrt(1.0 - ct * ct)
     ph = azimuth.nodes
-    rr = r[:, None, None]
-    stt = st[None, :, None]
-    ctt = ct[None, :, None]
-    phh = ph[None, None, :]
-    x = rr * stt * np.cos(phh)
-    y = rr * stt * np.sin(phh)
-    z = rr * ctt * np.ones_like(phh)
-    fvals = np.asarray(f(x, y, z), dtype=float).reshape(r.size, -1)
-    l_max = max(mode.angular[0] for mode in modes)
-    harmonics, index = _harmonic_grid(l_max, ct, st, ph)
-    w_ang = np.outer(polar.weights, azimuth.weights).ravel()
-    f_ang = fvals @ (harmonics * w_ang).T   # (n_r, n_harmonics)
-    rad_vals = _radial_values(modes, domain, r)
-    w_r = radial.weights * r * r
-    coeffs = np.empty(len(modes))
-    for i, mode in enumerate(modes):
-        coeffs[i] = np.dot(rad_vals[i] * w_r, f_ang[:, index[mode.angular]])
-    return coeffs
-
-
-def _harmonic_grid(l_max: int, ct: np.ndarray, st: np.ndarray, ph: np.ndarray):
-    """Real harmonics on a (cos theta) x (phi) tensor grid, flattened."""
-    table = normalized_legendre_table(l_max, ct, st)
-    sqrt2 = math.sqrt(2.0)
-    rows = []
-    index = {}
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            plm = table[l, abs(m)][:, None]
-            if m == 0:
-                vals = np.broadcast_to(plm, (ct.size, ph.size))
-            elif m > 0:
-                vals = sqrt2 * plm * np.cos(m * ph)[None, :]
-            else:
-                vals = sqrt2 * plm * np.sin(-m * ph)[None, :]
-            index[(l, m)] = len(rows)
-            rows.append(vals.ravel())
-    return np.array(rows), index
+    if domain.shape == "disk":
+        rr = r[:, None]
+        fvals = f(rr * np.cos(ph), rr * np.sin(ph))
+        angles, w_ang = ph, azimuth.weights
+    else:
+        polar = rules[1]
+        ct = polar.nodes[:, None]
+        st = np.sqrt(1.0 - ct * ct)
+        rr = r[:, None, None]
+        fvals = f(rr * st * np.cos(ph), rr * st * np.sin(ph),
+                  rr * ct * np.ones_like(ph))
+        angles = (ct, st, ph)
+        w_ang = np.outer(polar.weights, azimuth.weights).ravel()
+    keys, rows = angular_keys(modes)
+    weighted = angular_values(keys, domain, angles).reshape(len(keys), -1) \
+        * w_ang
+    f_ang = np.asarray(fvals, dtype=float).reshape(r.size, -1) @ weighted.T
+    rad_vals = _radial_values(modes, domain, r) \
+        * (radial.weights * r ** (domain.dim - 1))
+    return np.array([np.dot(rad, f_ang[:, row])
+                     for rad, row in zip(rad_vals, rows)])
 
 
 def export_mode_table(modes, path) -> None:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import boundary_gram, boundary_angular_factor, count_unstable
+from .basis import (boundary_angles, boundary_gram, boundary_traces,
+                    count_unstable)
 
 GAMMA_SEPARATION = 1e-8
 COLLISION_NUDGE = 1e-6
@@ -66,7 +67,7 @@ class StabilityReport:
     sigma_hat: float          # decay rate used for c1_hat (0.95 * |margin|)
 
 
-def build_gram(modes, domain=None) -> np.ndarray:
+def build_gram(modes) -> np.ndarray:
     """Boundary Gram matrix of the normal traces of the given modes."""
     if len(modes) < 1:
         raise ValueError("need at least one mode")
@@ -192,9 +193,8 @@ def boundary_control_eval(gain_set: GainSet, U, domain, point) -> float:
     U = np.asarray(U, dtype=float)
     c = control_map(gain_set) @ U
     head = gain_set.modes[: gain_set.n_unstable]
-    return float(sum(
-        cj * mode.trace_amp * boundary_angular_factor(mode, domain, point)
-        for cj, mode in zip(c, head)))
+    traces = boundary_traces(head, domain, boundary_angles(domain, point))
+    return float(c @ traces[:, 0])
 
 
 def _matrix_strings(matrix) -> list:

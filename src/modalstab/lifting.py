@@ -62,8 +62,8 @@ def lifting_denominators(gamma: float, modes) -> np.ndarray:
     return denom
 
 
-def lifting_coefficients(gamma: float, f: BoundaryFunction, modes,
-                         domain=None) -> LiftingCoefficients:
+def lifting_coefficients(gamma: float, f: BoundaryFunction,
+                         modes) -> LiftingCoefficients:
     """Modal coefficients of the lifting of f, truncated to the mode table.
 
     Coefficients of shape (N,) give d of shape (n_sim,); a stack (K, N)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import boundary_gram, count_unstable, project_function
+from .basis import (boundary_gram, boundary_traces, count_unstable,
+                    project_function)
 from .controller import GainSet, control_map
-from .special import quadrature_rule, normalized_legendre_table
+from .special import quadrature_rule
 
 OVERFLOW_LIMIT = 1e12
 SNAPSHOT_MAGIC = b"MSTB"
@@ -153,54 +154,50 @@ def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
     return project_function(field, modes, domain, refine=refine)
 
 
-def _beta_quadrature_entry(modes, domain, row: int, col: int) -> float:
-    """Surface quadrature of <T_n(phi_col), T_n(phi_row)> for cross-checks."""
-    mi, mj = modes[row], modes[col]
+def _check_gram_sample(modes, domain, beta) -> None:
+    """Cross-check a deterministic 5 percent sample of beta entries against
+    surface quadrature of the normal traces.
+
+    One rule serves every sampled entry: azimuthal trapezoid (times polar
+    Gauss-Legendre in cos theta on the ball) exact for products of the
+    highest angular order among the sampled modes.
+    """
+    n_sim, n = beta.shape
+    sample = max(1, n_sim * n // 20)
+    picks = (lcg_uniform(12345, 2 * sample) + 1.0) / 2.0
+    rows = (picks[0::2] * n_sim).astype(int) % n_sim
+    cols = (picks[1::2] * n).astype(int) % n
+    order = max(modes[i].angular[0] for i in (*rows, *cols))
     R = domain.radius
+    azimuth = quadrature_rule("periodic_trapezoid", 4 * order + 16,
+                              (0.0, 2.0 * np.pi))
     if domain.shape == "disk":
-        rule = quadrature_rule("periodic_trapezoid",
-                               4 * max(mi.angular[0], mj.angular[0]) + 16,
-                               (0.0, 2.0 * np.pi))
-        th = rule.nodes
-
-        def ang(mode):
-            m, parity = mode.angular
-            if m == 0:
-                return np.full_like(th, 1.0 / np.sqrt(2.0 * np.pi * R))
-            base = np.cos(m * th) if parity == "cos" else np.sin(m * th)
-            return base / np.sqrt(np.pi * R)
-        vals = (mi.trace_amp * ang(mi)) * (mj.trace_amp * ang(mj))
-        return float(np.dot(rule.weights, vals) * R)
-    l_max = max(mi.angular[0], mj.angular[0])
-    polar = quadrature_rule("gauss_legendre", 2 * l_max + 16, (-1.0, 1.0))
-    azim = quadrature_rule("periodic_trapezoid", 4 * l_max + 16,
-                           (0.0, 2.0 * np.pi))
-    ct = polar.nodes
-    st = np.sqrt(1.0 - ct * ct)
-    table = normalized_legendre_table(l_max, ct, st)
-
-    def ang(mode):
-        l, m = mode.angular
-        plm = table[l, abs(m)][:, None]
-        if m == 0:
-            vals = np.broadcast_to(plm, (ct.size, azim.nodes.size)).copy()
-        elif m > 0:
-            vals = np.sqrt(2.0) * plm * np.cos(m * azim.nodes)[None, :]
-        else:
-            vals = np.sqrt(2.0) * plm * np.sin(-m * azim.nodes)[None, :]
-        return vals / R
-    integrand = (mi.trace_amp * ang(mi)) * (mj.trace_amp * ang(mj))
-    w = np.outer(polar.weights, azim.weights)
-    return float(np.sum(w * integrand) * R * R)
+        angles, weights = azimuth.nodes, azimuth.weights * R
+    else:
+        polar = quadrature_rule("gauss_legendre", 2 * order + 16, (-1.0, 1.0))
+        ct = polar.nodes[:, None]
+        angles = (ct, np.sqrt(1.0 - ct * ct), azimuth.nodes)
+        weights = np.outer(polar.weights, azimuth.weights) * R * R
+    traces_r = boundary_traces([modes[i] for i in rows], domain, angles)
+    traces_c = boundary_traces([modes[j] for j in cols], domain, angles)
+    quads = np.sum((traces_r * traces_c * weights).reshape(sample, -1),
+                   axis=1)
+    for row, col, quad in zip(rows, cols, quads):
+        if abs(quad - beta[row, col]) > 1e-9 * max(1.0, abs(quad)):
+            raise ConsistencyError(
+                f"closed-form Gram entry ({row},{col})={beta[row, col]} "
+                f"disagrees with quadrature {quad}")
 
 
-def assemble_closed_loop(modes, gain_set: GainSet, domain,
-                         cross_check: bool = True) -> ClosedLoopSystem:
+def assemble_closed_loop(modes, gain_set: GainSet,
+                         domain) -> ClosedLoopSystem:
     """Generator diag(mu) - beta C acting on the leading N coordinates.
 
     With gain_set None the loop is open (v = 0) and the generator is
-    diagonal.  A deterministic 5 percent sample of beta entries is
-    cross-checked against surface quadrature when requested.
+    diagonal.  Otherwise a deterministic 5 percent sample of the closed-form
+    beta entries is always cross-checked against surface quadrature, one
+    rule for the whole sample; a disagreement beyond 1e-9 relative raises
+    ConsistencyError.
     """
     mu = np.array([m.mu for m in modes])
     n_sim = len(modes)
@@ -216,18 +213,7 @@ def assemble_closed_loop(modes, gain_set: GainSet, domain,
         raise ConsistencyError("gain set was synthesized over a different "
                                "mode table")
     beta = boundary_gram(modes, modes[:n])
-    if cross_check:
-        total = n_sim * n
-        sample = max(1, total // 20)
-        picks = lcg_uniform(12345, 2 * sample)
-        for s in range(sample):
-            row = int((picks[2 * s] + 1.0) / 2.0 * n_sim) % n_sim
-            col = int((picks[2 * s + 1] + 1.0) / 2.0 * n) % n
-            quad = _beta_quadrature_entry(modes, domain, row, col)
-            if abs(quad - beta[row, col]) > 1e-9 * max(1.0, abs(quad)):
-                raise ConsistencyError(
-                    f"closed-form Gram entry ({row},{col})={beta[row, col]} "
-                    f"disagrees with quadrature {quad}")
+    _check_gram_sample(modes, domain, beta)
     coupling = control_map(gain_set)
     generator = np.diag(mu)
     generator[:, :n] -= beta @ coupling

@@ -12,6 +12,11 @@ yields every order up to the requested one, so callers stack many
 arguments into one call.  Zeros of any set of orders come from one path: a
 single sign-change scan of all the orders on a shared grid, then one
 safeguarded Newton refinement of every bracket at once.
+
+Real spherical harmonics of any set of (l, m) keys come from one
+normalized Legendre table and one trig factor per order m
+(`real_spherical_harmonics`); it is the ball's only angular evaluator, and
+`real_spherical_harmonic` is its one-key view.
 """
 
 import math
@@ -320,30 +325,47 @@ def normalized_legendre_table(l_max: int, cos_theta, sin_theta) -> np.ndarray:
     return p
 
 
-def real_spherical_harmonic(degree: int, order: int, theta, phi):
-    """Real spherical harmonic Y_{l,m}(theta, phi), orthonormal on the unit
-    sphere, Condon-Shortley-free.
+def real_spherical_harmonics(keys, cos_theta, sin_theta, phi) -> np.ndarray:
+    """Real spherical harmonics Y_{l,m} for each (l, m) in keys, orthonormal
+    on the unit sphere, Condon-Shortley-free; shape (len(keys),) + the
+    broadcast shape of the polar and azimuthal arguments.
 
-    m > 0 pairs with cos(m phi), m < 0 with sin(|m| phi), m = 0 is zonal.
+    m > 0 pairs with sqrt(2) cos(m phi), m < 0 with sqrt(2) sin(|m| phi),
+    m = 0 is zonal.  One Legendre table serves every key and each trig
+    factor is computed once, so a tensor grid passes a column of polar
+    values against a row of azimuths.
     """
-    _check_order(degree)
-    if abs(order) > degree:
-        raise ValueError(f"|order| = {abs(order)} exceeds degree {degree}")
-    theta = np.asarray(theta, dtype=float)
+    keys = list(keys)
+    ct = np.asarray(cos_theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    scalar = theta.ndim == 0 and phi.ndim == 0
-    theta, phi = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(phi))
-    table = normalized_legendre_table(degree, np.cos(theta).ravel(),
-                                      np.sin(theta).ravel())
-    plm = table[degree, abs(order)]
-    if order == 0:
-        val = plm
-    elif order > 0:
-        val = math.sqrt(2.0) * plm * np.cos(order * phi.ravel())
-    else:
-        val = math.sqrt(2.0) * plm * np.sin(-order * phi.ravel())
-    val = val.reshape(theta.shape)
-    return float(val[0]) if scalar else val
+    l_max = max((l for l, _ in keys), default=0)
+    _check_order(l_max)
+    for l, m in keys:
+        if abs(m) > l:
+            raise ValueError(f"|order| = {abs(m)} exceeds degree {l}")
+    table = normalized_legendre_table(
+        l_max, ct.ravel(), np.ravel(sin_theta)).reshape(
+            (l_max + 1, l_max + 1) + ct.shape)
+    out = np.empty((len(keys),) + np.broadcast_shapes(ct.shape, phi.shape))
+    sqrt2 = math.sqrt(2.0)
+    trig = {}
+    for i, (l, m) in enumerate(keys):
+        if m == 0:
+            out[i] = table[l, 0]
+            continue
+        if m not in trig:
+            trig[m] = np.cos(m * phi) if m > 0 else np.sin(-m * phi)
+        out[i] = sqrt2 * table[l, abs(m)] * trig[m]
+    return out
+
+
+def real_spherical_harmonic(degree: int, order: int, theta, phi):
+    """Real spherical harmonic Y_{l,m}(theta, phi): the one-key view of
+    real_spherical_harmonics, a float for scalar arguments."""
+    theta = np.asarray(theta, dtype=float)
+    val = real_spherical_harmonics([(degree, order)], np.cos(theta),
+                                   np.sin(theta), phi)[0]
+    return float(val) if val.ndim == 0 else val
 
 
 def quadrature_rule(kind: str, n: int, interval) -> QuadratureRule:

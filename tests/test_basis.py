@@ -5,9 +5,10 @@ import pytest
 
 from _oracles import oracle_zero_bisection
 from modalstab.basis import (CapacityError, Domain, DomainError,
-                             boundary_gram, boundary_inner, enumerate_modes,
-                             eval_mode, export_mode_table, interior_quadrature,
-                             mode_values, normal_trace, project_function)
+                             boundary_gram, boundary_inner, boundary_traces,
+                             enumerate_modes, eval_mode, export_mode_table,
+                             interior_quadrature, mode_values, normal_trace,
+                             point_angles, project_function)
 from modalstab.special import (bessel_j, quadrature_rule,
                                real_spherical_harmonic, spherical_bessel_j)
 
@@ -217,13 +218,22 @@ def _per_mode_field(mode, domain, r, angles):
 
 
 class TestBatchedRadialFactors:
-    def test_mode_values_match_eval_mode(self, disk, ball, disk_modes,
-                                         ball_modes):
+    def test_mode_values_match_per_mode_reference(self, disk, ball,
+                                                  disk_modes, ball_modes):
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
             sample = _mode_sample(modes)
             pts = _probe_points(domain)
+            r = np.linalg.norm(pts, axis=1)
+            phi = np.arctan2(pts[:, 1], pts[:, 0])
+            if domain.shape == "disk":
+                angles = phi
+            else:
+                cos_theta = pts[:, 2] / np.where(r > 0, r, 1.0)
+                angles = (np.arccos(np.clip(cos_theta, -1.0, 1.0)), phi)
             vals = mode_values(sample, domain, pts)
-            ref = np.array([[eval_mode(m, domain, p) for p in pts]
+            # the reference evaluates point k at radius r[k] and angle k:
+            # the diagonal of its radii x angles table
+            ref = np.array([np.diag(_per_mode_field(m, domain, r, angles))
                             for m in sample])
             assert np.max(np.abs(vals - ref)) <= 1e-13
 
@@ -348,8 +358,11 @@ class TestBoundaryInner:
             z = 2.0 * ct[:, None] * np.ones_like(azim.nodes)[None, :]
             pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
             w = np.outer(polar.weights, azim.weights).ravel() * 4.0
-        traces = np.array([[normal_trace(m, domain, p) for p in pts]
-                           for m in modes])
+        traces = boundary_traces(modes, domain, point_angles(domain, pts))
+        # normal_trace is the one-point view of the same traces
+        for k in (0, pts.shape[0] // 3, pts.shape[0] - 1):
+            assert [normal_trace(m, domain, pts[k]) for m in modes] == \
+                traces[:, k].tolist()
         return (traces * w) @ traces.T
 
     def test_gram_matches_surface_quadrature(self, disk, ball, disk_modes,

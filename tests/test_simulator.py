@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from modalstab import simulator
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  CoupledSplit, InsufficientExcitationError,
                                  PolynomialSpec,
@@ -60,6 +62,23 @@ class TestAssemble:
         modes, _ = disk_modes
         with pytest.raises(ConsistencyError):
             assemble_closed_loop(modes[:200], disk_gains, disk)
+
+    @pytest.mark.parametrize("shape, entry", [("disk", "(8,1)"),
+                                              ("ball", "(9,0)")])
+    def test_perturbed_gram_fails_quadrature_cross_check(
+            self, shape, entry, request, monkeypatch):
+        # negative control: a 1e-6 relative error in the closed-form Gram
+        # must trip the per-run surface-quadrature sample, at the first
+        # sampled entry large enough to exceed the 1e-9 tolerance
+        domain = request.getfixturevalue(shape)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        gains = request.getfixturevalue(f"{shape}_gains")
+        exact = simulator.boundary_gram
+        monkeypatch.setattr(simulator, "boundary_gram",
+                            lambda rows, cols: exact(rows, cols) * (1 + 1e-6))
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"Gram entry {entry}=")):
+            assemble_closed_loop(modes, gains, domain)
 
 
 class TestIntegrate:

@@ -7,7 +7,8 @@ import pytest
 from modalstab.special import (UnsupportedOrderError,
                                bessel_j, bessel_j_zero,
                                bessel_j_zeros, quadrature_rule,
-                               real_spherical_harmonic, spherical_bessel_j,
+                               real_spherical_harmonic,
+                               real_spherical_harmonics, spherical_bessel_j,
                                spherical_bessel_zero, spherical_bessel_zeros)
 
 mp.mp.dps = 30
@@ -150,6 +151,31 @@ class TestRealSphericalHarmonic:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             real_spherical_harmonic(1, 2, 0.5, 0.5)
+
+    def test_matches_mpmath_through_degree_17(self):
+        # every (l, m) up to the ball's l_max at n_sim 800, at both poles
+        # and at general points; mpmath's spherharm carries the
+        # Condon-Shortley phase, which (-1)^m removes
+        theta = [mp.mpf(0), mp.pi] + [mp.mpf(t) for t in (0.3, 1.1, 2.4)]
+        phi = np.array([0.0, 0.7, 1.2, -2.9, 4.0])
+        general = np.array([0.3, 1.1, 2.4])
+        ct = np.concatenate([[1.0, -1.0], np.cos(general)])
+        st = np.concatenate([[0.0, 0.0], np.sin(general)])
+        keys = [(l, m) for l in range(18) for m in range(-l, l + 1)]
+        got = real_spherical_harmonics(keys, ct, st, phi)
+        assert got.shape == (len(keys), phi.size)
+        for row, (l, m) in zip(got, keys):
+            for value, t, p in zip(row, theta, phi):
+                y = mp.spherharm(l, abs(m), t, p)
+                if m == 0:
+                    ref = mp.re(y)
+                else:
+                    part = mp.re(y) if m > 0 else mp.im(y)
+                    ref = mp.sqrt(2) * (-1) ** m * part
+                assert abs(value - float(ref)) <= 1e-13
+            # the one-key view returns the same row bit for bit
+            assert np.array_equal(
+                real_spherical_harmonic(l, m, general, phi[2:]), row[2:])
 
     def _sphere_rules(self, n_polar=40, n_azimuth=80):
         polar = quadrature_rule("gauss_legendre", n_polar, (-1.0, 1.0))
