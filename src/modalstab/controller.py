@@ -142,10 +142,11 @@ def validate_gains(gain_set: GainSet, horizon: float = 4.0,
     margin_s = hurwitz_margin(-gain_set.s_total)
     margin_direct = hurwitz_margin(gain_set.a_direct)
     sigma_hat = -margin_direct * 0.95
-    c1 = 1.0
-    for t in np.linspace(0.0, horizon, samples):
-        prop = scipy.linalg.expm(gain_set.a_direct * t)
-        c1 = max(c1, float(np.linalg.norm(prop, 2) * math.exp(sigma_hat * t)))
+    times = np.linspace(0.0, horizon, samples)
+    props = scipy.linalg.expm(gain_set.a_direct * times[:, None, None])
+    norms = np.linalg.norm(props, 2, axis=(1, 2))
+    c1 = max([1.0] + [float(norm * math.exp(sigma_hat * t))
+                      for norm, t in zip(norms, times)])
     return StabilityReport(margin_s=margin_s, margin_direct=margin_direct,
                            hurwitz_s=margin_s < 0.0,
                            hurwitz_direct=margin_direct < 0.0,

@@ -7,11 +7,15 @@ global mutable state, so they are safe for concurrent use.
 Bessel functions are computed by a short power series for very small
 arguments and otherwise by backward (Miller) recurrence with on-the-fly
 normalization: the Neumann sum J_0 + 2*sum J_{2k} = 1 for the cylindrical
-family and sum (2l+1) j_l^2 = 1 for the spherical family.  One recurrence
-yields every order up to the requested one, so callers stack many
-arguments into one call.  Zeros of any set of orders come from one path: a
-single sign-change scan of all the orders on a shared grid, then one
-safeguarded Newton refinement of every bracket at once.
+family and sum (2l+1) j_l^2 = 1 for the spherical family.  One loop
+(`_miller`) serves both families and two modes: an int order yields every
+order up to it (a table), and an order array gives each lane (one order at
+one point) only its own order, kept from the contiguous slice of lanes of
+that order as the loop passes it, so callers stack many (order, argument)
+lanes into one call with no table of lower orders.  Zeros of any set of
+orders come from one path: a single sign-change scan of all the orders on
+a shared grid, then one safeguarded Newton refinement of every bracket at
+once.
 
 Real spherical harmonics of any set of (l, m) keys come from one
 normalized Legendre table and one trig factor per order m
@@ -64,51 +68,137 @@ def _overflow_check_interval(n_start: int, x_min: float, decades: float) -> int:
     return max(1, int(decades / math.log10(max(growth, 2.0))))
 
 
-def bessel_j_all(m_max: int, x) -> np.ndarray:
-    """All orders J_0(x) .. J_{m_max}(x); shape (m_max+1,) + shape of x."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).ravel()
-    if (x < 0).any():
-        raise ValueError("argument must be nonnegative")
-    out = np.zeros((m_max + 1, x.size))
-    tiny = x < 1e-6
-    if tiny.any():
-        xt = x[tiny]
-        half = 0.5 * xt
-        fact = 1.0
-        for m in range(m_max + 1):
-            if m > 0:
-                fact *= m
-            out[m, tiny] = half**m / fact * (1.0 - xt * xt / (4.0 * (m + 1)))
-    big = ~tiny
-    if big.any():
-        xb = x[big]
-        top = max(m_max, float(xb.max()))
-        n_start = int(math.ceil(top)) + 20 + int(0.6 * top)
-        check_every = _overflow_check_interval(n_start, float(xb.min()), 160.0)
-        jp = np.zeros_like(xb)
-        jc = np.full_like(xb, 1e-30)
-        norm = np.zeros_like(xb)
-        vals = np.zeros((m_max + 1, xb.size))
-        for n in range(n_start, 0, -1):
-            jm = (2.0 * n / xb) * jc - jp
-            if n % check_every == 0:
-                overflow = np.abs(jm) > 1.0 / _RESCALE
-                if overflow.any():
-                    jm = np.where(overflow, jm * _RESCALE, jm)
-                    jc = np.where(overflow, jc * _RESCALE, jc)
-                    norm = np.where(overflow, norm * _RESCALE, norm)
-                    vals[:, overflow] *= _RESCALE
-            jp = jc
-            jc = jm
-            if n - 1 <= m_max:
-                vals[n - 1] = jc
-            if (n - 1) % 2 == 0:
-                norm += jc if n == 1 else 2.0 * jc
+def _series(shift: int, order, x):
+    """Two-term power series at small x, for J_m (shift 0) or j_l (shift 1):
+    (x/2)^m / m! (1 - x^2/(4(m+1))) and x^l / (2l+1)!! (1 - x^2/(2(2l+3))).
+    `order` broadcasts against x."""
+    order = np.asarray(order)
+    steps = np.arange(1, int(order.max()) + 1)
+    fact = np.cumprod(np.concatenate([[1.0], (1 + shift) * steps + shift]))
+    base = x * (0.5 + 0.5 * shift)
+    return base**order / fact[order] \
+        * (1.0 - x * x / (4.0 * order + 4 + 2 * shift))
+
+
+def _miller(shift: int, order, x: np.ndarray) -> np.ndarray:
+    """Backward (Miller) recurrence f_{n-1} = ((2n + shift)/x) f_n - f_{n+1}
+    for J (shift 0) or j (shift 1) at x >= 1e-6, normalized on the fly by
+    the Neumann sum J_0 + 2 sum J_{2k} = 1 or the quadratic sum
+    sum (2l+1) j_l^2 = 1.
+
+    An int `order` keeps every order 0..order, shape (order+1, x.size).  An
+    ascending int array, one order per lane, keeps only each lane's own
+    order, copied from the contiguous slice of lanes of that order as the
+    loop passes it; shape (x.size,).  The loop runs in place on a few
+    lane-sized work arrays.
+    """
+    lanes = np.ndim(order) > 0
+    m_top = int(order[-1]) if lanes else order
+    top = max(m_top, float(x.max()))
+    n_start = int(math.ceil(top)) + 20 + int(0.6 * top)
+    # the quadratic normalization sum leaves less headroom
+    check_every = _overflow_check_interval(n_start, float(x.min()),
+                                           12.0 if shift else 160.0)
+    if lanes:
+        vals = np.zeros(x.size)
+        edges = np.searchsorted(order, np.arange(m_top + 2))
+        keep = [(vals[a:b], slice(a, b))
+                for a, b in zip(edges[:-1], edges[1:])]
+    else:
+        vals = np.zeros((m_top + 1, x.size))
+        keep = [(row, slice(None)) for row in vals]
+    jp = np.zeros_like(x)
+    jc = np.full_like(x, 1e-30)
+    jm = np.empty_like(x)
+    term = np.empty_like(x)
+    norm = np.zeros_like(x)
+    for n in range(n_start, 0, -1):
+        np.divide(2.0 * n + shift, x, out=jm)
+        jm *= jc
+        jm -= jp
+        if n % check_every == 0:
+            overflow = np.abs(jm) > 1.0 / _RESCALE
+            if overflow.any():
+                jm[overflow] *= _RESCALE
+                jc[overflow] *= _RESCALE
+                norm[overflow] *= _RESCALE ** (1 + shift)
+                vals[..., overflow] *= _RESCALE
+        jp, jc, jm = jc, jm, jp
+        if n - 1 <= m_top:
+            dest, own = keep[n - 1]
+            dest[...] = jc[own]
+        if shift:
+            np.multiply(jc, 2 * n - 1, out=term)
+            term *= jc
+            norm += term
+        elif n == 1:
+            norm += jc
+        elif n % 2 == 1:
+            np.multiply(jc, 2.0, out=term)
+            norm += term
+    if not shift:
         vals /= norm
-        out[:, big] = vals
-    return out[:, 0] if scalar else out
+        return vals
+    norm = np.sqrt(norm)
+    vals /= norm
+    # the quadratic normalization leaves the overall sign free; fix it
+    # against whichever of j_0, j_1 (jc and jp, where the loop ends) is
+    # better conditioned at each point
+    jc /= norm
+    jp /= norm
+    j0_ref = np.sin(x) / x
+    j1_ref = np.sin(x) / (x * x) - np.cos(x) / x
+    use0 = np.abs(jc) >= np.abs(jp)
+    ref = np.where(use0, j0_ref, j1_ref)
+    val = np.where(use0, jc, jp)
+    vals *= np.where(ref * val >= 0.0, 1.0, -1.0)
+    return vals
+
+
+def _bessel_family(shift: int, order, x) -> np.ndarray:
+    """Engine of bessel_j_all (shift 0) and spherical_j_all (shift 1)."""
+    x = np.asarray(x, dtype=float)
+    lanes = np.ndim(order) > 0
+    flat = x.ravel()
+    if lanes:
+        order = np.asarray(order)
+        if order.shape != x.shape or order.dtype.kind not in "iu":
+            raise ValueError("an order array must be integer and match x")
+        # lanes sorted by order: each order's lanes form one slice
+        perm = np.argsort(order.ravel(), kind="stable")
+        order, flat = order.ravel()[perm], flat[perm]
+        if order.size and order[0] < 0:
+            raise ValueError("order must be nonnegative")
+    if (flat < 0).any():
+        raise ValueError("argument must be nonnegative")
+    big = flat >= 1e-6
+    if flat.size and big.all():
+        out = _miller(shift, order, flat)
+    else:
+        out = np.zeros((flat.size,) if lanes else (order + 1, flat.size))
+        tiny = ~big
+        if tiny.any():
+            m = order[tiny] if lanes else np.arange(order + 1)[:, None]
+            out[..., tiny] = _series(shift, m, flat[tiny])
+        if big.any():
+            out[..., big] = _miller(shift, order[big] if lanes else order,
+                                    flat[big])
+    if lanes:
+        lane_out = np.empty_like(out)
+        lane_out[perm] = out
+        return lane_out.reshape(x.shape)
+    return out.reshape((order + 1,) + x.shape)
+
+
+def bessel_j_all(order, x) -> np.ndarray:
+    """Cylindrical Bessel functions J of the first kind at x >= 0.
+
+    An int `order` gives every order J_0(x) .. J_order(x), shape
+    (order+1,) + shape of x.  An integer array of x's shape gives each
+    lane's own order, J_order[i](x[i]), shape of x, from the same one
+    recurrence without the table of lower orders.
+    """
+    return _bessel_family(0, order, x)
 
 
 def bessel_j(order: int, x):
@@ -117,59 +207,11 @@ def bessel_j(order: int, x):
     return bessel_j_all(order, x)[order]
 
 
-def spherical_j_all(l_max: int, x) -> np.ndarray:
-    """All degrees j_0(x) .. j_{l_max}(x); shape (l_max+1,) + shape of x."""
-    l_top = max(l_max, 1)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).ravel()
-    if (x < 0).any():
-        raise ValueError("argument must be nonnegative")
-    out = np.zeros((l_top + 1, x.size))
-    tiny = x < 1e-6
-    if tiny.any():
-        xt = x[tiny]
-        dfact = 1.0
-        for l in range(l_top + 1):
-            dfact *= 2 * l + 1
-            out[l, tiny] = xt**l / dfact * (1.0 - xt * xt / (2.0 * (2 * l + 3)))
-    big = ~tiny
-    if big.any():
-        xb = x[big]
-        top = max(l_top, float(xb.max()))
-        n_start = int(math.ceil(top)) + 20 + int(0.6 * top)
-        # the normalization sum is quadratic, so headroom is tighter here
-        check_every = _overflow_check_interval(n_start, float(xb.min()), 12.0)
-        jp = np.zeros_like(xb)
-        jc = np.full_like(xb, 1e-30)
-        norm = np.zeros_like(xb)
-        vals = np.zeros((l_top + 1, xb.size))
-        for n in range(n_start, 0, -1):
-            jm = ((2.0 * n + 1.0) / xb) * jc - jp
-            if n % check_every == 0:
-                overflow = np.abs(jm) > 1.0 / _RESCALE
-                if overflow.any():
-                    jm = np.where(overflow, jm * _RESCALE, jm)
-                    jc = np.where(overflow, jc * _RESCALE, jc)
-                    norm = np.where(overflow, norm * _RESCALE**2, norm)
-                    vals[:, overflow] *= _RESCALE
-            jp = jc
-            jc = jm
-            if n - 1 <= l_top:
-                vals[n - 1] = jc
-            norm += (2 * (n - 1) + 1) * jc * jc
-        vals /= np.sqrt(norm)
-        # the quadratic normalization leaves the overall sign free; fix it
-        # against whichever of j_0, j_1 is better conditioned at each point
-        j0_ref = np.sin(xb) / xb
-        j1_ref = np.sin(xb) / (xb * xb) - np.cos(xb) / xb
-        use0 = np.abs(vals[0]) >= np.abs(vals[1])
-        ref = np.where(use0, j0_ref, j1_ref)
-        val = np.where(use0, vals[0], vals[1])
-        vals *= np.where(ref * val >= 0.0, 1.0, -1.0)
-        out[:, big] = vals
-    out = out[: l_max + 1]
-    return out[:, 0] if scalar else out
+def spherical_j_all(order, x) -> np.ndarray:
+    """Spherical Bessel functions j of the first kind at x >= 0; `order`
+    as in bessel_j_all (an int for every degree 0..order, or one degree
+    per lane)."""
+    return _bessel_family(1, order, x)
 
 
 def spherical_bessel_j(degree: int, x):

@@ -16,13 +16,21 @@ from modalstab.special import quadrature_rule, real_spherical_harmonic
 mp.mp.dps = 30
 
 
+def oracle_bessel(order, x, spherical=False):
+    """J_order(x), or j_order(x) = sqrt(pi/(2x)) J_{order+1/2}(x) with
+    j_l(0) = [l == 0], from mpmath's series at 30 digits."""
+    order, x = int(order), float(x)
+    if not spherical:
+        return float(mp.besselj(order, mp.mpf(x)))
+    if x == 0.0:
+        return 1.0 if order == 0 else 0.0
+    return float(mp.sqrt(mp.pi / (2 * mp.mpf(x)))
+                 * mp.besselj(order + mp.mpf(1) / 2, mp.mpf(x)))
+
+
 def oracle_zero_bisection(order, k, spherical=False):
     """k-th positive zero by scan + bisection on mpmath series values."""
-    if spherical:
-        f = lambda x: float(mp.sqrt(mp.pi / (2 * mp.mpf(x)))
-                            * mp.besselj(order + mp.mpf(1) / 2, mp.mpf(x)))
-    else:
-        f = lambda x: float(mp.besselj(order, mp.mpf(x)))
+    f = lambda x: oracle_bessel(order, x, spherical)
     x = max(order, 1e-3)
     found = 0
     f_prev = f(x)

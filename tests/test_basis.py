@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import oracle_zero_bisection
-from modalstab.basis import (CapacityError, Domain, DomainError,
+from _oracles import oracle_bessel, oracle_zero_bisection
+from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, DomainError,
+                             _radial_values,
                              boundary_gram, boundary_inner, boundary_traces,
                              enumerate_modes, eval_mode, export_mode_table,
                              interior_quadrature, mode_values, normal_trace,
@@ -267,6 +268,60 @@ class TestBatchedRadialFactors:
             assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _per_order_radial(modes, domain, r):
+    """norm_const * radial factor of each mode at radii r from one
+    single-order public evaluator call per distinct order."""
+    R = domain.radius
+    single = bessel_j if domain.shape == "disk" else spherical_bessel_j
+    out = np.empty((len(modes), r.size))
+    for order in {mode.angular[0] for mode in modes}:
+        rows = [i for i, mode in enumerate(modes) if mode.angular[0] == order]
+        alphas = np.array([modes[i].alpha for i in rows])
+        out[rows] = single(order, np.outer(alphas, r) / R)
+    return out * np.array([mode.norm_const for mode in modes])[:, None]
+
+
+class TestRadialLanes:
+    def test_odd_grid_with_centre_matches_single_order_evaluators(
+            self, disk, ball, disk_modes, ball_modes):
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            R = domain.radius
+            axis = np.linspace(-R, R, 11)
+            mesh = np.meshgrid(*[axis] * domain.dim, indexing="ij")
+            r = np.linalg.norm(np.column_stack([c.ravel() for c in mesh]),
+                               axis=1)
+            r = r[r <= R]
+            assert np.count_nonzero(r == 0.0) == 1
+            vals = _radial_values(modes, domain, r)
+            ref = _per_order_radial(modes, domain, r)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
+
+    def test_lanes_straddling_a_block_boundary(self, disk, ball, disk_modes,
+                                               ball_modes):
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            R = domain.radius
+            pairs = sorted({(mode.angular[0], mode.k) for mode in modes})
+            n_r = _LANE_BLOCK // len(pairs) + 3
+            # lanes run pair by pair over the radii: this pair's lanes sit
+            # on both sides of the first block boundary
+            straddling = pairs[_LANE_BLOCK // n_r]
+            assert len(pairs) * n_r > _LANE_BLOCK and _LANE_BLOCK % n_r
+            r = np.linspace(0.0, R, n_r)
+            vals = _radial_values(modes, domain, r)
+            ref = _per_order_radial(modes, domain, r)
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
+            n = next(i for i, mode in enumerate(modes)
+                     if (mode.angular[0], mode.k) == straddling)
+            mode = modes[n]
+            exact = mode.norm_const * np.array(
+                [oracle_bessel(mode.angular[0], mode.alpha * rk / R,
+                               domain.shape == "ball") for rk in r])
+            assert np.all(np.abs(vals[n] - exact)
+                          <= 1e-13 * np.max(np.abs(exact)))
+
+
 class TestNormalTrace:
     def test_disk_constant_trace(self, disk, disk_modes):
         modes, _ = disk_modes
@@ -379,8 +434,9 @@ class TestProjectFunction:
         modes, _ = disk_modes
         head = modes[:40]
         target = head[3]
-        f = lambda x, y: np.vectorize(
-            lambda a, b: eval_mode(target, disk, (a, b)))(x, y)
+        f = lambda x, y: mode_values(
+            [target], disk, np.column_stack([x.ravel(), y.ravel()]))[0] \
+            .reshape(x.shape)
         coeffs = project_function(f, head, disk)
         expected = np.zeros(40)
         expected[3] = 1.0

@@ -4,12 +4,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from modalstab.special import (UnsupportedOrderError,
-                               bessel_j, bessel_j_zero,
+from _oracles import oracle_bessel
+from modalstab.special import (MAX_ORDER, UnsupportedOrderError,
+                               bessel_j, bessel_j_all, bessel_j_zero,
                                bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
                                real_spherical_harmonics, spherical_bessel_j,
-                               spherical_bessel_zero, spherical_bessel_zeros)
+                               spherical_bessel_zero, spherical_bessel_zeros,
+                               spherical_j_all)
 
 mp.mp.dps = 30
 
@@ -140,6 +142,57 @@ class TestSphericalBessel:
         for l in range(8):
             for z in spherical_bessel_zeros(l, 6):
                 assert abs(spherical_bessel_j(l, z)) < 1e-11
+
+
+class TestLaneMode:
+    """An order array gives each lane its own order from one recurrence."""
+
+    @staticmethod
+    def _lanes():
+        """Every order up to the cap at points on the series path (below
+        1e-6), near the turning point x = order, spread up to 90 and at 90;
+        shuffled so that one call mixes all orders."""
+        rng = np.random.default_rng(5)
+        orders, xs = [], []
+        for m in range(MAX_ORDER + 1):
+            x = np.concatenate([[0.0, 3e-7, 9.9e-7],
+                                np.abs(m + rng.uniform(-1.0, 1.0, 2)),
+                                rng.uniform(1e-6, 90.0, 3), [90.0]])
+            orders += [m] * x.size
+            xs.append(x)
+        perm = rng.permutation(len(orders))
+        return np.array(orders)[perm], np.concatenate(xs)[perm]
+
+    @pytest.mark.parametrize("spherical", [False, True])
+    def test_against_mpmath_to_table_scale(self, spherical):
+        orders, xs = self._lanes()
+        lane_fn = spherical_j_all if spherical else bessel_j_all
+        got = lane_fn(orders, xs)
+        ref = np.array([oracle_bessel(m, x, spherical)
+                        for m, x in zip(orders, xs)])
+        # the scale of each order's table: its largest value over the lanes
+        scale = {m: np.max(np.abs(ref[orders == m])) for m in set(orders)}
+        bound = 1e-13 * np.array([scale[m] for m in orders])
+        assert got.shape == xs.shape
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_matches_table_mode_and_keeps_shape(self):
+        orders, xs = self._lanes()
+        for lane_fn in (bessel_j_all, spherical_j_all):
+            table = lane_fn(MAX_ORDER, xs)[orders, np.arange(xs.size)]
+            got = lane_fn(orders.reshape(-1, 9), xs.reshape(-1, 9))
+            assert got.shape == (xs.size // 9, 9)
+            assert np.max(np.abs(got.ravel() - table)) <= 1e-14
+
+    def test_invalid_lanes_rejected(self):
+        with pytest.raises(ValueError):
+            bessel_j_all(np.array([0, 1]), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError):
+            spherical_j_all(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            bessel_j_all(np.array([2, -1]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            spherical_j_all(np.array([2, 1]), np.array([1.0, -2.0]))
 
 
 class TestRealSphericalHarmonic:
