@@ -9,18 +9,20 @@ so the closed-loop generator is diag(mu) minus a rank-N coupling through the
 extended boundary Gram matrix, acting on the leading N coordinates only.
 The generator is therefore block lower-triangular: its coupled columns S
 (at most the N leading ones) evolve on their own, and every other
-coordinate sees only itself and S.  The loop is LTI; its exact one-step map
-is built from an N x N exponential plus one (N+1)-square block exponential
-per tail row.  The classical Runge-Kutta cross-check is a polynomial map on
-the same blocks, P(hG)^n_sub with P the degree-4 Taylor polynomial, built
-once per run.  Neither forms an n_sim x n_sim product.
+coordinate sees only itself and S.  The loop is LTI, and both one-step maps
+are a Taylor polynomial power P(G dt / count)^count on that split: the
+exact map by scaling and squaring (degree 18, count a power of two), the
+classical Runge-Kutta cross-check with P of degree 4 and count the number
+of substeps.  Each tail row t is a bordered block [[A, 0], [G[t, S], d_t]]
+(Van Loan 1978) sharing the lead block A = G[S, S], so every product in
+that power is one N x N product plus one |T| x N row update, and no
+n_sim x n_sim product is formed.
 """
 
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import (boundary_gram, boundary_traces, count_unstable,
                     project_function)
@@ -249,25 +251,45 @@ class CoupledSplit:
         """G u in O(n_sim |S|)."""
         return self.d * u + self.K @ u[self.S]
 
-    def step_map(self, dt: float, flow=scipy.linalg.expm):
-        """u -> exp(G dt) u from |S|+1-square exponentials.
+    def step_map(self, dt: float, degree: int = 18, count: int = None):
+        """u -> P(G dt / count)^count u, P the degree-`degree` Taylor
+        polynomial of exp.
 
-        With A = G[S, S], u[S] <- exp(A dt) u[S]; row t of T takes the
-        lower-left row F_t of exp([[A, 0], [G[t, S], d_t]] dt) (Van Loan
-        1978), u_t <- e^{d_t dt} u_t + F_t u[S].  Each block exponential is
-        exact whatever d_t is, so tail rates resonant with eig(A) need no
-        special handling.  `flow` stands for exp on stacked square blocks;
-        any matrix function keeps the same split, a polynomial included.
+        By default count is the smallest power of two that brings the
+        largest block 1-norm to at most 1, where degree 18 is exp to double
+        precision: the exact map u -> exp(G dt) u by scaling and squaring
+        (Moler & Van Loan 2003).  With A = G[S, S], u[S] takes the lead
+        block E of the power; row t of T takes the lower-left row F_t and
+        corner e_t of the same power of [[A, 0], [G[t, S], d_t]] dt (Van
+        Loan 1978), u_t <- e_t u_t + F_t u[S].  All blocks are powered at
+        once (_bordered_product), and a tail rate resonant with eig(A)
+        needs no special handling.
         """
         S, T, s = self.S, self.T, self.S.size
-        lead = (self.K[S] + np.diag(self.d[S])) * dt
-        blocks = np.zeros((T.size, s + 1, s + 1))
-        blocks[:, :s, :s] = lead
-        blocks[:, s, :s] = self.K[T] * dt
-        blocks[:, s, s] = self.d[T] * dt
-        E = flow(lead)
-        F = flow(blocks)[:, s, :s]
-        decay = flow((self.d[T] * dt)[:, None, None])[:, 0, 0]
+        x = ((self.K[S] + np.diag(self.d[S])) * dt, self.K[T] * dt,
+             self.d[T] * dt)
+        if count is None:
+            lead, rows, corner = (np.abs(b) for b in x)
+            norm = max(np.max(lead.sum(axis=0) + rows.max(axis=0, initial=0.0),
+                              initial=0.0), np.max(corner, initial=0.0))
+            count = 2 ** max(0, int(np.ceil(np.log2(norm)))) if norm else 1
+        x = tuple(b / count for b in x)
+        # every block is held as its offset w from the identity, so that
+        # the powering does not round I + w (about count ulps otherwise);
+        # Horner: I + w <- I + (x / j)(I + w)
+        w = tuple(b / degree for b in x)
+        for j in range(degree - 1, 0, -1):
+            xj = tuple(b / j for b in x)
+            w = tuple(a + b for a, b in zip(xj, _bordered_product(xj, w)))
+        power = None
+        while True:
+            count, bit = divmod(count, 2)
+            if bit:
+                power = w if power is None else _offset_product(power, w)
+            if not count:
+                break
+            w = _offset_product(w, w)
+        E, F, decay = np.eye(s) + power[0], power[1], 1.0 + power[2]
 
         def step(u):
             lead_u = u[S]
@@ -278,14 +300,29 @@ class CoupledSplit:
         return step
 
 
+def _bordered_product(x, y):
+    """Product of two stacks of bordered blocks [[E, 0], [f_t, e_t]] that
+    share E across the rows t: [[E1 E2, 0], [f1 E2 + e1 f2, e1 e2]]."""
+    (E1, f1, e1), (E2, f2, e2) = x, y
+    return E1 @ E2, f1 @ E2 + e1[:, None] * f2, e1 * e2
+
+
+def _offset_product(x, y):
+    """(I + x)(I + y) - I = x + y + xy for bordered blocks held as their
+    offsets from the identity."""
+    return tuple(a + b + c for a, b, c in zip(x, y, _bordered_product(x, y)))
+
+
 def coupled_split(generator) -> CoupledSplit:
     """Read the coupled-column split off a square generator."""
     gen = np.asarray(generator, dtype=float)
     d = np.diag(gen).copy()
-    off = gen - np.diag(d)
-    coupled = np.any(off != 0.0, axis=0)
-    return CoupledSplit(d=d, S=np.flatnonzero(coupled),
-                        T=np.flatnonzero(~coupled), K=off[:, coupled])
+    # a column is coupled when it holds a nonzero entry off the diagonal
+    coupled = np.count_nonzero(gen, axis=0) > (d != 0.0)
+    S = np.flatnonzero(coupled)
+    K = gen[:, S]
+    K[S, np.arange(S.size)] = 0.0
+    return CoupledSplit(d=d, S=S, T=np.flatnonzero(~coupled), K=K)
 
 
 def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
@@ -294,16 +331,16 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
 
     Both methods work on the coupled-column split of the generator
     (CoupledSplit): the coupled columns S, at most the N leading ones of an
-    assembled closed loop, and the diagonal rest T.  expm_step samples the
-    exact flow with the split's one-step map, built once from an
-    |S|-square exponential and one (|S|+1)-square block exponential per T
-    row, O(n_sim N^3) in all, and applied in O(n_sim N) per step.  rk4, an
-    independent check, replaces each exponential by P(hG)^n_sub, the
-    classical fourth-order step of a linear system (the degree-4 Taylor
-    polynomial of h G) raised to the n_sub substeps sized to the spectral
-    radius; the map is built once on the same split and applied like
-    expm_step.  Neither forms an n_sim x n_sim product.  On overflow past
-    1e12 the trajectory is truncated at the last valid sample and flagged.
+    assembled closed loop, and the diagonal rest T.  Each builds its
+    one-step map once, as a Taylor polynomial power on the split's bordered
+    blocks in O(n_sim N^2), and applies it in O(n_sim N) per step.
+    expm_step samples the exact flow exp(G dt) by scaling and squaring.
+    rk4, an independent check, takes P(hG)^n_sub, the classical
+    fourth-order step of a linear system (the degree-4 Taylor polynomial of
+    h G) raised to the n_sub substeps sized to the spectral radius.
+    Neither forms an n_sim x n_sim product.  A sample that is not finite or
+    exceeds 1e12 in magnitude truncates the trajectory at the last valid
+    sample and flags it.
     """
     if dt <= 0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
@@ -325,22 +362,13 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
                              + np.hypot(np.linalg.norm(split.K),
                                         np.linalg.norm(split.d - system.mu)))
         n_sub = max(1, int(np.ceil(dt * radius_bound / 0.5)))
-
-        def taylor4(x):
-            # one RK4 substep of a linear system is the degree-4 Taylor
-            # polynomial of h G, here by Horner over the stacked blocks
-            x = x / n_sub
-            eye = np.eye(x.shape[-1])
-            p = eye + x / 4.0
-            for j in (3.0, 2.0, 1.0):
-                p = eye + (x / j) @ p
-            return np.linalg.matrix_power(p, n_sub)
-        step = split.step_map(dt, taylor4)
+        step = split.step_map(dt, 4, n_sub)
     else:
         raise ValueError(f"unknown method {method!r}")
     for _ in range(n_steps):
         nxt = step(states[-1])
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > OVERFLOW_LIMIT:
+        # NaN and inf fail the comparison as well
+        if not np.max(np.abs(nxt)) <= OVERFLOW_LIMIT:
             truncated = True
             break
         states.append(nxt)

@@ -88,6 +88,18 @@ def quadrature_boundary_gram(domain, modes):
     return (traces * w) @ traces.T
 
 
+def dense_coupled_split(generator):
+    """(d, S, T, K) of the coupled-column split through the dense
+    off-diagonal part G - diag(d): S holds the columns with a nonzero
+    off-diagonal entry, T the rest, and K = (G - diag(d))[:, S]."""
+    gen = np.asarray(generator, dtype=float)
+    d = np.diag(gen).copy()
+    off = gen - np.diag(d)
+    coupled = np.any(off != 0.0, axis=0)
+    return d, np.flatnonzero(coupled), np.flatnonzero(~coupled), \
+        off[:, coupled]
+
+
 def rk4_substep_loop(system, u0, dt, n_steps):
     """Classical RK4 samples every dt with n_sub textbook substeps each.
 

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  write_trajectory_csv)
 from modalstab.diagnostics import decay_rate_fit
 
-from _oracles import rk4_substep_loop
+from _oracles import dense_coupled_split, rk4_substep_loop
 
 DISK_MU_1 = 5.1642035092633039
 
@@ -181,6 +182,13 @@ SPLIT_CASES = {
                                        [0.5, -2.0, 0.0, 0.0],
                                        [0.7, 0.4, -1.0, 0.0],
                                        [0.2, -0.3, 0.0, -2.0]]), [0, 1]),
+    # tail rates as stiff as disk n_sim 800's (d dt <= -40 at dt 0.05) next
+    # to a coupled lead block
+    "stiff_tail": (lambda req: np.array([[-1.0, 0.3, 0.0, 0.0],
+                                         [0.2, 0.5, 0.0, 0.0],
+                                         [0.7, -0.4, -800.0, 0.0],
+                                         [0.3, 0.9, 0.0, -1500.0]]),
+                   [0, 1]),
 }
 
 
@@ -202,6 +210,46 @@ class TestCoupledSplit:
         exact = gen @ u
         assert np.linalg.norm(split.derivative(u) - exact) \
             <= 1e-14 * np.linalg.norm(exact)
+
+    # at dt 1.0 the stiff tail's block 1-norm passes 1500, so the exact map
+    # scales by 2^11 and squares 11 times
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_large_step_matches_dense_generator(self, case, request):
+        gen = SPLIT_CASES[case][0](request)
+        step = coupled_split(gen).step_map(1.0)
+        prop = np.stack([step(e) for e in np.eye(gen.shape[0])], axis=1)
+        dense = scipy.linalg.expm(gen)
+        assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_split_bit_identical_to_dense_formula(self, case, request):
+        gen = SPLIT_CASES[case][0](request)
+        split = coupled_split(gen)
+        got = (split.d, split.S, split.T, split.K)
+        for new, old in zip(got, dense_coupled_split(gen)):
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
+    def test_integrate_makes_no_pade_expm_call(self, method, disk_system,
+                                               disk_u0_seed1):
+        # counted on expm's own code object, so a reference bound before
+        # the test (a default argument, say) is counted too
+        calls = []
+        expm_code = scipy.linalg.expm.__code__
+
+        def counter(frame, event, arg):
+            if event == "call" and frame.f_code is expm_code:
+                calls.append(1)
+        previous = sys.getprofile()
+        sys.setprofile(counter)
+        try:
+            traj = integrate(disk_system, disk_u0_seed1, 0.05, 1.0,
+                             method=method)
+        finally:
+            sys.setprofile(previous)
+        assert traj.times.size == 21
+        assert calls == []
 
 
 class TestRK4Map:
