@@ -2,10 +2,10 @@
 disk and ball: spectrum enumeration, lifting, gain synthesis, spectral
 Galerkin simulation, and decay verification.
 
-The environment variable MODALSTAB_THREADS caps BLAS parallelism.  It is
-applied here, before any submodule loads numpy or scipy, because the BLAS
-libraries read their thread settings when they load; thread variables that
-are already set take precedence.
+The runtime needs numpy only.  The environment variable MODALSTAB_THREADS
+caps BLAS parallelism.  It is applied here, before any submodule loads
+numpy, because the BLAS library reads its thread settings when it loads;
+thread variables that are already set take precedence.
 """
 
 import os

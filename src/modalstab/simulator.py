@@ -151,9 +151,22 @@ def initial_condition_field(domain, spec: PolynomialSpec, seed: int):
 
 def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
                               seed: int, refine: int = 1) -> np.ndarray:
-    """Quadrature projection of the bump-times-polynomial initial state."""
+    """Quadrature projection of the bump-times-polynomial initial state.
+
+    On each sphere |x| = r the state (R^2 - |x|^2) p(x) is a polynomial of
+    degree deg p in the angles, so by orthogonality every mode of higher
+    angular order (disk m, ball l) has coefficient exactly 0.  Only the
+    modes of angular order <= deg p are projected, on the angular rule sized
+    for them; the radial rule is unchanged, since the largest k is at
+    order 0.
+    """
     field = initial_condition_field(domain, polynomial_spec, seed)
-    return project_function(field, modes, domain, refine=refine)
+    kept = [i for i, mode in enumerate(modes)
+            if mode.angular[0] <= polynomial_spec.degree]
+    coeffs = np.zeros(len(modes))
+    coeffs[kept] = project_function(field, [modes[i] for i in kept], domain,
+                                    refine=refine)
+    return coeffs
 
 
 def _check_gram_sample(modes, domain, beta) -> None:

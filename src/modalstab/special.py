@@ -136,22 +136,10 @@ def _miller(shift: int, order, x: np.ndarray) -> np.ndarray:
         elif n % 2 == 1:
             np.multiply(jc, 2.0, out=term)
             norm += term
-    if not shift:
-        vals /= norm
-        return vals
-    norm = np.sqrt(norm)
-    vals /= norm
-    # the quadratic normalization leaves the overall sign free; fix it
-    # against whichever of j_0, j_1 (jc and jp, where the loop ends) is
-    # better conditioned at each point
-    jc /= norm
-    jp /= norm
-    j0_ref = np.sin(x) / x
-    j1_ref = np.sin(x) / (x * x) - np.cos(x) / x
-    use0 = np.abs(jc) >= np.abs(jp)
-    ref = np.where(use0, j0_ref, j1_ref)
-    val = np.where(use0, jc, jp)
-    vals *= np.where(ref * val >= 0.0, 1.0, -1.0)
+    # the quadratic sum fixes only the scale's magnitude; its sign is +,
+    # since the loop starts above x, where every j_n(x) > 0, and every
+    # rescale is positive
+    vals /= np.sqrt(norm) if shift else norm
     return vals
 
 

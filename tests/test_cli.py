@@ -237,6 +237,27 @@ class TestMain:
                      "--output", str(out)]) == EXIT_OK
         assert (out / "spectrum_summary.json").exists()
 
+    def test_verify_runs_without_scipy(self, tmp_path):
+        # the runtime is numpy-only: a fresh import plus a small verify
+        # leaves no scipy module loaded
+        src = str(Path(modalstab.__file__).resolve().parents[1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(DISK_CFG.replace("n_sim = 300", "n_sim = 40")
+                       .replace("grid = 50", "grid = 12"))
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "import modalstab, modalstab.cli; "
+                 "code = modalstab.cli.main(['verify', '--config', sys.argv[2],"
+                 " '--output', sys.argv[3]]); "
+                 "print(code, sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run(
+            [sys.executable, "-c", probe, src, str(cfg), str(tmp_path / "o")],
+            capture_output=True, text=True, check=True).stdout.splitlines()
+        code, loaded = out[-1].split(" ", 1)
+        assert code in (str(EXIT_OK), str(EXIT_VERIFY_FAILED))
+        assert (tmp_path / "o" / "claims_report.json").exists()
+        assert loaded == "[]"
+
     def test_thread_cap_applied_on_import(self):
         # BLAS reads its thread variables when numpy loads, so the cap must
         # be set by the package import itself; an explicit setting wins

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from modalstab.basis import EigenMode, normal_trace
 from modalstab.controller import (GainScalingError, SynthesisError,
                                   auto_scale_gains, boundary_control_eval,
                                   build_gram, control_map, gain_set_to_json,
-                                  hurwitz_margin, nudge_gammas, synthesize,
+                                  hurwitz_margin, nudge_gammas,
+                                  propagator_norms, synthesize,
                                   validate_gains)
 from modalstab.special import quadrature_rule
 
@@ -139,6 +141,30 @@ class TestValidateGains:
         modes, _ = disk_modes
         report = validate_gains(synthesize(modes, GAMMAS_DISK))
         assert report.hurwitz_direct is False
+
+    @pytest.mark.parametrize("case", ["disk_gains", "ball_gains",
+                                      "disk_unscaled"])
+    def test_propagator_norms_match_expm_oracle(self, case, request,
+                                                disk_modes):
+        if case == "disk_unscaled":
+            # the documented disk shifts: A_direct is not Hurwitz
+            gs = synthesize(disk_modes[0], GAMMAS_DISK)
+            assert hurwitz_margin(gs.a_direct) > 0.0
+        else:
+            gs = request.getfixturevalue(case)
+        times = np.linspace(0.0, 4.0, 81)
+        oracle = np.linalg.norm(
+            scipy.linalg.expm(gs.a_direct * times[:, None, None]), 2,
+            axis=(1, 2))
+        got = propagator_norms(gs.a_direct, 0.05, 81)
+        assert np.max(np.abs(got - oracle) / oracle) <= 1e-13
+
+    def test_propagator_norms_of_decoupled_generator(self):
+        # no coupled column: the step map is all tail rows
+        rates = np.array([-1.0, 0.5])
+        got = propagator_norms(np.diag(rates), 0.25, 5)
+        expected = np.exp(0.25 * np.arange(5) * rates.max())
+        assert np.max(np.abs(got - expected) / expected) <= 1e-15
 
     def test_transient_constant_for_scaled_disk(self, disk_gains):
         report = validate_gains(disk_gains)

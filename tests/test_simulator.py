@@ -9,12 +9,13 @@ import pytest
 import scipy.linalg
 
 from modalstab import simulator
+from modalstab.basis import project_function
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  CoupledSplit, InsufficientExcitationError,
                                  PolynomialSpec,
                                  Trajectory, assemble_closed_loop,
-                                 coupled_split, integrate, lcg_uniform,
-                                 open_loop,
+                                 coupled_split, initial_condition_field,
+                                 integrate, lcg_uniform, open_loop,
                                  project_initial_condition,
                                  read_snapshots, reduced_dynamics_fit,
                                  tail_energy, write_snapshots,
@@ -392,6 +393,27 @@ class TestInitialCondition:
         assert np.array_equal(a, b)
         c = project_initial_condition(disk, modes[:20], PolynomialSpec(), 8)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_projects_only_excited_angular_orders(self, shape, degree,
+                                                  request):
+        # (R^2 - |x|^2) p with deg p = d has no angular content above
+        # order d, so the full projection is rounding there and the cut
+        # one exactly 0; the kept coefficients agree to rounding
+        domain = request.getfixturevalue(shape)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        dropped = np.array([mode.angular[0] > degree for mode in modes])
+        spec = PolynomialSpec(degree=degree)
+        for seed in (1, 5):
+            full = project_function(initial_condition_field(domain, spec,
+                                                            seed),
+                                    modes, domain)
+            cut = project_initial_condition(domain, modes, spec, seed)
+            assert np.max(np.abs(full[dropped])) <= 1e-12
+            assert np.all(cut[dropped] == 0.0)
+            assert np.max(np.abs(cut - full)[~dropped]) \
+                <= 1e-13 * np.max(np.abs(full))
 
     def test_degree_cap(self, disk, disk_modes):
         modes, _ = disk_modes

@@ -143,6 +143,23 @@ class TestSphericalBessel:
             for z in spherical_bessel_zeros(l, 6):
                 assert abs(spherical_bessel_j(l, z)) < 1e-11
 
+    def test_signs_match_mpmath(self):
+        # the quadratic normalization fixes only |scale|; the sign comes
+        # from starting the recurrence above x, where every j_n(x) > 0
+        xs = np.linspace(0.75, 80.0, 30)
+        ref = np.array([[oracle_bessel(l, x, spherical=True) for x in xs]
+                        for l in range(MAX_ORDER + 1)])
+        rng = np.random.default_rng(3)
+        orders = rng.integers(0, MAX_ORDER + 1, 600)
+        lane_xs = rng.uniform(1e-3, 80.0, 600)
+        lane_ref = np.array([oracle_bessel(l, x, spherical=True)
+                             for l, x in zip(orders, lane_xs)])
+        assert np.sum(ref < 0) + np.sum(lane_ref < 0) > 600
+        assert np.array_equal(np.sign(spherical_j_all(MAX_ORDER, xs)),
+                              np.sign(ref))
+        assert np.array_equal(np.sign(spherical_j_all(orders, lane_xs)),
+                              np.sign(lane_ref))
+
 
 class TestLaneMode:
     """An order array gives each lane its own order from one recurrence."""
