@@ -27,12 +27,12 @@ from .basis import (Domain, EigenMode, SpectrumSummary, boundary_inner,
 from .controller import (GainSet, StabilityReport, auto_scale_gains,
                          boundary_control_eval, build_gram, hurwitz_margin,
                          synthesize, validate_gains)
-from .diagnostics import (NormSeries, compute_norm_series, decay_rate_fit,
-                          gn_exponents, gn_ratio, h2_full, h2_surrogate,
-                          laplacian_l2, linf_on_grid, verify_claims)
+from .diagnostics import (GridEvaluator, NormSeries, compute_norm_series,
+                          decay_rate_fit, gn_exponents, gn_ratio,
+                          verify_claims)
 from .lifting import (BoundaryFunction, LiftingCoefficients,
                       commutation_check, lifting_coefficients,
-                      lifting_h2_full, lifting_h2_surrogate, xi_coefficients)
+                      xi_coefficients)
 from .simulator import (ClosedLoopSystem, PolynomialSpec, Trajectory,
                         assemble_closed_loop, integrate, open_loop,
                         project_initial_condition, reduced_dynamics_fit)

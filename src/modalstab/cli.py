@@ -283,8 +283,7 @@ def _run_simulation(cfg: RunConfig):
     else:
         trajectory = open_loop(modes, u0, cfg.dt, cfg.horizon)
     evaluator = GridEvaluator(modes, domain, cfg.grid)
-    series = compute_norm_series(trajectory, gain_set, modes, domain,
-                                 evaluator=evaluator)
+    series = compute_norm_series(trajectory, gain_set, modes, evaluator)
     diverged = bool(trajectory.truncated
                     or series.linf[-1] > max(series.linf[0], 1e-300))
     return (domain, modes, summary, gain_set, report, info, trajectory,
@@ -342,8 +341,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     except (SynthesisError, GainScalingError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS_FAILURE
-    claims = verify_claims(trajectory, gain_set, modes, domain,
-                           series=series)
+    claims = verify_claims(series)
     extra = {"gains": info, "diverged": diverged}
     if gain_set is not None and not diverged:
         try:

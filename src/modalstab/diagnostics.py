@@ -1,10 +1,11 @@
-"""Norm surrogates, grid reconstructions, decay fits, and claim checks.
+"""Norm series, decay fits, and claim checks.
 
-The quadratic-weight surrogate sqrt(sum (1 + mu_n^2) u_n^2) is the headline
-metric; the full modal variant with (1 + kappa_n + kappa_n^2) weights is
-co-reported since the surrogate omits the gradient cross-term.  Max norms
-come from reconstructing the state on a uniform Cartesian grid inside the
-closed domain.
+Every norm of a trajectory is one column of compute_norm_series, computed
+for all samples at once.  The quadratic-weight surrogate
+sqrt(sum (1 + mu_n^2) u_n^2) is the headline metric; the full modal variant
+with (1 + kappa_n + kappa_n^2) weights is co-reported since the surrogate
+omits the gradient cross-term.  Max norms come from reconstructing the
+state on a uniform Cartesian grid inside the closed domain (GridEvaluator).
 """
 
 import json
@@ -44,36 +45,6 @@ class MetricFit:
     degenerate: bool = False
 
 
-def h2_surrogate(coeffs, modes) -> float:
-    """sqrt(sum (1 + mu_n^2) u_n^2)."""
-    mu = np.array([m.mu for m in modes])
-    c = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(np.sum((1.0 + mu * mu) * c * c)))
-
-
-def h2_full(coeffs, modes) -> float:
-    """sqrt(sum (1 + kappa_n + kappa_n^2) u_n^2); exact modal H2 norm for
-    trace-zero truncations."""
-    kappa = np.array([m.kappa for m in modes])
-    c = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(np.sum((1.0 + kappa + kappa * kappa) * c * c)))
-
-
-def laplacian_l2(coeffs, boundary_coeffs, gain_set, modes) -> float:
-    """sqrt(sum (-kappa_n u_n - (beta v)_n)^2): the modal Laplacian norm,
-    including the boundary flux contribution of the control input."""
-    kappa = np.array([m.kappa for m in modes])
-    c = np.asarray(coeffs, dtype=float)
-    lap = -kappa * c
-    v = np.asarray(boundary_coeffs, dtype=float)
-    if v.size and np.any(v):
-        if gain_set is None:
-            raise ValueError("nonzero boundary data requires a gain set")
-        beta = boundary_gram(modes, gain_set.modes[: v.size])
-        lap = lap - beta @ v
-    return float(np.linalg.norm(lap))
-
-
 class GridEvaluator:
     """Cached eigenfunction values on a uniform Cartesian grid inside the
     closed domain (resolution points per axis, endpoints included)."""
@@ -91,20 +62,7 @@ class GridEvaluator:
             pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
         inside = np.linalg.norm(pts, axis=1) <= R
         self.points = pts[inside]
-        self.resolution = resolution
         self.values = mode_values(modes, domain, self.points)
-
-    def reconstruct_max(self, coeffs) -> float:
-        field = np.asarray(coeffs, dtype=float) @ self.values
-        return float(np.max(np.abs(field)))
-
-
-def linf_on_grid(coeffs, modes, domain, resolution: int = 50,
-                 evaluator: GridEvaluator = None) -> float:
-    """Max of |sum u_n phi_n| over the uniform grid inside the closure."""
-    if evaluator is None:
-        evaluator = GridEvaluator(modes, domain, resolution)
-    return evaluator.reconstruct_max(coeffs)
 
 
 def decay_rate_fit(times, values, window):
@@ -146,10 +104,12 @@ def _central_diff_norms(states, dt: float) -> np.ndarray:
     return out
 
 
-def compute_norm_series(trajectory: Trajectory, gain_set, modes, domain,
-                        resolution: int = 50,
-                        evaluator: GridEvaluator = None) -> NormSeries:
-    """All norm series along a trajectory in one pass."""
+def compute_norm_series(trajectory: Trajectory, gain_set, modes,
+                        evaluator: GridEvaluator) -> NormSeries:
+    """All norm series along a trajectory in one pass; linf is the max of
+    |sum u_n phi_n| over the evaluator's grid."""
+    if gain_set is None and np.any(trajectory.boundary_data):
+        raise ValueError("nonzero boundary data requires a gain set")
     states = np.asarray(trajectory.states)
     times = np.asarray(trajectory.times)
     mu = np.array([m.mu for m in modes])
@@ -161,8 +121,6 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes, domain,
     l2 = np.linalg.norm(states, axis=1)
     n = trajectory.boundary_data.shape[1]
     u_norm = np.linalg.norm(states[:, :n], axis=1)
-    if evaluator is None:
-        evaluator = GridEvaluator(modes, domain, resolution)
     field = states @ evaluator.values
     linf = np.max(np.abs(field), axis=1)
     beta = boundary_gram(modes, modes[:n]) if (gain_set is not None and n) \
@@ -221,21 +179,14 @@ def _fit_metric(times, values, window, tolerance: float = 0.05) -> MetricFit:
                      residual=residual, passed=(rate > 0.0) and bounded)
 
 
-def verify_claims(trajectory: Trajectory, gain_set, modes, domain,
-                  window=(0.5, 3.5), resolution: int = 50,
-                  evaluator: GridEvaluator = None,
-                  series: NormSeries = None) -> dict:
+def verify_claims(series: NormSeries, window=(0.5, 3.5)) -> dict:
     """Fit decay constants for every norm series and flag each metric.
 
     A metric passes when its fitted rate is positive and the series stays
     below the fitted envelope (5 percent slack) on the window; identically
-    zero series count as degenerate passes.  `series` is the trajectory's
-    norm series when the caller has computed it already.
+    zero series count as degenerate passes.  `series` comes from
+    compute_norm_series and is returned in the report.
     """
-    if series is None:
-        series = compute_norm_series(trajectory, gain_set, modes, domain,
-                                     resolution=resolution,
-                                     evaluator=evaluator)
     metrics = {
         "u_norm": _fit_metric(series.times, series.u_norm, window),
         "h2_surrogate": _fit_metric(series.times, series.h2_surrogate, window),

@@ -92,19 +92,6 @@ def xi_coefficients(gain_set, U, i: int) -> LiftingCoefficients:
                                 gain_set.modes)
 
 
-def lifting_h2_surrogate(coeffs: LiftingCoefficients, modes) -> float:
-    """sqrt(sum (1 + mu_n^2) d_n^2), the modal quadratic-weight surrogate."""
-    mu = np.array([m.mu for m in modes])
-    return float(np.sqrt(np.sum((1.0 + mu * mu) * coeffs.d**2)))
-
-
-def lifting_h2_full(coeffs: LiftingCoefficients, modes) -> float:
-    """sqrt(sum (1 + kappa_n + kappa_n^2) d_n^2); the full modal variant,
-    exact only for trace-zero truncations."""
-    kappa = np.array([m.kappa for m in modes])
-    return float(np.sqrt(np.sum((1.0 + kappa + kappa * kappa) * coeffs.d**2)))
-
-
 def commutation_check(gain_set, trajectory, i: int, h: float) -> float:
     """Max deviation between the central difference of the lifted
     coefficients and the lifting of the central difference of the boundary

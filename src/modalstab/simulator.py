@@ -5,11 +5,13 @@ gives the exact modal ODE
 
     du_n/dt = mu_n u_n - <v, T_n(phi_n)>_boundary,
 
-so the closed-loop generator is diag(mu) minus a rank-N coupling through the
-extended boundary Gram matrix, acting on the leading N coordinates only.
-The generator is therefore block lower-triangular: its coupled columns S
-(at most the N leading ones) evolve on their own, and every other
-coordinate sees only itself and S.  The loop is LTI, and both one-step maps
+so the closed-loop generator G is diag(mu) minus a rank-N coupling through
+the extended boundary Gram matrix, acting on the leading N coordinates only.
+G is therefore block lower-triangular: its coupled columns S (the N leading
+ones) evolve on their own, and every other coordinate sees only itself and
+S.  The closed loop is held only as that split, G = diag(d) + K on S
+(CoupledSplit), assembled straight from mu, the Gram and the control map;
+no n_sim x n_sim array is formed.  The loop is LTI, and both one-step maps
 are a Taylor polynomial power P(G dt / count)^count on that split: the
 exact map by scaling and squaring (degree 18, count a power of two), the
 classical Runge-Kutta cross-check with P of degree 4 and count the number
@@ -44,7 +46,7 @@ class InsufficientExcitationError(ValueError):
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    generator: np.ndarray     # n_sim x n_sim
+    split: "CoupledSplit"     # the generator diag(d) + K on its columns S
     beta: np.ndarray          # n_sim x N extended boundary Gram
     coupling: np.ndarray      # N x N map from U to trace coefficients of v
     mu: np.ndarray
@@ -206,22 +208,17 @@ def _check_gram_sample(modes, domain, beta) -> None:
 
 def assemble_closed_loop(modes, gain_set: GainSet,
                          domain) -> ClosedLoopSystem:
-    """Generator diag(mu) - beta C acting on the leading N coordinates.
+    """The closed loop diag(mu) - beta C on the leading N columns, as its
+    coupled split: S the N leading columns, K = -(beta C) with its diagonal
+    moved into d.
 
-    With gain_set None the loop is open (v = 0) and the generator is
-    diagonal.  Otherwise a deterministic 5 percent sample of the closed-form
-    beta entries is always cross-checked against surface quadrature, one
-    rule for the whole sample; a disagreement beyond 1e-9 relative raises
-    ConsistencyError.
+    A deterministic 5 percent sample of the closed-form beta entries is
+    always cross-checked against surface quadrature, one rule for the whole
+    sample; a disagreement beyond 1e-9 relative raises ConsistencyError.
+    The open loop (v = 0) needs no assembly: see open_loop.
     """
     mu = np.array([m.mu for m in modes])
     n_sim = len(modes)
-    if gain_set is None:
-        n = count_unstable(modes)
-        return ClosedLoopSystem(generator=np.diag(mu),
-                                beta=np.zeros((n_sim, n)),
-                                coupling=np.zeros((n, n)),
-                                mu=mu, n_unstable=n)
     n = gain_set.n_unstable
     if len(gain_set.modes) != n_sim or any(
             gm != tm for gm, tm in zip(gain_set.modes[:n], modes[:n])):
@@ -230,10 +227,16 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     beta = boundary_gram(modes, modes[:n])
     _check_gram_sample(modes, domain, beta)
     coupling = control_map(gain_set)
-    generator = np.diag(mu)
-    generator[:, :n] -= beta @ coupling
-    return ClosedLoopSystem(generator=generator, beta=beta,
-                            coupling=coupling, mu=mu, n_unstable=n)
+    product = beta @ coupling
+    d = mu.copy()
+    d[:n] -= product.diagonal()
+    # 0 - product, not -product: an exact zero stays +0.0 as in diag(mu) -
+    # product, so the split is the one coupled_split reads off that matrix
+    K = 0.0 - product
+    np.fill_diagonal(K, 0.0)
+    split = CoupledSplit(d=d, S=np.arange(n), T=np.arange(n, n_sim), K=K)
+    return ClosedLoopSystem(split=split, beta=beta, coupling=coupling, mu=mu,
+                            n_unstable=n)
 
 
 def _finalize(times, states, coupling, n, truncated) -> Trajectory:
@@ -248,8 +251,8 @@ def _finalize(times, states, coupling, n, truncated) -> Trajectory:
 class CoupledSplit:
     """G = diag(d) + K on its coupled columns.
 
-    S indexes the columns of G - diag(d) holding any nonzero entry, T the
-    rest, and K = (G - diag(d))[:, S].  Columns in T carry only their
+    S indexes the columns of G - diag(d) that may hold nonzero entries, T
+    the rest, and K = (G - diag(d))[:, S].  Columns in T carry only their
     diagonal, so the S block evolves on its own and each T coordinate sees
     only itself and S.  A dense generator has T empty, a diagonal one S
     empty.
@@ -327,7 +330,8 @@ def _offset_product(x, y):
 
 
 def coupled_split(generator) -> CoupledSplit:
-    """Read the coupled-column split off a square generator."""
+    """Read the coupled-column split off a square generator: S holds
+    exactly the columns with a nonzero off-diagonal entry."""
     gen = np.asarray(generator, dtype=float)
     d = np.diag(gen).copy()
     # a column is coupled when it holds a nonzero entry off the diagonal
@@ -342,9 +346,9 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
               method: str = "expm_step") -> Trajectory:
     """Propagate the linear system from the projected initial state.
 
-    Both methods work on the coupled-column split of the generator
-    (CoupledSplit): the coupled columns S, at most the N leading ones of an
-    assembled closed loop, and the diagonal rest T.  Each builds its
+    Both methods work on the system's coupled-column split of the
+    generator (CoupledSplit): the coupled columns S, the N leading ones of
+    an assembled closed loop, and the diagonal rest T.  Each builds its
     one-step map once, as a Taylor polynomial power on the split's bordered
     blocks in O(n_sim N^2), and applies it in O(n_sim N) per step.
     expm_step samples the exact flow exp(G dt) by scaling and squaring.
@@ -360,11 +364,10 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
     u0 = np.asarray(u0_coeffs, dtype=float)
-    n_sim = system.generator.shape[0]
-    if u0.shape != (n_sim,):
+    split = system.split
+    if u0.shape != split.d.shape:
         raise ValueError(f"initial state has shape {u0.shape}, "
-                         f"expected ({n_sim},)")
-    split = coupled_split(system.generator)
+                         f"expected {split.d.shape}")
     states = [u0]
     truncated = False
     if method == "expm_step":

@@ -117,8 +117,11 @@ def _miller(shift: int, order, x: np.ndarray) -> np.ndarray:
         jm *= jc
         jm -= jp
         if n % check_every == 0:
-            overflow = np.abs(jm) > 1.0 / _RESCALE
-            if overflow.any():
+            # the growth between checks can pass the 140 decades of one
+            # rescale (a small and a large x in one call), so rescale until
+            # every finite lane is back under the threshold
+            while (overflow := np.isfinite(jm)
+                   & (np.abs(jm) > 1.0 / _RESCALE)).any():
                 jm[overflow] *= _RESCALE
                 jc[overflow] *= _RESCALE
                 norm[overflow] *= _RESCALE ** (1 + shift)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 zeros come from plain bisection on high-precision series values, surface
-integrals from explicit quadrature over boundary samples, and RK4 trajectories
-from textbook stages on the dense generator.
+integrals from explicit quadrature over boundary samples, the closed-loop
+generator from its dense formula, and RK4 trajectories from textbook stages
+on a dense generator.
 """
 
 import math
@@ -100,15 +101,22 @@ def dense_coupled_split(generator):
         off[:, coupled]
 
 
-def rk4_substep_loop(system, u0, dt, n_steps):
+def dense_generator(system):
+    """The closed-loop generator as a dense n_sim x n_sim matrix, from its
+    defining formula diag(mu) - beta C on the leading N columns."""
+    gen = np.diag(system.mu)
+    gen[:, :system.n_unstable] -= system.beta @ system.coupling
+    return gen
+
+
+def rk4_substep_loop(generator, mu, u0, dt, n_steps):
     """Classical RK4 samples every dt with n_sub textbook substeps each.
 
     n_sub follows integrate's documented rule, h (max|mu| +
     ||G - diag(mu)||_F) <= 0.5, and every stage is a dense G @ u.
     """
-    gen = np.asarray(system.generator, dtype=float)
-    radius = np.max(np.abs(system.mu)) \
-        + np.linalg.norm(gen - np.diag(system.mu))
+    gen = np.asarray(generator, dtype=float)
+    radius = np.max(np.abs(mu)) + np.linalg.norm(gen - np.diag(mu))
     n_sub = max(1, int(np.ceil(dt * radius / 0.5)))
     h = dt / n_sub
     u = np.asarray(u0, dtype=float)

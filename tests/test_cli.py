@@ -193,12 +193,14 @@ class TestVerifyCommand:
 
     def test_zero_state_degenerate_pass(self):
         from modalstab.basis import Domain, enumerate_modes
-        from modalstab.diagnostics import verify_claims
+        from modalstab.diagnostics import (GridEvaluator, compute_norm_series,
+                                           verify_claims)
         from modalstab.simulator import open_loop
         domain = Domain("disk", 2.0)
         modes, _ = enumerate_modes(domain, 6.61, 50)
         traj = open_loop(modes, np.zeros(50), 0.05, 4.0)
-        report = verify_claims(traj, None, modes, domain, resolution=20)
+        report = verify_claims(compute_norm_series(
+            traj, None, modes, GridEvaluator(modes, domain, 20)))
         assert report["all_pass"]
 
     def test_closed_loop_report_sections(self, tmp_path):

@@ -1,0 +1,22 @@
+"""The README's library example must run against the current API, so that
+a signature change cannot leave it stale."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_example() -> str:
+    text = README.read_text()
+    section = text[text.index("## Library example"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs():
+    namespace = {}
+    exec(compile(library_example(), str(README), "exec"), namespace)
+    series = namespace["series"]
+    assert namespace["summary"].n_unstable == 5
+    assert series.linf.shape == namespace["trajectory"].times.shape
+    assert namespace["rate"] > 0.0

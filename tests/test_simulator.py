@@ -22,35 +22,50 @@ from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  write_trajectory_csv)
 from modalstab.diagnostics import decay_rate_fit
 
-from _oracles import dense_coupled_split, rk4_substep_loop
+from _oracles import dense_coupled_split, dense_generator, rk4_substep_loop
 
 DISK_MU_1 = 5.1642035092633039
 
 
-class TestAssemble:
-    def test_open_loop_generator_is_diagonal(self, disk, disk_modes):
-        modes, _ = disk_modes
-        system = assemble_closed_loop(modes, None, disk)
-        mu = np.array([m.mu for m in modes])
-        assert np.array_equal(system.generator, np.diag(mu))
+def system_of(gen, n_unstable=1):
+    """An uncontrolled ClosedLoopSystem on the split of a given dense
+    generator, for the synthetic cases."""
+    gen = np.asarray(gen, dtype=float)
+    return ClosedLoopSystem(split=coupled_split(gen),
+                            beta=np.zeros((gen.shape[0], n_unstable)),
+                            coupling=np.zeros((n_unstable, n_unstable)),
+                            mu=np.diag(gen).copy(), n_unstable=n_unstable)
 
+
+class TestAssemble:
     def test_leading_block_matches_direct_generator(self, disk_system,
                                                     disk_gains):
-        lead = disk_system.generator[:5, :5]
+        lead = dense_generator(disk_system)[:5, :5]
         assert np.max(np.abs(lead - disk_gains.a_direct)) < 1e-12
 
     def test_coupling_restricted_to_leading_columns(self, disk_system):
-        mu = disk_system.mu
-        coupling = disk_system.generator - np.diag(mu)
-        assert np.all(coupling[:, 5:] == 0.0)
+        assert disk_system.split.S.tolist() == list(range(5))
+        assert disk_system.split.T.tolist() == list(range(5, 300))
 
     def test_tail_rows_follow_angular_sparsity(self, disk_system, disk_modes):
         modes, _ = disk_modes
         heads = {m.angular for m in modes[:5]}
-        coupling = disk_system.generator - np.diag(disk_system.mu)
+        K = disk_system.split.K
         for n in range(5, 300):
-            row_active = np.any(coupling[n, :5] != 0.0)
+            row_active = np.any(K[n] != 0.0)
             assert row_active == (modes[n].angular in heads)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_assembled_split_bit_identical_to_dense_formula(self, shape,
+                                                            request):
+        # the split assembled straight from (mu, beta, C) is the one read
+        # off the dense generator diag(mu) - beta C, bit for bit
+        system = request.getfixturevalue(f"{shape}_system")
+        dense = coupled_split(dense_generator(system))
+        for name in ("d", "S", "T", "K"):
+            got, want = getattr(system.split, name), getattr(dense, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_beta_equals_closed_form_rows(self, disk_system, disk_modes):
         from modalstab.basis import boundary_inner
@@ -85,19 +100,12 @@ class TestAssemble:
 
 class TestIntegrate:
     def test_scalar_exponential(self):
-        system = ClosedLoopSystem(generator=np.array([[-1.0]]),
-                                  beta=np.zeros((1, 1)),
-                                  coupling=np.zeros((1, 1)),
-                                  mu=np.array([-1.0]), n_unstable=1)
+        system = system_of([[-1.0]])
         traj = integrate(system, [1.0], 0.05, 1.0)
         assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_nilpotent_generator(self):
-        system = ClosedLoopSystem(generator=np.array([[0.0, 1.0],
-                                                      [0.0, 0.0]]),
-                                  beta=np.zeros((2, 1)),
-                                  coupling=np.zeros((1, 1)),
-                                  mu=np.zeros(2), n_unstable=1)
+        system = system_of([[0.0, 1.0], [0.0, 0.0]])
         traj = integrate(system, [0.0, 1.0], 0.25, 1.0)
         assert np.allclose(traj.states[-1], [1.0, 1.0], atol=1e-14)
 
@@ -133,10 +141,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
     def test_overflow_truncation(self, method):
-        system = ClosedLoopSystem(generator=np.array([[10.0]]),
-                                  beta=np.zeros((1, 1)),
-                                  coupling=np.zeros((1, 1)),
-                                  mu=np.array([10.0]), n_unstable=1)
+        system = system_of([[10.0]])
         traj = integrate(system, [1.0], 0.5, 10.0, method=method)
         assert traj.truncated
         assert traj.times.size < 21
@@ -161,21 +166,14 @@ class TestIntegrate:
         assert energy[-1] < energy[0]
 
 
-def _open_loop_generator(disk, disk_modes):
-    modes, _ = disk_modes
-    return assemble_closed_loop(modes, None, disk).generator
-
-
-# (generator builder, expected coupled columns S)
+# (dense generator builder, expected coupled columns S)
 SPLIT_CASES = {
-    "disk": (lambda req: req.getfixturevalue("disk_system").generator,
+    "disk": (lambda req: dense_generator(req.getfixturevalue("disk_system")),
              [0, 1, 2, 3, 4]),
-    "ball": (lambda req: req.getfixturevalue("ball_system").generator,
+    "ball": (lambda req: dense_generator(req.getfixturevalue("ball_system")),
              [0, 1, 2, 3]),
     "open_loop_diagonal": (
-        lambda req: _open_loop_generator(req.getfixturevalue("disk"),
-                                         req.getfixturevalue("disk_modes")),
-        []),
+        lambda req: np.diag(req.getfixturevalue("disk_system").mu), []),
     "nilpotent": (lambda req: np.array([[0.0, 1.0], [0.0, 0.0]]), [1]),
     "dense_2x2": (lambda req: np.array([[-1.0, 0.3], [0.2, -0.5]]), [0, 1]),
     # tail rates -1 and -2 equal the eigenvalues of the leading 2x2 block
@@ -256,17 +254,14 @@ class TestCoupledSplit:
 class TestRK4Map:
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_rk4_map_matches_substep_loop(self, case, request):
+        gen = SPLIT_CASES[case][0](request)
         if case in ("disk", "ball"):
             system = request.getfixturevalue(f"{case}_system")
         else:
-            gen = SPLIT_CASES[case][0](request)
-            system = ClosedLoopSystem(generator=gen,
-                                      beta=np.zeros((gen.shape[0], 1)),
-                                      coupling=np.zeros((1, 1)),
-                                      mu=np.diag(gen).copy(), n_unstable=1)
-        u0 = lcg_uniform(5, system.generator.shape[0])
+            system = system_of(gen)
+        u0 = lcg_uniform(5, gen.shape[0])
         traj = integrate(system, u0, 0.05, 4.0, method="rk4")
-        loop = rk4_substep_loop(system, u0, 0.05, 80)
+        loop = rk4_substep_loop(gen, system.mu, u0, 0.05, 80)
         assert not traj.truncated and traj.states.shape == loop.shape
         gap = np.linalg.norm(traj.states - loop, axis=1)
         assert np.all(gap <= 1e-12 * np.linalg.norm(loop, axis=1))
@@ -338,9 +333,7 @@ class TestOpenLoop:
 class TestReducedFit:
     def test_recovers_synthetic_generator(self):
         gen = np.array([[-1.0, 0.3], [0.2, -0.5]])
-        system = ClosedLoopSystem(generator=gen, beta=np.zeros((2, 2)),
-                                  coupling=np.zeros((2, 2)),
-                                  mu=np.diag(gen), n_unstable=2)
+        system = system_of(gen, n_unstable=2)
         traj = integrate(system, [1.0, -0.7], 0.01, 4.0)
         fit = reduced_dynamics_fit(traj)
         assert np.max(np.abs(fit.matrix - gen)) < 1e-4

@@ -62,6 +62,25 @@ class TestBesselJ:
                 else:
                     assert abs(v - ref) <= 1e-12
 
+    @pytest.mark.parametrize("spherical", [False, True])
+    def test_mixed_small_and_large_arguments(self, spherical):
+        # one call at 1e-5 and 90: the recurrence grows by more than one
+        # rescale's 140 decades between overflow checks at the small x
+        fn = spherical_j_all if spherical else bessel_j_all
+        xs = np.array([1e-5, 90.0])
+        lane_orders = np.array([0, 0, MAX_ORDER, MAX_ORDER])
+        lane_xs = np.tile(xs, 2)
+        with np.errstate(over="raise", invalid="raise"):
+            table = fn(MAX_ORDER, xs)
+            lanes = fn(lane_orders, lane_xs)
+        ref = np.array([[oracle_bessel(m, x, spherical) for x in xs]
+                        for m in range(MAX_ORDER + 1)])
+        lane_ref = np.array([oracle_bessel(m, x, spherical)
+                             for m, x in zip(lane_orders, lane_xs)])
+        for got, want in ((table, ref), (lanes, lane_ref)):
+            bound = 1e-12 * np.where(np.abs(want) > 1e-12, np.abs(want), 1.0)
+            assert np.all(np.abs(got - want) <= bound)
+
     def test_order_cap(self):
         with pytest.raises(UnsupportedOrderError):
             bessel_j(61, 1.0)
