@@ -25,8 +25,8 @@ from .basis import (Domain, EigenMode, SpectrumSummary, boundary_inner,
                     enumerate_modes, eval_mode, normal_trace,
                     project_function)
 from .controller import (GainSet, StabilityReport, auto_scale_gains,
-                         boundary_control_eval, build_gram, hurwitz_margin,
-                         synthesize, validate_gains)
+                         boundary_control_eval, hurwitz_margin, synthesize,
+                         validate_gains)
 from .diagnostics import (GridEvaluator, NormSeries, compute_norm_series,
                           decay_rate_fit, gn_exponents, gn_ratio,
                           verify_claims)

@@ -115,41 +115,30 @@ def _zeros_below(zeros_fn, cut: float, need: str):
     return [z[z <= cut] for z in zeros]
 
 
-def _disk_candidates(n_sim: int):
-    """All (alpha, angular, k) with the n_sim smallest alpha, deterministic
-    order (alpha, m, cos before sin, k)."""
-    cut = 2.0 * math.sqrt(n_sim) + 6.0
-    need = f"n_sim={n_sim} requires Bessel orders"
-    while True:
-        entries = []
-        for m, zeros in enumerate(_zeros_below(bessel_j_zeros, cut, need)):
-            for k, z in enumerate(zeros, start=1):
-                if m == 0:
-                    entries.append((float(z), (0, "cos"), k))
-                else:
-                    entries.append((float(z), (m, "cos"), k))
-                    entries.append((float(z), (m, "sin"), k))
-        if len(entries) >= n_sim:
-            entries.sort(key=lambda e: (e[0], e[1][0],
-                                        0 if e[1][1] == "cos" else 1, e[2]))
-            return entries[:n_sim]
-        cut *= 1.25
+def _candidates(domain: Domain, n_sim: int):
+    """All (alpha, angular, k) with the n_sim smallest alpha, in the
+    deterministic order of the tuples themselves: alpha, then the angular
+    key ("cos" before "sin", ball m ascending), then k.
 
-
-def _ball_candidates(n_sim: int):
-    """Ball analog; multiplicity 2l+1, order (alpha, l, m ascending, k)."""
-    cut = (4.5 * math.pi * n_sim) ** (1.0 / 3.0) + 4.0
-    need = f"n_sim={n_sim} requires spherical degrees"
+    The shapes differ only in data: the starting cut, the zero finder, and
+    the angular keys of radial order m, which are (0, "cos") at m = 0, then
+    (m, "cos"), (m, "sin") on the disk and (l, -l) .. (l, l) on the ball.
+    """
+    if domain.shape == "disk":
+        cut = 2.0 * math.sqrt(n_sim) + 6.0
+        zeros_fn, needed = bessel_j_zeros, "Bessel orders"
+        keys = lambda m: [(m, "cos")] if m == 0 else [(m, "cos"), (m, "sin")]
+    else:
+        cut = (4.5 * math.pi * n_sim) ** (1.0 / 3.0) + 4.0
+        zeros_fn, needed = spherical_bessel_zeros, "spherical degrees"
+        keys = lambda l: [(l, m) for m in range(-l, l + 1)]
+    need = f"n_sim={n_sim} requires {needed}"
     while True:
-        entries = []
-        for l, zeros in enumerate(_zeros_below(spherical_bessel_zeros, cut,
-                                               need)):
-            for k, z in enumerate(zeros, start=1):
-                for m in range(-l, l + 1):
-                    entries.append((float(z), (l, m), k))
+        entries = [(float(z), key, k)
+                   for m, zeros in enumerate(_zeros_below(zeros_fn, cut, need))
+                   for k, z in enumerate(zeros, start=1) for key in keys(m)]
         if len(entries) >= n_sim:
-            entries.sort(key=lambda e: (e[0], e[1][0], e[1][1], e[2]))
-            return entries[:n_sim]
+            return sorted(entries)[:n_sim]
         cut *= 1.25
 
 
@@ -166,10 +155,7 @@ def enumerate_modes(domain: Domain, lam: float, n_sim: int):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     R = domain.radius
-    if domain.shape == "disk":
-        cands = _disk_candidates(n_sim)
-    else:
-        cands = _ball_candidates(n_sim)
+    cands = _candidates(domain, n_sim)
 
     trace_scale = math.sqrt(2.0 / R**3)
     alphas = np.array([alpha for alpha, _, _ in cands])

@@ -357,7 +357,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                 "dist_minus_s": fit.dist_minus_s,
                 "preferred_generator": preferred,
             }
-        deviation = max(commutation_check(gain_set, trajectory, i, cfg.dt)
+        deviation = max(commutation_check(gain_set, trajectory, i)
                         for i in range(gain_set.n_unstable))
         extra["commutation_max_deviation"] = deviation
     _write(os.path.join(outdir, "claims_report.json"),
@@ -400,11 +400,12 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    from .basis import CapacityError
     command = {"spectrum": cmd_spectrum, "synthesize": cmd_synthesize,
                "simulate": cmd_simulate, "verify": cmd_verify}[args.command]
     try:
         return command(cfg)
-    except ConfigError as exc:
+    except (ConfigError, CapacityError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

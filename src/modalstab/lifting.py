@@ -92,7 +92,7 @@ def xi_coefficients(gain_set, U, i: int) -> LiftingCoefficients:
                                 gain_set.modes)
 
 
-def commutation_check(gain_set, trajectory, i: int, h: float) -> float:
+def commutation_check(gain_set, trajectory, i: int) -> float:
     """Max deviation between the central difference of the lifted
     coefficients and the lifting of the central difference of the boundary
     data, over the interior samples.
@@ -105,8 +105,6 @@ def commutation_check(gain_set, trajectory, i: int, h: float) -> float:
     if times.size < 3:
         raise InsufficientDataError("need at least 3 samples")
     dt = float(times[1] - times[0])
-    if dt > h + 1e-12:
-        raise ValueError(f"trajectory step {dt} exceeds requested h={h}")
     n = gain_set.n_unstable
     U = np.asarray(trajectory.states)[:, :n]
     d = xi_coefficients(gain_set, U, i).d

@@ -21,6 +21,8 @@ that power is one N x N product plus one |T| x N row update, and no
 n_sim x n_sim product is formed.
 """
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -105,28 +107,23 @@ def lcg_uniform(seed: int, count: int) -> np.ndarray:
 
 
 def _monomial_exponents(dim: int, degree: int):
-    exps = []
-    for total in range(degree + 1):
-        combos = []
-        if dim == 2:
-            for i in range(total + 1):
-                combos.append((i, total - i))
-        else:
-            for i in range(total + 1):
-                for j in range(total - i + 1):
-                    combos.append((i, j, total - i - j))
-        exps.extend(sorted(combos))
-    return exps
+    """Exponent tuples of the monomials of degree <= `degree` in `dim`
+    variables, by total degree and then lexicographically."""
+    return [e for total in range(degree + 1)
+            for e in itertools.product(range(total + 1), repeat=dim)
+            if sum(e) == total]
 
 
 def initial_condition_field(domain, spec: PolynomialSpec, seed: int):
     """(R^2 - |x|^2) * p(x) with p the (possibly seeded random) polynomial.
 
-    Returns a callable on Cartesian coordinate arrays.
+    Returns a callable on the domain's dim Cartesian coordinate arrays,
+    field(x, y) on the disk and field(x, y, z) on the ball.
     """
     if spec.degree > 3:
         raise ValueError("polynomial degree must be <= 3")
-    exps = _monomial_exponents(domain.dim, spec.degree)
+    dim = domain.dim
+    exps = _monomial_exponents(dim, spec.degree)
     if spec.coefficients is not None:
         coeffs = np.asarray(spec.coefficients, dtype=float)
         if coeffs.size != len(exps):
@@ -136,18 +133,14 @@ def initial_condition_field(domain, spec: PolynomialSpec, seed: int):
         coeffs = lcg_uniform(seed, len(exps))
     r2 = domain.radius**2
 
-    if domain.dim == 2:
-        def field(x, y):
-            poly = np.zeros_like(np.asarray(x, dtype=float))
-            for c, (i, j) in zip(coeffs, exps):
-                poly += c * x**i * y**j
-            return (r2 - (x * x + y * y)) * poly
-    else:
-        def field(x, y, z):
-            poly = np.zeros_like(np.asarray(x, dtype=float))
-            for c, (i, j, k) in zip(coeffs, exps):
-                poly += c * x**i * y**j * z**k
-            return (r2 - (x * x + y * y + z * z)) * poly
+    def field(*xs):
+        if len(xs) != dim:
+            raise TypeError(f"field takes {dim} coordinates, got {len(xs)}")
+        poly = np.zeros_like(np.asarray(xs[0], dtype=float))
+        for c, e in zip(coeffs, exps):
+            # c * x**i * y**j [* z**k], multiplied left to right
+            poly += math.prod((x**p for x, p in zip(xs, e)), start=c)
+        return (r2 - sum((x * x for x in xs[1:]), xs[0] * xs[0])) * poly
     return field
 
 

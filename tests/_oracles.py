@@ -4,7 +4,10 @@ Everything here deliberately avoids the package's own evaluation paths:
 zeros come from plain bisection on high-precision series values, surface
 integrals from explicit quadrature over boundary samples, the closed-loop
 generator from its dense formula, and RK4 trajectories from textbook stages
-on a dense generator.
+on a dense generator.  The candidate orderings (disk_candidates,
+ball_candidates) are the per-shape enumerators that basis._candidates
+replaced, with their explicit sort keys; they share the package's zero
+finder, since they pin the order, not the zeros.
 """
 
 import math
@@ -12,7 +15,10 @@ import math
 import mpmath as mp
 import numpy as np
 
-from modalstab.special import quadrature_rule, real_spherical_harmonic
+from modalstab.basis import _zeros_below
+from modalstab.special import (bessel_j_zeros, quadrature_rule,
+                               real_spherical_harmonic,
+                               spherical_bessel_zeros)
 
 mp.mp.dps = 30
 
@@ -50,6 +56,44 @@ def oracle_zero_bisection(order, k, spherical=False):
                         lo = mid
                 return 0.5 * (lo + hi)
         x, f_prev = x_next, f_next
+
+
+def disk_candidates(n_sim):
+    """All (alpha, angular, k) with the n_sim smallest alpha, order (alpha,
+    m, cos before sin, k)."""
+    cut = 2.0 * math.sqrt(n_sim) + 6.0
+    need = f"n_sim={n_sim} requires Bessel orders"
+    while True:
+        entries = []
+        for m, zeros in enumerate(_zeros_below(bessel_j_zeros, cut, need)):
+            for k, z in enumerate(zeros, start=1):
+                if m == 0:
+                    entries.append((float(z), (0, "cos"), k))
+                else:
+                    entries.append((float(z), (m, "cos"), k))
+                    entries.append((float(z), (m, "sin"), k))
+        if len(entries) >= n_sim:
+            entries.sort(key=lambda e: (e[0], e[1][0],
+                                        0 if e[1][1] == "cos" else 1, e[2]))
+            return entries[:n_sim]
+        cut *= 1.25
+
+
+def ball_candidates(n_sim):
+    """Ball analog; multiplicity 2l+1, order (alpha, l, m ascending, k)."""
+    cut = (4.5 * math.pi * n_sim) ** (1.0 / 3.0) + 4.0
+    need = f"n_sim={n_sim} requires spherical degrees"
+    while True:
+        entries = []
+        for l, zeros in enumerate(_zeros_below(spherical_bessel_zeros, cut,
+                                               need)):
+            for k, z in enumerate(zeros, start=1):
+                for m in range(-l, l + 1):
+                    entries.append((float(z), (l, m), k))
+        if len(entries) >= n_sim:
+            entries.sort(key=lambda e: (e[0], e[1][0], e[1][1], e[2]))
+            return entries[:n_sim]
+        cut *= 1.25
 
 
 def quadrature_boundary_gram(domain, modes):

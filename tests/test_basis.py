@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import oracle_bessel, oracle_zero_bisection
+from _oracles import (ball_candidates, disk_candidates, oracle_bessel,
+                      oracle_zero_bisection)
 from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, DomainError,
                              _radial_values,
                              boundary_gram, boundary_inner, boundary_traces,
@@ -100,6 +101,28 @@ class TestEnumeration:
         assert len(modes) == 946
         with pytest.raises(CapacityError):
             enumerate_modes(disk, LAMBDA, 947)
+
+    @pytest.mark.parametrize("radius, lam", [(1.3, 3.0), (2.0, LAMBDA),
+                                             (0.5, 0.0)])
+    def test_order_matches_per_shape_oracle(self, radius, lam):
+        # n_sim 2 and 3 cut the disk's first m = 1 pair and the ball's
+        # first l = 1 triplet; the larger tables end mid-multiplet too
+        oracles = {"disk": disk_candidates, "ball": ball_candidates}
+        for shape, oracle in oracles.items():
+            domain = Domain(shape, radius)
+            for n_sim in (1, 2, 3, 4, 5, 7, 10, 37, 301, 800):
+                modes, _ = enumerate_modes(domain, lam, n_sim)
+                got = [(mode.alpha, mode.angular, mode.k) for mode in modes]
+                assert got == oracle(n_sim), (shape, n_sim)
+
+    @pytest.mark.parametrize("shape, n_sim, oracle", [
+        ("disk", 947, disk_candidates), ("ball", 20000, ball_candidates)])
+    def test_capacity_message_matches_oracle(self, shape, n_sim, oracle):
+        with pytest.raises(CapacityError) as merged:
+            enumerate_modes(Domain(shape, 2.0), LAMBDA, n_sim)
+        with pytest.raises(CapacityError) as expected:
+            oracle(n_sim)
+        assert str(merged.value) == str(expected.value)
 
     def test_alpha_sample_matches_bisection_oracle(self, disk, ball,
                                                    disk_modes, ball_modes):

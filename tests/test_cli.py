@@ -9,7 +9,8 @@ import pytest
 
 import modalstab
 from modalstab.cli import (EXIT_BAD_INPUT, EXIT_GAINS_NOT_VALIDATED, EXIT_OK,
-                           EXIT_VERIFY_FAILED, ConfigError, RunConfig,
+                           EXIT_SYNTHESIS_FAILURE, EXIT_VERIFY_FAILED,
+                           ConfigError, RunConfig,
                            cmd_simulate, cmd_spectrum, cmd_synthesize,
                            cmd_verify, main, parse_config,
                            serialize_config)
@@ -230,6 +231,29 @@ class TestMain:
         path.write_text("dt = 0\n")
         assert main(["spectrum", "--config", str(path)]) == EXIT_BAD_INPUT
         assert "dt" in capsys.readouterr().err
+
+    def test_capacity_error_is_bad_input(self, tmp_path, capsys):
+        # the disk needs Bessel orders above the supported cap past 946
+        path = tmp_path / "run.cfg"
+        path.write_text(DISK_CFG + "n_sim = 947\n")
+        assert main(["spectrum", "--config", str(path),
+                     "--output", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("bad input: ") and "n_sim=947" in err
+
+    @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+    def test_no_unstable_modes_is_synthesis_failure(self, tmp_path, capsys,
+                                                    command):
+        # lambda below the first Dirichlet eigenvalue leaves N = 0, which
+        # the default five disk gammas cannot match
+        path = tmp_path / "run.cfg"
+        path.write_text("lambda = 0.5\nn_sim = 40\n")
+        assert main([command, "--config", str(path),
+                     "--output", str(tmp_path / "o")]) == \
+            EXIT_SYNTHESIS_FAILURE
+        assert capsys.readouterr().err == (
+            "synthesis failed: 5 gammas supplied but the mode table has 0 "
+            "nonnegative eigenvalues\n")
 
     def test_flag_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"

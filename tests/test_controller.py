@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modalstab.basis import EigenMode, normal_trace
+from modalstab.basis import EigenMode, boundary_gram, normal_trace
 from modalstab.controller import (GainScalingError, SynthesisError,
                                   auto_scale_gains, boundary_control_eval,
-                                  build_gram, control_map, gain_set_to_json,
+                                  control_map, gain_set_to_json,
                                   hurwitz_margin, nudge_gammas,
                                   propagator_norms, synthesize,
                                   validate_gains)
@@ -27,25 +27,31 @@ def make_synthetic_mode(mu, amp, angular, k=1):
 
 
 class TestBuildGram:
+    """The synthesis Gram B = boundary_gram(head, head) of the leading
+    traces."""
+
     def test_disk_leading_entry(self, disk_modes):
         modes, _ = disk_modes
-        gram = build_gram(modes[:5])
+        gram = boundary_gram(modes[:5], modes[:5])
         assert gram[0, 0] == pytest.approx(DISK_GRAM_11, abs=1e-12)
 
     def test_cross_family_entries_zero(self, disk_modes):
         modes, _ = disk_modes
-        gram = build_gram(modes[:5])
+        gram = boundary_gram(modes[:5], modes[:5])
         off = gram - np.diag(np.diag(gram))
         assert np.all(off == 0.0)
 
     def test_exactly_symmetric(self, ball_modes):
         modes, _ = ball_modes
-        gram = build_gram(modes[:4])
-        assert np.array_equal(gram, gram.T)
+        # the first 30 ball modes repeat angular keys at k = 1, 2, so the
+        # second Gram has nonzero off-diagonal entries
+        for head in (modes[:4], modes[:30]):
+            gram = boundary_gram(head, head)
+            assert np.array_equal(gram, gram.T)
 
     def test_positive_semidefinite(self, disk_modes, ball_modes):
         for modes, _ in (disk_modes, ball_modes):
-            gram = build_gram(modes[:30])
+            gram = boundary_gram(modes[:30], modes[:30])
             assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10
 
 

@@ -197,7 +197,7 @@ class TestCommutation:
         gs = request.getfixturevalue(gains)
         trajectory = request.getfixturevalue(traj)
         for i in range(gs.n_unstable):
-            got = commutation_check(gs, trajectory, i, 0.05)
+            got = commutation_check(gs, trajectory, i)
             ref, scale = per_sample_commutation(gs, trajectory, i)
             assert abs(got - ref) <= 1e-15 * scale
 
@@ -211,12 +211,12 @@ class TestCommutation:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(lifting, "boundary_gram", counting)
-        commutation_check(disk_gains, disk_traj_seed1, 0, 0.05)
+        commutation_check(disk_gains, disk_traj_seed1, 0)
         assert 0 < len(calls) <= 2
 
     def test_closed_loop_trajectory(self, disk_gains, disk_traj_seed1):
         for i in range(5):
-            dev = commutation_check(disk_gains, disk_traj_seed1, i, 0.05)
+            dev = commutation_check(disk_gains, disk_traj_seed1, i)
             assert dev < 1e-10
 
     def test_constant_state(self, disk_gains):
@@ -224,17 +224,17 @@ class TestCommutation:
         states = np.ones((5, 300))
         traj = Trajectory(times=times, states=states,
                           boundary_data=np.ones((5, 5)))
-        assert commutation_check(disk_gains, traj, 0, 0.05) == 0.0
+        assert commutation_check(disk_gains, traj, 0) == 0.0
 
     def test_zero_trajectory(self, disk_gains):
         times = np.arange(4) * 0.05
         traj = Trajectory(times=times, states=np.zeros((4, 300)),
                           boundary_data=np.zeros((4, 5)))
-        assert commutation_check(disk_gains, traj, 0, 0.05) == 0.0
+        assert commutation_check(disk_gains, traj, 0) == 0.0
 
     def test_too_few_samples(self, disk_gains):
         traj = Trajectory(times=np.array([0.0, 0.05]),
                           states=np.zeros((2, 300)),
                           boundary_data=np.zeros((2, 5)))
         with pytest.raises(InsufficientDataError):
-            commutation_check(disk_gains, traj, 0, 0.05)
+            commutation_check(disk_gains, traj, 0)

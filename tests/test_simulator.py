@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import struct
@@ -407,6 +408,29 @@ class TestInitialCondition:
             assert np.all(cut[dropped] == 0.0)
             assert np.max(np.abs(cut - full)[~dropped]) \
                 <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_field_follows_documented_monomial_order(self, shape, request):
+        # coefficients apply to monomials by total degree, then
+        # lexicographically by exponent tuple; a wrong coordinate count
+        # is rejected, not truncated
+        domain = request.getfixturevalue(shape)
+        exps = sorted((e for e in itertools.product(range(3),
+                                                    repeat=domain.dim)
+                       if sum(e) <= 2), key=lambda e: (sum(e), e))
+        coeffs = np.arange(1.0, len(exps) + 1.0)
+        field = initial_condition_field(
+            domain, PolynomialSpec(degree=2, coefficients=tuple(coeffs)), 1)
+        xs = [np.linspace(-1.0, 1.0, 7) * (a + 1) / 3
+              for a in range(domain.dim)]
+        poly = sum(c * np.prod([x**p for x, p in zip(xs, e)], axis=0)
+                   for c, e in zip(coeffs, exps))
+        expected = (domain.radius**2 - sum(x * x for x in xs)) * poly
+        np.testing.assert_allclose(field(*xs), expected, rtol=1e-14,
+                                   atol=1e-14)
+        for wrong in (xs[:-1], xs + xs[:1]):
+            with pytest.raises(TypeError):
+                field(*wrong)
 
     def test_degree_cap(self, disk, disk_modes):
         modes, _ = disk_modes
