@@ -66,8 +66,8 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if self.horizon < self.dt:
             raise ConfigError("horizon must be at least dt")
-        if self.grid < 2:
-            raise ConfigError("grid must be at least 2")
+        if self.grid < 3:
+            raise ConfigError("grid must be at least 3")
         if self.mode not in ("closed_loop", "open_loop"):
             raise ConfigError("mode must be closed_loop or open_loop")
         if not self.target_margin < 0:
@@ -194,70 +194,57 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _nudged_gammas(cfg: RunConfig, modes):
-    """Configured shifts with eigenvalue collisions nudged away; logs the
-    adjustment."""
+def _resolve_gains(cfg: RunConfig, modes):
+    """The one gain policy of every command.
+
+    The configured shifts are nudged off the leading eigenvalues (the
+    adjustment is logged); `gammas = auto` takes the doubling search's set
+    instead.  When that set is not Hurwitz on the direct generator, the
+    search's set comes back as `scaled`: synthesize suggests it, simulate
+    and verify run with it.  Returns (gain_set, report, scaled, info), with
+    `info` describing the gains a run uses."""
     import numpy as np
     from .basis import count_unstable
-    from .controller import nudge_gammas
+    from .controller import (nudge_gammas, scaled_gain_set, synthesize,
+                             validate_gains)
     gammas0 = cfg.resolved_gammas()
     mu = np.array([m.mu for m in modes[: count_unstable(modes)]])
     nudged = nudge_gammas(gammas0, mu)
-    if nudged != tuple(float(g) for g in gammas0):
-        print(f"note: gammas nudged off eigenvalues: {list(nudged)}",
-              file=sys.stderr)
-    return gammas0, nudged
-
-
-def _resolve_gains(cfg: RunConfig, modes):
-    """Synthesize gains; auto-scale whenever the configured shifts do not
-    validate on the direct generator.  Returns (gain_set, report, info)."""
-    from .controller import (auto_scale_gains, synthesize, validate_gains)
-    gammas0, nudged = _nudged_gammas(cfg, modes)
-    gain_set = synthesize(modes, nudged)
-    report = validate_gains(gain_set)
     info = {"gammas_config": list(gammas0), "gains_source": "config",
             "auto_requested": cfg.gammas == "auto"}
     if nudged != tuple(float(g) for g in gammas0):
+        print(f"note: gammas nudged off eigenvalues: {list(nudged)}",
+              file=sys.stderr)
         info["nudged"] = list(nudged)
-    if not report.hurwitz_direct:
-        scaled = auto_scale_gains(modes, nudged, cfg.target_margin)
-        gain_set = synthesize(modes, scaled)
-        report = validate_gains(gain_set)
-        info.update(gains_source="auto_scaled", gammas_used=list(scaled),
-                    scale=scaled[0] / nudged[0])
+    if cfg.gammas == "auto":
+        gain_set = scaled_gain_set(modes, nudged, cfg.target_margin)
     else:
-        info.update(gammas_used=list(nudged))
-    return gain_set, report, info
+        gain_set = synthesize(modes, nudged)
+    report = validate_gains(gain_set)
+    scaled = None
+    if not report.hurwitz_direct:
+        scaled = scaled_gain_set(modes, nudged, cfg.target_margin)
+    used = (scaled or gain_set).gammas
+    info["gammas_used"] = list(used)
+    if used != nudged:
+        info.update(gains_source="auto_scaled", scale=used[0] / nudged[0])
+    return gain_set, report, scaled, info
 
 
 def cmd_synthesize(cfg: RunConfig) -> int:
-    """Write the gain-set JSON; exit 3 when the configured gains are not
-    Hurwitz on the direct generator (an auto-scaled suggestion is always
-    included)."""
-    from .controller import (SynthesisError, GainScalingError,
-                             auto_scale_gains, gain_set_to_json, synthesize,
-                             validate_gains)
+    """Write the gain-set JSON; exit 3 when the gains are not Hurwitz on the
+    direct generator (the auto-scaled set is then included as
+    `suggested_gammas`)."""
+    from .controller import gain_set_to_json
     outdir = _ensure_outdir(cfg)
     _, modes, _ = _spectrum(cfg)
-    gammas0, nudged = _nudged_gammas(cfg, modes)
-    try:
-        if cfg.gammas == "auto":
-            gammas = auto_scale_gains(modes, nudged, cfg.target_margin)
-        else:
-            gammas = nudged
-        gain_set = synthesize(modes, gammas)
-        report = validate_gains(gain_set)
-        payload = json.loads(gain_set_to_json(gain_set, report))
-        payload["gammas_config"] = list(gammas0)
-        if nudged != tuple(float(g) for g in gammas0):
-            payload["nudged_gammas"] = list(nudged)
-        if not report.hurwitz_direct:
-            suggestion = auto_scale_gains(modes, nudged, cfg.target_margin)
-            payload["suggested_gammas"] = list(suggestion)
-    except (SynthesisError, GainScalingError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS_FAILURE
+    gain_set, report, scaled, info = _resolve_gains(cfg, modes)
+    payload = json.loads(gain_set_to_json(gain_set, report))
+    payload["gammas_config"] = info["gammas_config"]
+    if "nudged" in info:
+        payload["nudged_gammas"] = info["nudged"]
+    if scaled is not None:
+        payload["suggested_gammas"] = list(scaled.gammas)
     _write(os.path.join(outdir, "gains.json"), json.dumps(payload, indent=2))
     print(f"margin_direct = {report.margin_direct:.6f}, "
           f"margin_reduced_s = {report.margin_s:.6f}")
@@ -267,6 +254,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 def _run_simulation(cfg: RunConfig):
     """Shared pipeline: spectrum, gains (closed loop), projection,
     integration, norm series."""
+    from .controller import validate_gains
     from .diagnostics import GridEvaluator, compute_norm_series
     from .simulator import (PolynomialSpec, assemble_closed_loop, integrate,
                             open_loop, project_initial_condition)
@@ -277,7 +265,9 @@ def _run_simulation(cfg: RunConfig):
                                    PolynomialSpec(degree=cfg.poly_degree),
                                    cfg.seed)
     if cfg.mode == "closed_loop":
-        gain_set, report, info = _resolve_gains(cfg, modes)
+        gain_set, report, scaled, info = _resolve_gains(cfg, modes)
+        if scaled is not None:
+            gain_set, report = scaled, validate_gains(scaled)
         system = assemble_closed_loop(modes, gain_set, domain)
         trajectory = integrate(system, u0, cfg.dt, cfg.horizon)
     else:
@@ -293,16 +283,11 @@ def _run_simulation(cfg: RunConfig):
 def cmd_simulate(cfg: RunConfig) -> int:
     """Write trajectory CSV, norm-series CSV, binary snapshots, and a run
     summary JSON."""
-    from .controller import GainScalingError, SynthesisError
     from .diagnostics import write_norm_series_csv
     from .simulator import write_snapshots, write_trajectory_csv
     outdir = _ensure_outdir(cfg)
-    try:
-        (domain, modes, summary, gain_set, report, info, trajectory, series,
-         diverged) = _run_simulation(cfg)
-    except (SynthesisError, GainScalingError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS_FAILURE
+    (domain, modes, summary, gain_set, report, info, trajectory, series,
+     diverged) = _run_simulation(cfg)
     write_trajectory_csv(trajectory, os.path.join(outdir, "trajectory.csv"))
     write_norm_series_csv(series, os.path.join(outdir, "norm_series.csv"))
     write_snapshots(trajectory, os.path.join(outdir, "snapshots.bin"))
@@ -330,17 +315,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Run the pipeline in-process and write the claims report JSON; exit 0
     only when every metric flag passes."""
-    from .controller import GainScalingError, SynthesisError
     from .diagnostics import claims_report_json, verify_claims
     from .lifting import commutation_check
     from .simulator import InsufficientExcitationError, reduced_dynamics_fit
     outdir = _ensure_outdir(cfg)
-    try:
-        (domain, modes, summary, gain_set, report, info, trajectory, series,
-         diverged) = _run_simulation(cfg)
-    except (SynthesisError, GainScalingError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
-        return EXIT_SYNTHESIS_FAILURE
+    (domain, modes, summary, gain_set, report, info, trajectory, series,
+     diverged) = _run_simulation(cfg)
     claims = verify_claims(series)
     extra = {"gains": info, "diverged": diverged}
     if gain_set is not None and not diverged:
@@ -401,6 +381,7 @@ def main(argv=None) -> int:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     from .basis import CapacityError
+    from .controller import GainScalingError, SynthesisError
     command = {"spectrum": cmd_spectrum, "synthesize": cmd_synthesize,
                "simulate": cmd_simulate, "verify": cmd_verify}[args.command]
     try:
@@ -408,6 +389,9 @@ def main(argv=None) -> int:
     except (ConfigError, CapacityError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except (SynthesisError, GainScalingError) as exc:
+        print(f"synthesis failed: {exc}", file=sys.stderr)
+        return EXIT_SYNTHESIS_FAILURE
 
 
 if __name__ == "__main__":

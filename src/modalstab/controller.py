@@ -175,28 +175,39 @@ def nudge_gammas(gammas, mu) -> tuple:
     return tuple(out)
 
 
-def auto_scale_gains(modes, gammas0, target_margin: float) -> tuple:
-    """Smallest power-of-two scaling of gammas0 whose direct margin meets
-    target_margin; colliding shifts are nudged, never dropped."""
+def scaled_gain_set(modes, gammas0, target_margin: float) -> GainSet:
+    """Gain set at the smallest power-of-two scaling of gammas0 whose direct
+    margin meets target_margin; colliding shifts are nudged, never dropped.
+    When no scaling synthesizes at all, the first SynthesisError is raised,
+    since it names the cause."""
     if not target_margin < 0:
         raise ValueError("target_margin must be negative")
     mu = np.array([m.mu for m in modes[: len(tuple(gammas0))]])
     margins = []
+    first_error = None
     for p in range(11):
         scale = 2.0**p
         gammas = nudge_gammas([scale * g for g in gammas0], mu)
         try:
             gain_set = synthesize(modes, gammas)
-        except SynthesisError:
+        except SynthesisError as exc:
+            first_error = first_error or exc
             margins.append((scale, math.nan))
             continue
         margin = hurwitz_margin(gain_set.a_direct)
         margins.append((scale, margin))
         if margin <= target_margin:
-            return gammas
+            return gain_set
+    if all(math.isnan(margin) for _, margin in margins):
+        raise first_error
     raise GainScalingError(
         f"no scaling up to 2^10 reached margin {target_margin}; "
         f"observed margins {margins}")
+
+
+def auto_scale_gains(modes, gammas0, target_margin: float) -> tuple:
+    """The shifts of scaled_gain_set."""
+    return scaled_gain_set(modes, gammas0, target_margin).gammas
 
 
 def boundary_control_eval(gain_set: GainSet, U, domain, point) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import boundary_gram, mode_values
-from .lifting import lifting_denominators
+from .lifting import xi_coefficients
 from .simulator import Trajectory
 
 
@@ -50,8 +50,8 @@ class GridEvaluator:
     closed domain (resolution points per axis, endpoints included)."""
 
     def __init__(self, modes, domain, resolution: int):
-        if resolution < 2:
-            raise ValueError("resolution must be >= 2")
+        if resolution < 3:
+            raise ValueError("resolution must be >= 3")
         R = domain.radius
         axis = np.linspace(-R, R, resolution)
         grids = np.meshgrid(*[axis] * domain.dim, indexing="ij")
@@ -127,16 +127,10 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes,
     lap = np.linalg.norm(lap_modal, axis=1)
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
     dudt = _central_diff_norms(states, dt)
-    if beta is not None:
-        xi = np.empty((times.size, n))
-        for i in range(n):
-            denom = lifting_denominators(gain_set.gammas[i], modes)
-            lift_map = (beta @ (gain_set.m_list[i][:, None] * gain_set.a_gain)
-                        ) / denom[:, None]
-            d_series = states[:, :n] @ lift_map.T
-            xi[:, i] = np.sqrt(d_series**2 @ w_h2)
-    else:
-        xi = np.zeros((times.size, 0))
+    xi = np.empty((times.size, n if beta is not None else 0))
+    for i in range(xi.shape[1]):
+        d_series = xi_coefficients(gain_set, states[:, :n], i).d
+        xi[:, i] = np.sqrt(d_series**2 @ w_h2)
     return NormSeries(times=times, h2_surrogate=h2, h2_full=full, linf=linf,
                       laplacian_l2=lap, l2=l2, u_norm=u_norm, dudt_l2=dudt,
                       xi=xi)

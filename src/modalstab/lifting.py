@@ -99,14 +99,14 @@ def commutation_check(gain_set, trajectory, i: int) -> float:
 
     The lift is linear, so the two agree exactly in exact arithmetic: this
     is a rounding-level consistency test of the lift, not a convergence
-    measure.  Both sides are lifted as whole stacks, one xi_coefficients
-    call each."""
+    measure.  The states and their central differences are lifted as one
+    stack, in one xi_coefficients call."""
     times = np.asarray(trajectory.times)
     if times.size < 3:
         raise InsufficientDataError("need at least 3 samples")
     dt = float(times[1] - times[0])
     n = gain_set.n_unstable
     U = np.asarray(trajectory.states)[:, :n]
-    d = xi_coefficients(gain_set, U, i).d
-    rhs = xi_coefficients(gain_set, (U[2:] - U[:-2]) / (2.0 * dt), i).d
+    stack = np.vstack([U, (U[2:] - U[:-2]) / (2.0 * dt)])
+    d, rhs = np.split(xi_coefficients(gain_set, stack, i).d, [times.size])
     return float(np.max(np.abs((d[2:] - d[:-2]) / (2.0 * dt) - rhs)))

@@ -43,7 +43,8 @@ class ConsistencyError(ValueError):
 
 
 class InsufficientExcitationError(ValueError):
-    """Trajectory carries no usable signal for system identification."""
+    """Trajectory too short, or carrying no usable signal, for system
+    identification."""
 
 
 @dataclass(frozen=True)
@@ -418,7 +419,7 @@ def reduced_dynamics_fit(trajectory: Trajectory,
     """
     times = np.asarray(trajectory.times)
     if times.size < 10:
-        raise ValueError("need at least 10 samples")
+        raise InsufficientExcitationError("need at least 10 samples")
     n = trajectory.boundary_data.shape[1]
     U = np.asarray(trajectory.states)[:, :n]
     if np.max(np.abs(U)) < 1e-12:

@@ -47,3 +47,23 @@ def test_traced_verify_batches_bessel_work(tmp_path):
     assert calls["special.zero_calls"] <= 2
     # verify_claims reuses the series the simulation already computed
     assert calls["diagnostics.norm_series_calls"] == 1
+    # the configured shifts, then the doubling search's scales 1 and 2
+    assert calls["controller.synthesize_calls"] == 3
+
+
+def test_auto_verify_synthesizes_only_in_the_search(tmp_path, monkeypatch):
+    # `gammas = auto` runs the doubling search's own gain set: scales 1 and
+    # 2 are synthesized, and the accepted set is never built again
+    calls = []
+    synthesize = modalstab.controller.synthesize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(modalstab.controller, "synthesize", counted)
+    config = tmp_path / "run.cfg"
+    config.write_text("n_sim = 40\ngrid = 12\nhorizon = 1\ngammas = auto\n"
+                      f"output_dir = {tmp_path / 'out'}\n")
+    assert modalstab.cli.main(["verify", "--config", str(config)]) in (0, 1)
+    assert len(calls) == 2

@@ -124,7 +124,9 @@ class TestSynthesizeCommand:
         from modalstab.cli import EXIT_SYNTHESIS_FAILURE
         mu1 = 5.1642035092633039
         cfg = make_cfg(tmp_path, gammas=(mu1, 7.17, 8.17, 9.17, 10.17))
-        code = cmd_synthesize(cfg)
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize_config(cfg))
+        code = main(["synthesize", "--config", str(path)])
         err = capsys.readouterr().err
         assert "nudged" in err
         assert code in (EXIT_OK, EXIT_GAINS_NOT_VALIDATED,
@@ -241,19 +243,65 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("bad input: ") and "n_sim=947" in err
 
-    @pytest.mark.parametrize("command", ["synthesize", "simulate", "verify"])
+    @pytest.mark.parametrize(
+        "command, gammas",
+        [pytest.param(command, gammas,
+                      id=command + ("-auto" if gammas == "auto" else ""))
+         for gammas in ("default", "auto")
+         for command in ("synthesize", "simulate", "verify")])
     def test_no_unstable_modes_is_synthesis_failure(self, tmp_path, capsys,
-                                                    command):
+                                                    command, gammas):
         # lambda below the first Dirichlet eigenvalue leaves N = 0, which
-        # the default five disk gammas cannot match
+        # the default five disk gammas cannot match at any scaling; the
+        # doubling search reports that cause, not its table of NaN margins
         path = tmp_path / "run.cfg"
-        path.write_text("lambda = 0.5\nn_sim = 40\n")
+        path.write_text(f"lambda = 0.5\nn_sim = 40\ngammas = {gammas}\n")
         assert main([command, "--config", str(path),
                      "--output", str(tmp_path / "o")]) == \
             EXIT_SYNTHESIS_FAILURE
         assert capsys.readouterr().err == (
             "synthesis failed: 5 gammas supplied but the mode table has 0 "
             "nonnegative eigenvalues\n")
+
+    def test_grid_without_interior_point_is_bad_input(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("grid = 2\nn_sim = 40\n")
+        assert main(["simulate", "--config", str(path),
+                     "--output", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == \
+            "bad input: grid must be at least 3\n"
+
+    def test_short_horizon_verify_records_fit_error(self, tmp_path, capsys):
+        # nine samples are too few to identify the reduced generator; the
+        # report says so and the exit code comes from the claim checks
+        path = tmp_path / "run.cfg"
+        path.write_text("horizon = 0.4\nn_sim = 40\ngrid = 12\n")
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(path),
+                     "--output", str(out)]) == EXIT_VERIFY_FAILED
+        assert "failing metrics" in capsys.readouterr().err
+        payload = json.loads((out / "claims_report.json").read_text())
+        assert payload["reduced_fit"] == {"error": "need at least 10 samples"}
+
+    def test_one_gain_policy_for_every_command(self, tmp_path):
+        # at this radius the documented shifts are Hurwitz on the direct
+        # generator but miss target_margin, so `auto` doubles them in
+        # synthesize and simulate alike
+        path = tmp_path / "run.cfg"
+        path.write_text("domain.radius = 2.5\nlambda = 4.5\nn_sim = 100\n"
+                        "gammas = auto\ngrid = 20\n")
+        out = tmp_path / "o"
+        for command in ("synthesize", "simulate"):
+            assert main([command, "--config", str(path),
+                         "--output", str(out)]) == EXIT_OK
+        gains = json.loads((out / "gains.json").read_text())
+        summary = json.loads((out / "run_summary.json").read_text())
+        doubled = [12.34, 14.34, 16.34, 18.34, 20.34]
+        assert [float(g) for g in gains["gammas"]] == doubled
+        assert summary["gains"]["gammas_used"] == doubled
+        assert summary["gains"]["gains_source"] == "auto_scaled"
+        assert summary["diverged"] is False
 
     def test_flag_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -146,6 +146,17 @@ class TestLinfOnGrid:
         with pytest.raises(ValueError):
             GridEvaluator(modes, disk, 1)
 
+    def test_two_points_per_axis_rejected(self, disk, ball, disk_modes,
+                                          ball_modes):
+        # the 2^dim corners of a two-point grid lie at R sqrt(dim), outside
+        # the domain; three points per axis reach the center and the
+        # 2 dim ends of the axes
+        for domain, (modes, _) in ((disk, disk_modes), (ball, ball_modes)):
+            with pytest.raises(ValueError, match=">= 3"):
+                GridEvaluator(modes, domain, 2)
+            points = GridEvaluator(modes, domain, 3).points
+            assert len(points) == 1 + 2 * domain.dim
+
 
 class TestDecayFit:
     def test_exact_exponential(self):
