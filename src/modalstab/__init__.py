@@ -25,14 +25,12 @@ from .basis import (Domain, EigenMode, SpectrumSummary, boundary_inner,
                     enumerate_modes, eval_mode, normal_trace,
                     project_function)
 from .controller import (GainSet, StabilityReport, auto_scale_gains,
-                         boundary_control_eval, hurwitz_margin, synthesize,
-                         validate_gains)
+                         boundary_control_eval, hurwitz_margin,
+                         scaled_gain_set, synthesize, validate_gains)
 from .diagnostics import (GridEvaluator, NormSeries, compute_norm_series,
                           decay_rate_fit, gn_exponents, gn_ratio,
                           verify_claims)
-from .lifting import (BoundaryFunction, LiftingCoefficients,
-                      commutation_check, lifting_coefficients,
-                      xi_coefficients)
+from .lifting import commutation_check, lifting_coefficients, xi_coefficients
 from .simulator import (ClosedLoopSystem, PolynomialSpec, Trajectory,
                         assemble_closed_loop, integrate, open_loop,
                         project_initial_condition, reduced_dynamics_fit)

@@ -176,10 +176,9 @@ def enumerate_modes(domain: Domain, lam: float, n_sim: int):
         modes.append(EigenMode(n=n, angular=angular, k=k, alpha=alpha,
                                kappa=kappa, mu=mu, norm_const=norm_const,
                                trace_amp=trace_amp))
-    mus = tuple(mode.mu for mode in modes)
-    n_unstable = int(sum(1 for mu in mus if mu >= 0.0))
-    return modes, SpectrumSummary(n_unstable=n_unstable, n_sim=n_sim,
-                                  eigenvalues=mus)
+    return modes, SpectrumSummary(n_unstable=count_unstable(modes),
+                                  n_sim=n_sim,
+                                  eigenvalues=tuple(m.mu for m in modes))
 
 
 def count_unstable(modes) -> int:
@@ -292,25 +291,41 @@ def boundary_gram(row_modes, col_modes) -> np.ndarray:
     return np.outer(amps_r, amps_c) * (codes_r[:, None] == codes_c[None, :])
 
 
-def interior_quadrature(domain: Domain, modes, refine: int = 1):
-    """Tensor quadrature grids sized for the given mode table.
-
-    Radial Gauss-Legendre with n = 8*k_max + 32 nodes and azimuthal
-    trapezoid with n = 4*m_max + 16 nodes (polar Gauss-Legendre in cos(theta)
-    with 2*l_max + 16 nodes on the ball); `refine` scales all sizes.
-    """
-    k_max = max(mode.k for mode in modes)
-    ang_max = max(mode.angular[0] for mode in modes)
-    R = domain.radius
-    n_r = (8 * k_max + 32) * refine
-    radial = quadrature_rule("gauss_legendre", n_r, (0.0, R))
-    n_phi = (4 * ang_max + 16) * refine
-    azimuth = quadrature_rule("periodic_trapezoid", n_phi, (0.0, 2.0 * math.pi))
+def angular_rule(domain: Domain, order: int, refine: int):
+    """Angular tensor rule exact for products of angular order up to
+    `order`: an azimuthal trapezoid with (4*order + 16)*refine nodes, times
+    a polar Gauss-Legendre rule in cos(theta) with (2*order + 16)*refine
+    nodes on the ball.  Returns (azimuth,) or (polar, azimuth)."""
+    azimuth = quadrature_rule("periodic_trapezoid", (4 * order + 16) * refine,
+                              (0.0, 2.0 * math.pi))
     if domain.shape == "disk":
-        return radial, azimuth
-    polar = quadrature_rule("gauss_legendre", (2 * ang_max + 16) * refine,
+        return (azimuth,)
+    polar = quadrature_rule("gauss_legendre", (2 * order + 16) * refine,
                             (-1.0, 1.0))
-    return radial, polar, azimuth
+    return polar, azimuth
+
+
+def angular_nodes(rules):
+    """Nodes of an angular_rule as angular_values takes them, and their
+    weights: phi on the disk; (cos theta, sin theta, phi) on the ball, polar
+    nodes along the first axis, with the polar x azimuth weight table."""
+    if len(rules) == 1:
+        return rules[0].nodes, rules[0].weights
+    polar, azimuth = rules
+    ct = polar.nodes[:, None]
+    return ((ct, np.sqrt(1.0 - ct * ct), azimuth.nodes),
+            np.outer(polar.weights, azimuth.weights))
+
+
+def interior_quadrature(domain: Domain, modes, refine: int = 1):
+    """Tensor quadrature rules sized for the given mode table: radial
+    Gauss-Legendre with 8*k_max + 32 nodes, then angular_rule at the
+    table's highest angular order; `refine` scales all sizes."""
+    k_max = max(mode.k for mode in modes)
+    radial = quadrature_rule("gauss_legendre", (8 * k_max + 32) * refine,
+                             (0.0, domain.radius))
+    order = max(mode.angular[0] for mode in modes)
+    return (radial, *angular_rule(domain, order, refine))
 
 
 def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
@@ -371,26 +386,20 @@ def project_function(f, modes, domain: Domain, refine: int = 1) -> np.ndarray:
     angular key at every radial node, then against each mode's radial
     factor.
     """
-    rules = interior_quadrature(domain, modes, refine)
-    radial, azimuth = rules[0], rules[-1]
+    radial, *rules = interior_quadrature(domain, modes, refine)
+    angles, w_ang = angular_nodes(rules)
     r = radial.nodes
-    ph = azimuth.nodes
     if domain.shape == "disk":
         rr = r[:, None]
-        fvals = f(rr * np.cos(ph), rr * np.sin(ph))
-        angles, w_ang = ph, azimuth.weights
+        fvals = f(rr * np.cos(angles), rr * np.sin(angles))
     else:
-        polar = rules[1]
-        ct = polar.nodes[:, None]
-        st = np.sqrt(1.0 - ct * ct)
+        ct, st, ph = angles
         rr = r[:, None, None]
         fvals = f(rr * st * np.cos(ph), rr * st * np.sin(ph),
                   rr * ct * np.ones_like(ph))
-        angles = (ct, st, ph)
-        w_ang = np.outer(polar.weights, azimuth.weights).ravel()
     keys, rows = angular_keys(modes)
     weighted = angular_values(keys, domain, angles).reshape(len(keys), -1) \
-        * w_ang
+        * w_ang.ravel()
     f_ang = np.asarray(fvals, dtype=float).reshape(r.size, -1) @ weighted.T
     rad_vals = _radial_values(modes, domain, r) \
         * (radial.weights * r ** (domain.dim - 1))

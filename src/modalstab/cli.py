@@ -316,7 +316,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Run the pipeline in-process and write the claims report JSON; exit 0
     only when every metric flag passes."""
     from .diagnostics import claims_report_json, verify_claims
-    from .lifting import commutation_check
+    from .lifting import InsufficientDataError, commutation_check
     from .simulator import InsufficientExcitationError, reduced_dynamics_fit
     outdir = _ensure_outdir(cfg)
     (domain, modes, summary, gain_set, report, info, trajectory, series,
@@ -337,8 +337,10 @@ def cmd_verify(cfg: RunConfig) -> int:
                 "dist_minus_s": fit.dist_minus_s,
                 "preferred_generator": preferred,
             }
-        deviation = max(commutation_check(gain_set, trajectory, i)
-                        for i in range(gain_set.n_unstable))
+        try:
+            deviation = float(max(commutation_check(gain_set, trajectory)))
+        except InsufficientDataError as exc:
+            deviation = {"error": str(exc)}
         extra["commutation_max_deviation"] = deviation
     _write(os.path.join(outdir, "claims_report.json"),
            claims_report_json(claims, extra))

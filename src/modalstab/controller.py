@@ -42,11 +42,10 @@ class GainSet:
     gammas: tuple
     mu: np.ndarray            # leading eigenvalues mu_1..mu_N
     gram: np.ndarray          # B, boundary Gram of the leading traces
-    m_list: tuple             # diagonals of M_{gamma_i}, each length N
-    b_list: tuple             # B_i = M_i B M_i
+    m_list: np.ndarray        # (N, N): row i is the diagonal of M_{gamma_i}
+    b_list: np.ndarray        # (N, N, N): B_i = M_i B M_i
     a_gain: np.ndarray        # A = (sum B_i)^{-1}
     s_total: np.ndarray       # sum gamma_i B_i A
-    a_direct: np.ndarray      # A_o - B sum(M_i A)
     a_o: np.ndarray           # diag(mu)
     cond_sum_b: float
     modes: tuple              # full mode table the synthesis was built on
@@ -54,6 +53,11 @@ class GainSet:
     @property
     def n_unstable(self) -> int:
         return len(self.gammas)
+
+    @property
+    def a_direct(self) -> np.ndarray:
+        """A_o - B sum(M_i A)."""
+        return self.a_o - self.gram @ control_map(self)
 
 
 @dataclass(frozen=True)
@@ -89,14 +93,15 @@ def synthesize(modes, gammas) -> GainSet:
         raise SynthesisError("gammas must be strictly increasing")
     head = modes[:n]
     mu = np.array([m.mu for m in head])
-    for g in gammas:
-        gap = np.min(np.abs(g - mu))
-        if gap <= GAMMA_SEPARATION:
-            raise SynthesisError(
-                f"gamma={g} within {gap:.2e} of a leading eigenvalue")
+    shifts = np.array(gammas)[:, None] - mu       # gamma_i - mu_n
+    gaps = np.min(np.abs(shifts), axis=1)
+    if np.any(gaps <= GAMMA_SEPARATION):
+        i = int(np.argmax(gaps <= GAMMA_SEPARATION))
+        raise SynthesisError(f"gamma={gammas[i]} within {gaps[i]:.2e} "
+                             "of a leading eigenvalue")
     gram = boundary_gram(head, head)
-    m_list = tuple(1.0 / (g - mu) for g in gammas)
-    b_list = tuple(np.outer(m, m) * gram for m in m_list)
+    m_list = 1.0 / shifts
+    b_list = m_list[:, :, None] * m_list[:, None, :] * gram
     sum_b = np.sum(b_list, axis=0)
     cond = float(np.linalg.cond(sum_b))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
@@ -104,26 +109,17 @@ def synthesize(modes, gammas) -> GainSet:
             f"sum of B_i numerically singular (cond={cond:.3e}); "
             "choose larger or better separated gammas")
     a_gain = np.linalg.solve(sum_b, np.eye(n))
-    s_total = np.zeros((n, n))
-    c_total = np.zeros((n, n))
-    for g, m, b in zip(gammas, m_list, b_list):
-        s_total += g * (b @ a_gain)
-        c_total += m[:, None] * a_gain
-    a_o = np.diag(mu)
-    a_direct = a_o - gram @ c_total
+    s_total = np.sum(np.reshape(gammas, (n, 1, 1)) * (b_list @ a_gain),
+                     axis=0)
     return GainSet(gammas=gammas, mu=mu, gram=gram, m_list=m_list,
                    b_list=b_list, a_gain=a_gain, s_total=s_total,
-                   a_direct=a_direct, a_o=a_o, cond_sum_b=cond,
-                   modes=tuple(modes))
+                   a_o=np.diag(mu), cond_sum_b=cond, modes=tuple(modes))
 
 
 def control_map(gain_set: GainSet) -> np.ndarray:
     """sum_i M_i A: maps the leading coefficient vector U to the trace-family
     coefficients of the boundary input."""
-    c = np.zeros_like(gain_set.a_gain)
-    for m in gain_set.m_list:
-        c += m[:, None] * gain_set.a_gain
-    return c
+    return np.sum(gain_set.m_list[:, :, None] * gain_set.a_gain, axis=0)
 
 
 def propagator_norms(generator, dt: float, samples: int) -> np.ndarray:

@@ -119,18 +119,16 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes,
     u_norm = np.linalg.norm(states[:, :n], axis=1)
     field = states @ evaluator.values
     linf = np.max(np.abs(field), axis=1)
-    beta = boundary_gram(modes, modes[:n]) if (gain_set is not None and n) \
-        else None
     lap_modal = -kappa[None, :] * states
-    if beta is not None:
-        lap_modal = lap_modal - trajectory.boundary_data @ beta.T
+    xi = np.empty((times.size, 0))
+    if gain_set is not None and n:
+        beta = boundary_gram(modes, modes[:n])
+        lap_modal -= trajectory.boundary_data @ beta.T
+        lifted = xi_coefficients(gain_set, states[:, :n])
+        xi = np.sqrt(np.square(lifted, out=lifted) @ w_h2).T
     lap = np.linalg.norm(lap_modal, axis=1)
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
     dudt = _central_diff_norms(states, dt)
-    xi = np.empty((times.size, n if beta is not None else 0))
-    for i in range(xi.shape[1]):
-        d_series = xi_coefficients(gain_set, states[:, :n], i).d
-        xi[:, i] = np.sqrt(d_series**2 @ w_h2)
     return NormSeries(times=times, h2_surrogate=h2, h2_full=full, linf=linf,
                       laplacian_l2=lap, l2=l2, u_norm=u_norm, dudt_l2=dudt,
                       xi=xi)

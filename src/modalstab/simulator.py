@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (boundary_gram, boundary_traces, count_unstable,
-                    project_function)
+from .basis import (angular_nodes, angular_rule, boundary_gram,
+                    boundary_traces, count_unstable, project_function)
 from .controller import GainSet, control_map
-from .special import quadrature_rule
 
 OVERFLOW_LIMIT = 1e12
 SNAPSHOT_MAGIC = b"MSTB"
@@ -169,9 +168,8 @@ def _check_gram_sample(modes, domain, beta) -> None:
     """Cross-check a deterministic 5 percent sample of beta entries against
     surface quadrature of the normal traces.
 
-    One rule serves every sampled entry: azimuthal trapezoid (times polar
-    Gauss-Legendre in cos theta on the ball) exact for products of the
-    highest angular order among the sampled modes.
+    One rule serves every sampled entry: basis.angular_rule at the highest
+    angular order among the sampled modes.
     """
     n_sim, n = beta.shape
     sample = max(1, n_sim * n // 20)
@@ -179,20 +177,12 @@ def _check_gram_sample(modes, domain, beta) -> None:
     rows = (picks[0::2] * n_sim).astype(int) % n_sim
     cols = (picks[1::2] * n).astype(int) % n
     order = max(modes[i].angular[0] for i in (*rows, *cols))
-    R = domain.radius
-    azimuth = quadrature_rule("periodic_trapezoid", 4 * order + 16,
-                              (0.0, 2.0 * np.pi))
-    if domain.shape == "disk":
-        angles, weights = azimuth.nodes, azimuth.weights * R
-    else:
-        polar = quadrature_rule("gauss_legendre", 2 * order + 16, (-1.0, 1.0))
-        ct = polar.nodes[:, None]
-        angles = (ct, np.sqrt(1.0 - ct * ct), azimuth.nodes)
-        weights = np.outer(polar.weights, azimuth.weights) * R * R
+    angles, weights = angular_nodes(angular_rule(domain, order, 1))
     traces_r = boundary_traces([modes[i] for i in rows], domain, angles)
     traces_c = boundary_traces([modes[j] for j in cols], domain, angles)
+    # the boundary's surface measure is R^(dim-1) times the angular one
     quads = np.sum((traces_r * traces_c * weights).reshape(sample, -1),
-                   axis=1)
+                   axis=1) * domain.radius ** (domain.dim - 1)
     for row, col, quad in zip(rows, cols, quads):
         if abs(quad - beta[row, col]) > 1e-9 * max(1.0, abs(quad)):
             raise ConsistencyError(

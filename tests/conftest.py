@@ -1,7 +1,7 @@
 import pytest
 
 from modalstab.basis import Domain, enumerate_modes
-from modalstab.controller import auto_scale_gains, synthesize
+from modalstab.controller import scaled_gain_set
 from modalstab.diagnostics import GridEvaluator
 from modalstab.simulator import (PolynomialSpec, assemble_closed_loop,
                                  integrate, project_initial_condition)
@@ -37,15 +37,13 @@ def ball_modes(ball):
 @pytest.fixture(scope="session")
 def disk_gains(disk_modes):
     modes, _ = disk_modes
-    gammas = auto_scale_gains(modes, GAMMAS_DISK, -0.5)
-    return synthesize(modes, gammas)
+    return scaled_gain_set(modes, GAMMAS_DISK, -0.5)
 
 
 @pytest.fixture(scope="session")
 def ball_gains(ball_modes):
     modes, _ = ball_modes
-    gammas = auto_scale_gains(modes, GAMMAS_BALL, -0.5)
-    return synthesize(modes, gammas)
+    return scaled_gain_set(modes, GAMMAS_BALL, -0.5)
 
 
 @pytest.fixture(scope="session")

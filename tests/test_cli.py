@@ -273,16 +273,26 @@ class TestMain:
             "bad input: grid must be at least 3\n"
 
     def test_short_horizon_verify_records_fit_error(self, tmp_path, capsys):
-        # nine samples are too few to identify the reduced generator; the
+        # nine samples are too few to identify the reduced generator, and
+        # two too few for the commutation check's central differences; the
         # report says so and the exit code comes from the claim checks
-        path = tmp_path / "run.cfg"
-        path.write_text("horizon = 0.4\nn_sim = 40\ngrid = 12\n")
-        out = tmp_path / "o"
-        assert main(["verify", "--config", str(path),
-                     "--output", str(out)]) == EXIT_VERIFY_FAILED
-        assert "failing metrics" in capsys.readouterr().err
-        payload = json.loads((out / "claims_report.json").read_text())
-        assert payload["reduced_fit"] == {"error": "need at least 10 samples"}
+        for horizon, grid, commutation_ok in (("0.4", 12, True),
+                                              ("0.05", 8, False)):
+            path = tmp_path / "run.cfg"
+            path.write_text(f"horizon = {horizon}\nn_sim = 40\n"
+                            f"grid = {grid}\n")
+            out = tmp_path / f"o{horizon}"
+            assert main(["verify", "--config", str(path),
+                         "--output", str(out)]) == EXIT_VERIFY_FAILED
+            assert "failing metrics" in capsys.readouterr().err
+            payload = json.loads((out / "claims_report.json").read_text())
+            assert payload["reduced_fit"] == {
+                "error": "need at least 10 samples"}
+            deviation = payload["commutation_max_deviation"]
+            if commutation_ok:
+                assert deviation < 1e-10
+            else:
+                assert deviation == {"error": "need at least 3 samples"}
 
     def test_one_gain_policy_for_every_command(self, tmp_path):
         # at this radius the documented shifts are Hurwitz on the direct

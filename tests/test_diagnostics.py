@@ -227,8 +227,9 @@ class TestNormSeries:
         s = compute_norm_series(disk_traj_seed1, disk_gains, modes,
                                 disk_evaluator)
         picks = [(k, i) for k in (0, 15, 40) for i in range(5)]
-        lifted = [xi_coefficients(disk_gains, disk_traj_seed1.states[k, :5],
-                                  i).d for k, i in picks]
+        lifted = [xi_coefficients(disk_gains,
+                                  disk_traj_seed1.states[k, :5])[i]
+                  for k, i in picks]
         direct = series_of(lifted, modes, disk_evaluator).h2_surrogate
         for (k, i), want in zip(picks, direct):
             assert s.xi[k, i] == pytest.approx(want, rel=1e-12, abs=1e-300)

@@ -3,9 +3,9 @@ import pytest
 
 from modalstab import lifting
 from modalstab.basis import boundary_gram, enumerate_modes
-from modalstab.lifting import (BoundaryFunction, InsufficientDataError,
-                               ResonanceError, commutation_check,
-                               lifting_coefficients, xi_coefficients)
+from modalstab.lifting import (InsufficientDataError, ResonanceError,
+                               commutation_check, lifting_coefficients,
+                               xi_coefficients)
 from modalstab.simulator import (PolynomialSpec, Trajectory, integrate,
                                  project_initial_condition)
 
@@ -28,24 +28,24 @@ class TestLiftingCoefficients:
     def test_matches_dense_solve(self, disk_modes):
         modes, _ = disk_modes
         c = np.array([1.0, -0.3, 0.7, 0.0, 2.0])
-        got = lifting_coefficients(9.0, BoundaryFunction(c), modes)
+        got = lifting_coefficients(9.0, c, modes)
         oracle = dense_solve_oracle(9.0, c, modes)
-        assert np.max(np.abs(got.d - oracle)) < 1e-12
+        assert np.max(np.abs(got - oracle)) < 1e-12
 
     def test_single_trace_matches_resolvent_structure(self, disk_modes):
         modes, _ = disk_modes
         gamma = 8.5
         c = np.zeros(5)
         c[0] = 1.0
-        got = lifting_coefficients(gamma, BoundaryFunction(c), modes)
+        got = lifting_coefficients(gamma, c, modes)
         b11 = boundary_gram(modes[:1], modes[:1])[0, 0]
-        assert got.d[0] == pytest.approx(b11 / (gamma - modes[0].mu),
+        assert got[0] == pytest.approx(b11 / (gamma - modes[0].mu),
                                          rel=1e-14)
 
     def test_zero_boundary_data(self, disk_modes):
         modes, _ = disk_modes
-        got = lifting_coefficients(7.0, BoundaryFunction(np.zeros(5)), modes)
-        assert np.all(got.d == 0.0)
+        got = lifting_coefficients(7.0, np.zeros(5), modes)
+        assert np.all(got == 0.0)
 
     def test_linearity(self, disk_modes):
         modes, _ = disk_modes
@@ -53,23 +53,32 @@ class TestLiftingCoefficients:
         f = rng.standard_normal(5)
         g = rng.standard_normal(5)
         a, b = 1.7, -0.4
-        lhs = lifting_coefficients(9.3, BoundaryFunction(a * f + b * g),
-                                   modes).d
-        rhs = (a * lifting_coefficients(9.3, BoundaryFunction(f), modes).d
-               + b * lifting_coefficients(9.3, BoundaryFunction(g), modes).d)
+        lhs = lifting_coefficients(9.3, a * f + b * g, modes)
+        rhs = (a * lifting_coefficients(9.3, f, modes)
+               + b * lifting_coefficients(9.3, g, modes))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_resonance_with_leading_eigenvalue(self, disk_modes):
         modes, _ = disk_modes
         with pytest.raises(ResonanceError):
-            lifting_coefficients(modes[0].mu + 1e-9,
-                                 BoundaryFunction(np.ones(5)), modes)
+            lifting_coefficients(modes[0].mu + 1e-9, np.ones(5), modes)
 
     def test_resonance_with_tail_eigenvalue(self, disk_modes):
         modes, _ = disk_modes
         gamma = -modes[5].mu + 1e-9    # mu_6 < 0, so -mu_6 > 0 resonates
         with pytest.raises(ResonanceError) as err:
-            lifting_coefficients(gamma, BoundaryFunction(np.ones(5)), modes)
+            lifting_coefficients(gamma, np.ones(5), modes)
+        assert "n=6" in str(err.value)
+
+    def test_resonance_names_the_stacked_shift(self, disk_modes):
+        # a (G, 1) shift stack is checked as a whole: the error names the
+        # resonating shift and mode, not the first shift of the stack
+        modes, _ = disk_modes
+        gamma = -modes[5].mu + 1e-9
+        with pytest.raises(ResonanceError) as err:
+            lifting_coefficients(np.array([[9.0], [gamma]]),
+                                 np.ones((2, 3, 5)), modes)
+        assert f"gamma={gamma} " in str(err.value)
         assert "n=6" in str(err.value)
 
     def test_resonance_blowup_slope(self, disk_modes):
@@ -78,26 +87,27 @@ class TestLiftingCoefficients:
         c = np.zeros(5)
         c[0] = 1.0
         eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-        d1 = [abs(lifting_coefficients(modes[0].mu + e, BoundaryFunction(c),
-                                       modes).d[0]) for e in eps]
+        d1 = [abs(lifting_coefficients(modes[0].mu + e, c, modes)[0])
+              for e in eps]
         slope = np.polyfit(np.log(eps), np.log(d1), 1)[0]
         assert abs(slope + 1.0) < 0.02
 
 
 class TestXiCoefficients:
     def test_zero_state(self, disk_gains):
-        got = xi_coefficients(disk_gains, np.zeros(5), 0)
-        assert np.all(got.d == 0.0)
+        got = xi_coefficients(disk_gains, np.zeros(5))
+        assert got.shape == (5, 300)
+        assert np.all(got == 0.0)
 
     def test_leading_consistency_identity(self, disk_gains):
         # (gamma_i - mu_n) <xi_i, phi_n> equals (B M_i A U)_n for n <= N
         gs = disk_gains
         rng = np.random.default_rng(5)
         U = rng.standard_normal(5)
+        got = xi_coefficients(gs, U)
         for i in range(5):
-            got = xi_coefficients(gs, U, i)
             expected = gs.gram @ (gs.m_list[i] * (gs.a_gain @ U))
-            lead = (gs.gammas[i] - gs.mu) * got.d[:5]
+            lead = (gs.gammas[i] - gs.mu) * got[i, :5]
             assert np.max(np.abs(lead - expected)) < 1e-12 * max(
                 1.0, np.max(np.abs(expected)))
 
@@ -106,20 +116,34 @@ class TestXiCoefficients:
         gs = request.getfixturevalue(gains)
         rng = np.random.default_rng(11)
         U = rng.standard_normal((7, gs.n_unstable))
+        stack = xi_coefficients(gs, U)
+        by_row = np.array([xi_coefficients(gs, u) for u in U])
         for i in range(gs.n_unstable):
-            stacked = xi_coefficients(gs, U, i).d
-            rows = np.array([xi_coefficients(gs, u, i).d for u in U])
+            stacked, rows = stack[i], by_row[:, i]
             assert stacked.shape == rows.shape
             assert np.max(np.abs(stacked - rows)) <= 1e-15 * np.max(
                 np.abs(rows))
 
+    @pytest.mark.parametrize("gains", ["disk_gains", "ball_gains"])
+    def test_gain_stack_matches_single_shift_lifts(self, gains, request):
+        # the gain axis is a plain broadcast: each slice is bit for bit the
+        # single-shift lift of that gain's trace coefficients
+        gs = request.getfixturevalue(gains)
+        rng = np.random.default_rng(13)
+        U = rng.standard_normal((7, gs.n_unstable))
+        stacked = xi_coefficients(gs, U)
+        for i, gamma in enumerate(gs.gammas):
+            c = gs.m_list[i] * (U @ gs.a_gain.T)
+            single = lifting_coefficients(gamma, c, gs.modes)
+            assert np.array_equal(stacked[i], single)
+
     def test_single_mode_synthetic(self, synthetic_gain_set):
         gs = synthetic_gain_set
         U = np.array([2.0])
-        got = xi_coefficients(gs, U, 0)
+        got = xi_coefficients(gs, U)
         g, mu1, b = gs.gammas[0], gs.mu[0], gs.gram[0, 0]
         expected = b * (1.0 / (g - mu1)) * (gs.a_gain[0, 0] * 2.0) / (g - mu1)
-        assert got.d[0] == pytest.approx(expected, rel=1e-14)
+        assert got[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +166,7 @@ class TestSurrogates:
         for n_sim in (150, 300, 600):
             modes, _ = enumerate_modes(disk, 6.61, n_sim)
             sup = max(float(np.linalg.norm(
-                lifting_coefficients(9.0, BoundaryFunction(c), modes).d))
+                lifting_coefficients(9.0, c, modes)))
                 for c in draws)
             norms.append(sup)
         assert abs(norms[2] - norms[1]) < 0.05 * norms[1]
@@ -162,7 +186,7 @@ class TestSurrogates:
             weight = 1.0 + np.array([m.mu for m in modes]) ** 2
             # the surrogate sqrt(sum (1 + mu_n^2) d_n^2) of each lifting
             sup = max(float(np.sqrt(np.sum(weight * lifting_coefficients(
-                9.0, BoundaryFunction(c), modes).d ** 2))) for c in draws)
+                9.0, c, modes) ** 2))) for c in draws)
             sups.append(sup)
         assert abs(sups[1] - sups[0]) < 0.1 * sups[0]
 
@@ -174,10 +198,10 @@ def per_sample_commutation(gain_set, trajectory, i):
     U = np.asarray(trajectory.states)[:, :gain_set.n_unstable]
     worst, scale = 0.0, 0.0
     for k in range(1, len(trajectory.times) - 1):
-        lhs = (xi_coefficients(gain_set, U[k + 1], i).d
-               - xi_coefficients(gain_set, U[k - 1], i).d) / (2.0 * dt)
-        rhs = xi_coefficients(gain_set, (U[k + 1] - U[k - 1]) / (2.0 * dt),
-                              i).d
+        lhs = (xi_coefficients(gain_set, U[k + 1])[i]
+               - xi_coefficients(gain_set, U[k - 1])[i]) / (2.0 * dt)
+        rhs = xi_coefficients(gain_set,
+                              (U[k + 1] - U[k - 1]) / (2.0 * dt))[i]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         scale = max(scale, float(np.max(np.abs(rhs))))
     return worst, scale
@@ -196,10 +220,11 @@ class TestCommutation:
     def test_matches_per_sample_loop(self, gains, traj, request):
         gs = request.getfixturevalue(gains)
         trajectory = request.getfixturevalue(traj)
+        got = commutation_check(gs, trajectory)
+        assert got.shape == (gs.n_unstable,)
         for i in range(gs.n_unstable):
-            got = commutation_check(gs, trajectory, i)
             ref, scale = per_sample_commutation(gs, trajectory, i)
-            assert abs(got - ref) <= 1e-15 * scale
+            assert abs(got[i] - ref) <= 1e-15 * scale
 
     def test_gram_built_at_most_twice(self, disk_gains, disk_traj_seed1,
                                       monkeypatch):
@@ -211,30 +236,31 @@ class TestCommutation:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(lifting, "boundary_gram", counting)
-        commutation_check(disk_gains, disk_traj_seed1, 0)
-        assert 0 < len(calls) <= 2
+        # one extended Gram for the states, their differences and all gains
+        commutation_check(disk_gains, disk_traj_seed1)
+        assert len(calls) == 1
 
     def test_closed_loop_trajectory(self, disk_gains, disk_traj_seed1):
-        for i in range(5):
-            dev = commutation_check(disk_gains, disk_traj_seed1, i)
-            assert dev < 1e-10
+        dev = commutation_check(disk_gains, disk_traj_seed1)
+        assert dev.shape == (5,)
+        assert np.all(dev < 1e-10)
 
     def test_constant_state(self, disk_gains):
         times = np.arange(5) * 0.05
         states = np.ones((5, 300))
         traj = Trajectory(times=times, states=states,
                           boundary_data=np.ones((5, 5)))
-        assert commutation_check(disk_gains, traj, 0) == 0.0
+        assert np.all(commutation_check(disk_gains, traj) == 0.0)
 
     def test_zero_trajectory(self, disk_gains):
         times = np.arange(4) * 0.05
         traj = Trajectory(times=times, states=np.zeros((4, 300)),
                           boundary_data=np.zeros((4, 5)))
-        assert commutation_check(disk_gains, traj, 0) == 0.0
+        assert np.all(commutation_check(disk_gains, traj) == 0.0)
 
     def test_too_few_samples(self, disk_gains):
         traj = Trajectory(times=np.array([0.0, 0.05]),
                           states=np.zeros((2, 300)),
                           boundary_data=np.zeros((2, 5)))
         with pytest.raises(InsufficientDataError):
-            commutation_check(disk_gains, traj, 0)
+            commutation_check(disk_gains, traj)
