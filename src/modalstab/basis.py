@@ -18,7 +18,9 @@ The angular factor exists once, in `angular_values`: 1, cos(m theta) or
 sin(m theta) on the disk and `special.real_spherical_harmonics` on the
 ball, evaluated once per distinct angular key (`angular_keys`).  Grid
 values, the quadrature projection, point evaluation and the normal traces
-(`boundary_traces`) all go through it.
+(`boundary_traces`) all go through it.  Each key's sign under the
+reflection of each Cartesian axis is read off the key itself
+(`angular_parities`).
 """
 
 import csv
@@ -225,6 +227,27 @@ def angular_values(keys, domain: Domain, angles) -> np.ndarray:
         else:
             row[...] = np.cos(m * theta) if parity == "cos" \
                 else np.sin(m * theta)
+    return out
+
+
+def angular_parities(keys, domain: Domain) -> np.ndarray:
+    """Sign each key's angular factor takes under the reflection of each
+    Cartesian axis, x first; shape (len(keys), dim), entries +1 or -1.
+
+    Disk (m, "cos") is even in y and (-1)^m in x, (m, "sin") odd in y and
+    -(-1)^m in x.  Ball (l, m) is (-1)^(l+|m|) in z, odd in y iff m < 0,
+    and (-1)^|m| in x for m >= 0, -(-1)^|m| for m < 0.  On both shapes
+    the x sign is (-1)^|m| times the y sign.
+    """
+    out = np.empty((len(keys), domain.dim), dtype=int)
+    for row, (first, second) in zip(out, keys):
+        if domain.shape == "disk":
+            m, odd_y = first, second == "sin"
+        else:
+            m, odd_y = abs(second), second < 0
+            row[2] = (-1) ** (first + m)
+        row[1] = -1 if odd_y else 1
+        row[0] = (-1) ** m * row[1]
     return out
 
 

@@ -6,6 +6,10 @@ sqrt(sum (1 + mu_n^2) u_n^2) is the headline metric; the full modal variant
 with (1 + kappa_n + kappa_n^2) weights is co-reported since the surrogate
 omits the gradient cross-term.  Max norms come from reconstructing the
 state on a uniform Cartesian grid inside the closed domain (GridEvaluator).
+The grid is exactly mirror-symmetric in every coordinate, so it is
+evaluated on the nonnegative orthant only; the eigenfunctions split into
+exact parity classes under the reflections, and one product per class,
+recombined with a sign matrix, gives the field on every reflected orthant.
 """
 
 import json
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import boundary_gram, mode_values
+from .basis import (angular_keys, angular_parities, boundary_gram,
+                    mode_values)
 from .lifting import xi_coefficients
 from .simulator import Trajectory
 
@@ -46,19 +51,58 @@ class MetricFit:
 
 
 class GridEvaluator:
-    """Cached eigenfunction values on a uniform Cartesian grid inside the
-    closed domain (resolution points per axis, endpoints included)."""
+    """Eigenfunction values on a uniform Cartesian grid inside the closed
+    domain (resolution points per axis, endpoints included), held on the
+    nonnegative orthant only: a quadrant of the disk, an octant of the ball.
+
+    The grid axis is the half axis and its exact negation, so the grid is
+    exactly symmetric under each coordinate reflection, and with an odd
+    resolution it passes through 0.0.  Every eigenfunction is even or odd
+    under each reflection (`basis.angular_parities`), so the field at a
+    reflected point is a signed sum of the fields of the parity classes at
+    the orthant point.  `points` holds the orthant's points and `values`
+    their mode_values table, rows grouped by parity class.
+    """
 
     def __init__(self, modes, domain, resolution: int):
         if resolution < 3:
             raise ValueError("resolution must be >= 3")
         R = domain.radius
-        axis = np.linspace(-R, R, resolution)
-        grids = np.meshgrid(*[axis] * domain.dim, indexing="ij")
+        # the axis entries >= 0: from 0.0 (odd resolution) or half a step
+        half = np.linspace(0.0 if resolution % 2 else R / (resolution - 1),
+                           R, (resolution + 1) // 2)
+        grids = np.meshgrid(*[half] * domain.dim, indexing="ij")
         pts = np.column_stack([g.ravel() for g in grids])
-        inside = np.linalg.norm(pts, axis=1) <= R
-        self.points = pts[inside]
-        self.values = mode_values(modes, domain, self.points)
+        self.points = pts[np.linalg.norm(pts, axis=1) <= R]
+        # class code: bit d is set when the mode is odd in axis d
+        keys, rows = angular_keys(modes)
+        axes = np.arange(domain.dim)
+        codes = (angular_parities(keys, domain)[rows] < 0) @ (1 << axes)
+        self._order = np.argsort(codes, kind="stable")
+        self._bounds = np.searchsorted(codes[self._order],
+                                       np.arange(2 ** domain.dim + 1))
+        self.values = mode_values([modes[i] for i in self._order], domain,
+                                  self.points)
+        # reflection s (bit d set: axis d negated) flips the sign of class
+        # c once per odd axis that it negates
+        bits = (np.arange(2 ** domain.dim)[:, None] >> axes) & 1
+        self._signs = (-1.0) ** (bits @ bits.T)
+
+    def linf(self, states) -> np.ndarray:
+        """max |sum_n u_n phi_n| over the whole grid for each row u of
+        states: one product per parity class on the orthant, then a
+        running max over the reflections."""
+        states = np.asarray(states, dtype=float)[:, self._order]
+        classes = np.empty((len(self._signs), states.shape[0],
+                            self.points.shape[0]))
+        for fields, lo, hi in zip(classes, self._bounds[:-1],
+                                  self._bounds[1:]):
+            np.matmul(states[:, lo:hi], self.values[lo:hi], out=fields)
+        out = np.zeros(states.shape[0])
+        for signs in self._signs:
+            field = np.tensordot(signs, classes, axes=1)
+            np.maximum(out, np.abs(field, out=field).max(axis=1), out=out)
+        return out
 
 
 def decay_rate_fit(times, values, window):
@@ -117,8 +161,7 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes,
     l2 = np.linalg.norm(states, axis=1)
     n = trajectory.boundary_data.shape[1]
     u_norm = np.linalg.norm(states[:, :n], axis=1)
-    field = states @ evaluator.values
-    linf = np.max(np.abs(field), axis=1)
+    linf = evaluator.linf(states)
     lap_modal = -kappa[None, :] * states
     xi = np.empty((times.size, 0))
     if gain_set is not None and n:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own evaluation paths:
 zeros come from plain bisection on high-precision series values, surface
 integrals from explicit quadrature over boundary samples, the closed-loop
-generator from its dense formula, and RK4 trajectories from textbook stages
-on a dense generator.  The candidate orderings (disk_candidates,
+generator from its dense formula, RK4 trajectories from textbook stages
+on a dense generator, and the max norm from one dense product over the
+whole reconstruction grid (it shares the package's mode_values, since it
+pins the orthant reflection, not the eigenfunction values).  The candidate orderings (disk_candidates,
 ball_candidates) are the per-shape enumerators that basis._candidates
 replaced, with their explicit sort keys; they share the package's zero
 finder, since they pin the order, not the zeros.
@@ -15,7 +17,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from modalstab.basis import _zeros_below
+from modalstab.basis import _zeros_below, mode_values
 from modalstab.special import (bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
                                spherical_bessel_zeros)
@@ -174,3 +176,18 @@ def rk4_substep_loop(generator, mu, u0, dt, n_steps):
             u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(u)
     return np.array(states)
+
+
+def dense_linf(states, modes, domain, resolution, mirrored=True):
+    """max |states @ phi| per row of states over every grid point inside
+    the closed domain, from one dense product.  The axis is
+    linspace(-R, R, resolution), made exactly mirror-symmetric as
+    (a - a[::-1]) / 2 unless mirrored is False."""
+    R = domain.radius
+    axis = np.linspace(-R, R, resolution)
+    if mirrored:
+        axis = (axis - axis[::-1]) / 2.0
+    grids = np.meshgrid(*[axis] * domain.dim, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    pts = pts[np.linalg.norm(pts, axis=1) <= R]
+    return np.max(np.abs(states @ mode_values(modes, domain, pts)), axis=1)

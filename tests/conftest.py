@@ -79,3 +79,10 @@ def disk_u0_seed1(disk, disk_modes):
 @pytest.fixture(scope="session")
 def disk_traj_seed1(disk_system, disk_u0_seed1):
     return integrate(disk_system, disk_u0_seed1, 0.05, 4.0)
+
+
+@pytest.fixture(scope="session")
+def ball_traj_seed1(ball, ball_modes, ball_system):
+    modes, _ = ball_modes
+    u0 = project_initial_condition(ball, modes, PolynomialSpec(), seed=1)
+    return integrate(ball_system, u0, 0.05, 4.0)

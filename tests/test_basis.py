@@ -6,7 +6,7 @@ import pytest
 from _oracles import (ball_candidates, disk_candidates, oracle_bessel,
                       oracle_zero_bisection)
 from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, DomainError,
-                             _radial_values,
+                             _radial_values, angular_keys, angular_parities,
                              boundary_gram, boundary_inner, boundary_traces,
                              enumerate_modes, eval_mode, export_mode_table,
                              interior_quadrature, mode_values, normal_trace,
@@ -289,6 +289,35 @@ class TestBatchedRadialFactors:
                                    * _per_mode_field(m, domain, r, angles))
                             for m in sample])
             assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# interior points off every symmetry plane, at radii where no angular
+# order of the n_sim 300 tables is negligible
+_PARITY_POINTS = {
+    "disk": np.array([[0.9, 0.4], [0.35, 1.3], [1.2, 1.1]]),
+    "ball": np.array([[0.9, 0.4, 0.6], [0.35, 1.1, -0.5], [1.0, 0.7, 1.1]]),
+}
+
+
+class TestAngularParities:
+    def test_key_parities_match_reflected_mode_values(self, disk, ball,
+                                                      disk_modes, ball_modes):
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            keys, _ = angular_keys(modes)
+            first = {}
+            for mode in modes:
+                first.setdefault(mode.angular, mode)
+            sample = [first[key] for key in keys]
+            pts = _PARITY_POINTS[domain.shape]
+            phi = mode_values(sample, domain, pts)
+            scale = np.max(np.abs(phi), axis=1, keepdims=True)
+            signs = angular_parities(keys, domain)
+            for axis in range(domain.dim):
+                mirrored = pts.copy()
+                mirrored[:, axis] *= -1.0
+                reflected = mode_values(sample, domain, mirrored)
+                err = np.abs(reflected - signs[:, axis, None] * phi)
+                assert np.all(err <= 1e-13 * scale), (domain.shape, axis)
 
 
 def _per_order_radial(modes, domain, r):

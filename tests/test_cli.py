@@ -158,12 +158,17 @@ class TestSimulateCommand:
             (tmp_path / "out" / "run_summary.json").read_text())
         assert summary["diverged"] is True
 
-    def test_deterministic_outputs(self, tmp_path):
-        cfg_a = make_cfg(tmp_path / "a")
-        cfg_b = make_cfg(tmp_path / "b")
-        assert cmd_simulate(cfg_a) == EXIT_OK
-        assert cmd_simulate(cfg_b) == EXIT_OK
-        for name in ("trajectory.csv", "norm_series.csv", "snapshots.bin"):
+    @pytest.mark.parametrize("shape, grid", [("disk", 50), ("ball", 12)])
+    def test_deterministic_outputs(self, tmp_path, shape, grid):
+        text = DISK_CFG.replace("domain.shape = disk",
+                                f"domain.shape = {shape}")
+        cfg_a = make_cfg(tmp_path / "a", text, grid=grid)
+        cfg_b = make_cfg(tmp_path / "b", text, grid=grid)
+        for cfg in (cfg_a, cfg_b):
+            assert cmd_simulate(cfg) == EXIT_OK
+            assert cmd_verify(cfg) in (EXIT_OK, EXIT_VERIFY_FAILED)
+        for name in ("trajectory.csv", "norm_series.csv", "snapshots.bin",
+                     "claims_report.json"):
             a = (tmp_path / "a" / "out" / name).read_bytes()
             b = (tmp_path / "b" / "out" / name).read_bytes()
             assert a == b, name

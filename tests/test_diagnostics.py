@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import dense_linf
 from modalstab.diagnostics import (GridEvaluator, UndefinedRatioError,
                                    claims_report_json, compute_norm_series,
                                    decay_rate_fit, gn_exponents, gn_ratio,
@@ -150,12 +151,32 @@ class TestLinfOnGrid:
                                           ball_modes):
         # the 2^dim corners of a two-point grid lie at R sqrt(dim), outside
         # the domain; three points per axis reach the center and the
-        # 2 dim ends of the axes
+        # 2 dim ends of the axes, which the orthant holds as the center and
+        # the dim positive ends
         for domain, (modes, _) in ((disk, disk_modes), (ball, ball_modes)):
             with pytest.raises(ValueError, match=">= 3"):
                 GridEvaluator(modes, domain, 2)
             points = GridEvaluator(modes, domain, 3).points
-            assert len(points) == 1 + 2 * domain.dim
+            assert len(points) == 1 + domain.dim
+
+
+class TestOrthantLinf:
+    @pytest.mark.parametrize("shape, resolution",
+                             [("disk", 3), ("disk", 12), ("disk", 50),
+                              ("disk", 51), ("ball", 3), ("ball", 12),
+                              ("ball", 40)])
+    def test_matches_dense_full_grid(self, request, shape, resolution):
+        # the orthant's parity classes, reflected, give the max over the
+        # whole mirrored grid; the linspace grid differs from it only in
+        # the last bit of its coordinates
+        domain = request.getfixturevalue(shape)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        states = request.getfixturevalue(f"{shape}_traj_seed1").states
+        linf = GridEvaluator(modes, domain, resolution).linf(states)
+        mirrored = dense_linf(states, modes, domain, resolution)
+        assert np.all(np.abs(linf - mirrored) <= 1e-13 * mirrored)
+        spaced = dense_linf(states, modes, domain, resolution, mirrored=False)
+        assert np.all(np.abs(linf - spaced) <= 1e-12 * spaced)
 
 
 class TestDecayFit:
