@@ -76,6 +76,7 @@ class Domain:
 class EigenMode:
     """One Dirichlet eigenpair of Delta + lambda.
 
+    n is the 1-based position in the mode table (state column n - 1);
     angular is (m, parity) with parity in {"cos", "sin"} on the disk and
     (l, m) with |m| <= l on the ball; k is the radial zero rank; alpha the
     k-th positive zero of the radial Bessel factor; kappa = (alpha/R)^2 the

@@ -201,12 +201,13 @@ def _resolve_gains(cfg: RunConfig, modes):
     adjustment is logged); `gammas = auto` takes the doubling search's set
     instead.  When that set is not Hurwitz on the direct generator, the
     search's set comes back as `scaled`: synthesize suggests it, simulate
-    and verify run with it.  Returns (gain_set, report, scaled, info), with
-    `info` describing the gains a run uses."""
+    and verify run with it.  Returns (gain_set, scaled, info), with `info`
+    describing the gains a run uses; each command validates only the set
+    it writes or runs."""
     import numpy as np
     from .basis import count_unstable
-    from .controller import (nudge_gammas, scaled_gain_set, synthesize,
-                             validate_gains)
+    from .controller import (hurwitz_margin, nudge_gammas, scaled_gain_set,
+                             synthesize)
     gammas0 = cfg.resolved_gammas()
     mu = np.array([m.mu for m in modes[: count_unstable(modes)]])
     nudged = nudge_gammas(gammas0, mu)
@@ -220,25 +221,25 @@ def _resolve_gains(cfg: RunConfig, modes):
         gain_set = scaled_gain_set(modes, nudged, cfg.target_margin)
     else:
         gain_set = synthesize(modes, nudged)
-    report = validate_gains(gain_set)
     scaled = None
-    if not report.hurwitz_direct:
+    if not hurwitz_margin(gain_set.a_direct) < 0.0:
         scaled = scaled_gain_set(modes, nudged, cfg.target_margin)
     used = (scaled or gain_set).gammas
     info["gammas_used"] = list(used)
     if used != nudged:
         info.update(gains_source="auto_scaled", scale=used[0] / nudged[0])
-    return gain_set, report, scaled, info
+    return gain_set, scaled, info
 
 
 def cmd_synthesize(cfg: RunConfig) -> int:
     """Write the gain-set JSON; exit 3 when the gains are not Hurwitz on the
     direct generator (the auto-scaled set is then included as
     `suggested_gammas`)."""
-    from .controller import gain_set_to_json
+    from .controller import gain_set_to_json, validate_gains
     outdir = _ensure_outdir(cfg)
     _, modes, _ = _spectrum(cfg)
-    gain_set, report, scaled, info = _resolve_gains(cfg, modes)
+    gain_set, scaled, info = _resolve_gains(cfg, modes)
+    report = validate_gains(gain_set)
     payload = json.loads(gain_set_to_json(gain_set, report))
     payload["gammas_config"] = info["gammas_config"]
     if "nudged" in info:
@@ -253,7 +254,8 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 
 def _run_simulation(cfg: RunConfig):
     """Shared pipeline: spectrum, gains (closed loop), projection,
-    integration, norm series."""
+    integration, norm series (grid on the modes the trajectory moves)."""
+    import numpy as np
     from .controller import validate_gains
     from .diagnostics import GridEvaluator, compute_norm_series
     from .simulator import (PolynomialSpec, assemble_closed_loop, integrate,
@@ -265,14 +267,15 @@ def _run_simulation(cfg: RunConfig):
                                    PolynomialSpec(degree=cfg.poly_degree),
                                    cfg.seed)
     if cfg.mode == "closed_loop":
-        gain_set, report, scaled, info = _resolve_gains(cfg, modes)
-        if scaled is not None:
-            gain_set, report = scaled, validate_gains(scaled)
+        gain_set, scaled, info = _resolve_gains(cfg, modes)
+        gain_set = scaled or gain_set
+        report = validate_gains(gain_set)
         system = assemble_closed_loop(modes, gain_set, domain)
         trajectory = integrate(system, u0, cfg.dt, cfg.horizon)
     else:
         trajectory = open_loop(modes, u0, cfg.dt, cfg.horizon)
-    evaluator = GridEvaluator(modes, domain, cfg.grid)
+    moved = np.flatnonzero(np.any(trajectory.states, axis=0))
+    evaluator = GridEvaluator([modes[i] for i in moved], domain, cfg.grid)
     series = compute_norm_series(trajectory, gain_set, modes, evaluator)
     diverged = bool(trajectory.truncated
                     or series.linf[-1] > max(series.linf[0], 1e-300))

@@ -61,7 +61,9 @@ class GridEvaluator:
     under each reflection (`basis.angular_parities`), so the field at a
     reflected point is a signed sum of the fields of the parity classes at
     the orthant point.  `points` holds the orthant's points and `values`
-    their mode_values table, rows grouped by parity class.
+    their mode_values table, rows grouped by parity class.  Only the modes
+    given are tabulated; each reads state column `mode.n - 1`, so `linf`
+    takes full-table states (the CLI passes only the modes that move).
     """
 
     def __init__(self, modes, domain, resolution: int):
@@ -78,11 +80,12 @@ class GridEvaluator:
         keys, rows = angular_keys(modes)
         axes = np.arange(domain.dim)
         codes = (angular_parities(keys, domain)[rows] < 0) @ (1 << axes)
-        self._order = np.argsort(codes, kind="stable")
-        self._bounds = np.searchsorted(codes[self._order],
+        order = np.argsort(codes, kind="stable")
+        self._bounds = np.searchsorted(codes[order],
                                        np.arange(2 ** domain.dim + 1))
-        self.values = mode_values([modes[i] for i in self._order], domain,
-                                  self.points)
+        modes = [modes[i] for i in order]
+        self._columns = np.array([mode.n - 1 for mode in modes], dtype=int)
+        self.values = mode_values(modes, domain, self.points)
         # reflection s (bit d set: axis d negated) flips the sign of class
         # c once per odd axis that it negates
         bits = (np.arange(2 ** domain.dim)[:, None] >> axes) & 1
@@ -92,7 +95,7 @@ class GridEvaluator:
         """max |sum_n u_n phi_n| over the whole grid for each row u of
         states: one product per parity class on the orthant, then a
         running max over the reflections."""
-        states = np.asarray(states, dtype=float)[:, self._order]
+        states = np.asarray(states, dtype=float)[:, self._columns]
         classes = np.empty((len(self._signs), states.shape[0],
                             self.points.shape[0]))
         for fields, lo, hi in zip(classes, self._bounds[:-1],

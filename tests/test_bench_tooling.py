@@ -44,6 +44,10 @@ def test_traced_verify_batches_bessel_work(tmp_path):
     # one lane block each for the normalization constants, the projection
     # and the grid (each fits one block at this size), one scan for all zeros
     assert calls["special.radial_calls"] == 3
+    # the grid table holds only the modes the closed loop moves
+    rows = calls["diagnostics.grid_values_mb"] * 1e6 / (
+        8 * calls["basis.grid_points"])
+    assert round(rows) < calls["basis.n_sim"] == 40
     assert calls["special.zero_calls"] <= 2
     # verify_claims reuses the series the simulation already computed
     assert calls["diagnostics.norm_series_calls"] == 1

@@ -318,6 +318,33 @@ class TestMain:
         assert summary["gains"]["gains_source"] == "auto_scaled"
         assert summary["diverged"] is False
 
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_each_command_validates_one_gain_set(self, tmp_path, monkeypatch,
+                                                 shape):
+        # the configured shifts are not Hurwitz at the defaults: verify
+        # validates only the scaled set it runs, synthesize only the
+        # configured set it writes
+        validated = []
+        validate_gains = modalstab.controller.validate_gains
+
+        def counted(gain_set):
+            validated.append(list(gain_set.gammas))
+            return validate_gains(gain_set)
+
+        monkeypatch.setattr(modalstab.controller, "validate_gains", counted)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"domain.shape = {shape}\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path),
+                     "--output", str(out)]) in (EXIT_OK, EXIT_VERIFY_FAILED)
+        gains = json.loads((out / "claims_report.json").read_text())["gains"]
+        assert validated == [gains["gammas_used"]]
+        assert gains["gains_source"] == "auto_scaled"
+        validated.clear()
+        assert main(["synthesize", "--config", str(path), "--output",
+                     str(out)]) == EXIT_GAINS_NOT_VALIDATED
+        assert validated == [gains["gammas_config"]]
+
     def test_flag_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(DISK_CFG + "n_sim = 40\n")

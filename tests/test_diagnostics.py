@@ -179,6 +179,33 @@ class TestOrthantLinf:
         assert np.all(np.abs(linf - spaced) <= 1e-12 * spaced)
 
 
+class TestMovedModesLinf:
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_matches_all_modes_evaluator(self, request, shape):
+        # modes whose column is 0.0 at every sample add nothing to the
+        # field, so an evaluator on the moved modes alone gives the same max
+        domain = request.getfixturevalue(shape)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        states = request.getfixturevalue(f"{shape}_traj_seed1").states
+        full = request.getfixturevalue(f"{shape}_evaluator")
+        moved = np.flatnonzero(np.any(states, axis=0))
+        assert 0 < moved.size < len(modes)
+        resolution = 50 if shape == "disk" else 40
+        evaluator = GridEvaluator([modes[i] for i in moved], domain,
+                                  resolution)
+        assert evaluator.values.shape == (moved.size, full.points.shape[0])
+        linf, reference = evaluator.linf(states), full.linf(states)
+        assert np.all(np.abs(linf - reference) <= 1e-14 * reference)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_no_moved_modes_gives_zero(self, request, shape):
+        # an all-zero trajectory moves no mode: the table is empty
+        evaluator = GridEvaluator([], request.getfixturevalue(shape), 12)
+        assert evaluator.values.shape[0] == 0
+        assert np.array_equal(evaluator.linf(np.zeros((3, 300))),
+                              np.zeros(3))
+
+
 class TestDecayFit:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 4.0, 81)

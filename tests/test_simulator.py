@@ -166,6 +166,28 @@ class TestIntegrate:
         assert np.all(np.isfinite(energy))
         assert energy[-1] < energy[0]
 
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_only_coupled_and_initial_modes_move(self, request, shape):
+        # the boundary input reaches only the modes that share an angular
+        # key with a leading mode (L); every other mode outside supp(u0)
+        # stays exactly 0.0, which lets the max-norm grid skip it
+        domain = request.getfixturevalue(shape)
+        modes, summary = request.getfixturevalue(f"{shape}_modes")
+        system = request.getfixturevalue(f"{shape}_system")
+        leading = {mode.angular for mode in modes[:summary.n_unstable]}
+        coupled = np.array([mode.angular in leading for mode in modes])
+        for seed, degree in itertools.product((0, 1, 5), range(4)):
+            u0 = project_initial_condition(
+                domain, modes, PolynomialSpec(degree=degree), seed)
+            states = integrate(system, u0, 0.05, 4.0).states
+            moved = np.any(states, axis=0)
+            assert not np.any(moved & ~coupled & (u0 == 0.0)), (seed, degree)
+
+    @pytest.mark.parametrize("shape, count", [("disk", 73), ("ball", 68)])
+    def test_moved_mode_count_of_default_config(self, request, shape, count):
+        states = request.getfixturevalue(f"{shape}_traj_seed1").states
+        assert np.count_nonzero(np.any(states, axis=0)) == count
+
 
 # (dense generator builder, expected coupled columns S)
 SPLIT_CASES = {
