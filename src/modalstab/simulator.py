@@ -6,19 +6,19 @@ gives the exact modal ODE
     du_n/dt = mu_n u_n - <v, T_n(phi_n)>_boundary,
 
 so the closed-loop generator G is diag(mu) minus a rank-N coupling through
-the extended boundary Gram matrix, acting on the leading N coordinates only.
-G is therefore block lower-triangular: its coupled columns S (the N leading
-ones) evolve on their own, and every other coordinate sees only itself and
-S.  The closed loop is held only as that split, G = diag(d) + K on S
-(CoupledSplit), assembled straight from mu, the Gram and the control map;
-no n_sim x n_sim array is formed.  The loop is LTI, and both one-step maps
-are a Taylor polynomial power P(G dt / count)^count on that split: the
-exact map by scaling and squaring (degree 18, count a power of two), the
-classical Runge-Kutta cross-check with P of degree 4 and count the number
-of substeps.  Each tail row t is a bordered block [[A, 0], [G[t, S], d_t]]
+the extended boundary Gram matrix on the leading N coordinates: its
+coupled columns S (the N leading ones) evolve on their own, and every
+other coordinate sees only itself and S.  The closed loop is held only as
+that split, G = diag(d) + K on S (CoupledSplit), assembled straight from
+mu, the Gram and the control map.  Both one-step maps are a Taylor
+polynomial power P(G dt / count)^count on that split: the exact map by
+scaling and squaring (degree 18, count a power of two), the classical
+Runge-Kutta cross-check with P of degree 4 and count the number of
+substeps.  Each tail row t is a bordered block [[A, 0], [G[t, S], d_t]]
 (Van Loan 1978) sharing the lead block A = G[S, S], so every product in
-that power is one N x N product plus one |T| x N row update, and no
-n_sim x n_sim product is formed.
+that power is one N x N product plus one |T| x N row update; no n_sim x
+n_sim array or product is formed.  Green's second identity also projects
+the initial state exactly, by boundary integrals (project_initial_condition).
 """
 
 import itertools
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# project_function, the quadrature projection, is bound here for bench/tracing
 from .basis import (angular_nodes, angular_rule, boundary_gram,
                     boundary_traces, count_unstable, project_function)
 from .controller import GainSet, control_map
@@ -106,12 +107,38 @@ def lcg_uniform(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def _monomial_exponents(dim: int, degree: int):
-    """Exponent tuples of the monomials of degree <= `degree` in `dim`
-    variables, by total degree and then lexicographically."""
-    return [e for total in range(degree + 1)
+def _polynomial_factor(dim: int, spec: PolynomialSpec, seed: int) -> dict:
+    """p as {exponent tuple: coefficient}, by total degree, then lexically."""
+    if spec.degree > 3:
+        raise ValueError("polynomial degree must be <= 3")
+    exps = [e for total in range(spec.degree + 1)
             for e in itertools.product(range(total + 1), repeat=dim)
             if sum(e) == total]
+    coeffs = lcg_uniform(seed, len(exps)) if spec.coefficients is None \
+        else np.asarray(spec.coefficients, dtype=float)
+    if coeffs.size != len(exps):
+        raise ValueError(
+            f"expected {len(exps)} coefficients, got {coeffs.size}")
+    return dict(zip(exps, coeffs))
+
+
+def _polynomial_values(poly: dict, xs) -> np.ndarray:
+    """A {exponent tuple: coefficient} polynomial at coordinate arrays xs,
+    each term c * x**i * y**j [* z**k] multiplied left to right."""
+    zero = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xs)))
+    return sum((math.prod((x**p for x, p in zip(xs, e)), start=c)
+                for e, c in poly.items()), zero)
+
+
+def _laplacian(poly: dict) -> dict:
+    """Exact Laplacian of a {exponent tuple: coefficient} polynomial."""
+    out = {}
+    for e, c in poly.items():
+        for axis, k in enumerate(e):
+            if k >= 2:
+                lower = e[:axis] + (k - 2,) + e[axis + 1:]
+                out[lower] = out.get(lower, 0.0) + k * (k - 1) * c
+    return out
 
 
 def initial_condition_field(domain, spec: PolynomialSpec, seed: int):
@@ -120,47 +147,50 @@ def initial_condition_field(domain, spec: PolynomialSpec, seed: int):
     Returns a callable on the domain's dim Cartesian coordinate arrays,
     field(x, y) on the disk and field(x, y, z) on the ball.
     """
-    if spec.degree > 3:
-        raise ValueError("polynomial degree must be <= 3")
     dim = domain.dim
-    exps = _monomial_exponents(dim, spec.degree)
-    if spec.coefficients is not None:
-        coeffs = np.asarray(spec.coefficients, dtype=float)
-        if coeffs.size != len(exps):
-            raise ValueError(
-                f"expected {len(exps)} coefficients, got {coeffs.size}")
-    else:
-        coeffs = lcg_uniform(seed, len(exps))
+    poly = _polynomial_factor(dim, spec, seed)
     r2 = domain.radius**2
 
     def field(*xs):
         if len(xs) != dim:
             raise TypeError(f"field takes {dim} coordinates, got {len(xs)}")
-        poly = np.zeros_like(np.asarray(xs[0], dtype=float))
-        for c, e in zip(coeffs, exps):
-            # c * x**i * y**j [* z**k], multiplied left to right
-            poly += math.prod((x**p for x, p in zip(xs, e)), start=c)
-        return (r2 - sum((x * x for x in xs[1:]), xs[0] * xs[0])) * poly
+        return (r2 - sum((x * x for x in xs[1:]), xs[0] * xs[0])) \
+            * _polynomial_values(poly, xs)
     return field
 
 
 def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
                               seed: int, refine: int = 1) -> np.ndarray:
-    """Quadrature projection of the bump-times-polynomial initial state.
+    """Exact projection of the bump-times-polynomial initial state.
 
-    On each sphere |x| = r the state (R^2 - |x|^2) p(x) is a polynomial of
-    degree deg p in the angles, so by orthogonality every mode of higher
-    angular order (disk m, ball l) has coefficient exactly 0.  Only the
-    modes of angular order <= deg p are projected, on the angular rule sized
-    for them; the radial rule is unchanged, since the largest k is at
-    order 0.
+    u0 = (R^2 - |x|^2) p and phi_n vanish on the boundary and Delta phi_n =
+    -kappa_n phi_n, so Green's second identity gives <u0, phi_n> = b_1 /
+    kappa_n^2 - b_2 / kappa_n^3, b_k the boundary integral of (Delta^k u0)
+    d_n phi_n; the sum stops there, as deg p <= 3 makes Delta^3 u0 = 0.
+    On the boundary Delta^k u0 has angular order <= deg p, so
+    angular_rule(domain, deg p, refine) is exact against the closed-form
+    normal traces, and every mode of higher angular order (disk m, ball l)
+    has coefficient 0.
     """
-    field = initial_condition_field(domain, polynomial_spec, seed)
-    kept = [i for i, mode in enumerate(modes)
-            if mode.angular[0] <= polynomial_spec.degree]
+    dim, R, degree = domain.dim, domain.radius, polynomial_spec.degree
+    poly = _polynomial_factor(dim, polynomial_spec, seed)
+    angles, weights = angular_nodes(angular_rule(domain, degree, refine))
+    ct, st, ph = angles if dim == 3 else (0.0, 1.0, angles)   # disk: equator
+    xs = (R * st * np.cos(ph), R * st * np.sin(ph), R * ct)[:dim]
+    # on |x| = R, with q_d the degree-d part of q (x . grad q_d = d q_d),
+    # Delta u0 = -sum (4d + 2 dim) p_d, Delta^2 u0 = -sum (8d + 4 dim + 8)
+    # (Delta p)_d; the surface measure is R^(dim-1) times the angular one
+    values = np.stack([_polynomial_values(
+        {e: -(slope * sum(e) + offset) * c for e, c in q.items()}, xs)
+        for q, slope, offset in ((poly, 4, 2 * dim),
+                                 (_laplacian(poly), 8, 4 * dim + 8))])
+    rows = (values * weights).reshape(2, -1) * R ** (dim - 1)
+    kept = [i for i, mode in enumerate(modes) if mode.angular[0] <= degree]
+    traces = boundary_traces([modes[i] for i in kept], domain, angles)
+    b1, b2 = rows @ traces.reshape(len(kept), -1).T
+    kappa = np.array([modes[i].kappa for i in kept])
     coeffs = np.zeros(len(modes))
-    coeffs[kept] = project_function(field, [modes[i] for i in kept], domain,
-                                    refine=refine)
+    coeffs[kept] = (b1 - b2 / kappa) / kappa**2
     return coeffs
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import re
@@ -10,7 +11,9 @@ import pytest
 import scipy.linalg
 
 from modalstab import simulator
-from modalstab.basis import project_function
+from modalstab.basis import (Domain, angular_nodes, angular_rule,
+                             enumerate_modes, project_function)
+from modalstab.special import quadrature_rule
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  CoupledSplit, InsufficientExcitationError,
                                  PolynomialSpec,
@@ -26,6 +29,7 @@ from modalstab.diagnostics import decay_rate_fit
 from _oracles import dense_coupled_split, dense_generator, rk4_substep_loop
 
 DISK_MU_1 = 5.1642035092633039
+LAMBDA = 6.61
 
 
 def system_of(gen, n_unstable=1):
@@ -378,6 +382,34 @@ class TestReducedFit:
             reduced_dynamics_fit(traj, disk_gains)
 
 
+@functools.cache
+def mode_table(shape, n_sim):
+    domain = Domain(shape, 2.0)
+    return domain, enumerate_modes(domain, LAMBDA, n_sim)[0]
+
+
+def field_norm_squared(domain, spec, seed, refine):
+    """||u0||^2 by tensor quadrature: Gauss-Legendre in r, exact for the
+    radial degree <= 12 of u0^2 r^(dim-1), times angular_rule at u0's
+    angular order deg p + 2."""
+    R = domain.radius
+    radial = quadrature_rule("gauss_legendre", 16 * refine, (0.0, R))
+    angles, weights = angular_nodes(
+        angular_rule(domain, spec.degree + 2, refine))
+    if domain.dim == 2:
+        r = radial.nodes[:, None]
+        xs = (r * np.cos(angles), r * np.sin(angles))
+    else:
+        ct, st, ph = angles
+        r = radial.nodes[:, None, None]
+        xs = (r * st * np.cos(ph), r * st * np.sin(ph),
+              r * ct * np.ones_like(ph))
+    values = initial_condition_field(domain, spec, seed)(*xs) ** 2
+    radial_weights = radial.weights * radial.nodes ** (domain.dim - 1)
+    return float(radial_weights
+                 @ (values * weights).reshape(radial.nodes.size, -1).sum(1))
+
+
 class TestInitialCondition:
     def test_zero_polynomial(self, disk, disk_modes):
         modes, _ = disk_modes
@@ -412,24 +444,26 @@ class TestInitialCondition:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     @pytest.mark.parametrize("shape", ["disk", "ball"])
-    def test_projects_only_excited_angular_orders(self, shape, degree,
-                                                  request):
+    def test_projects_only_excited_angular_orders(self, shape, degree):
         # (R^2 - |x|^2) p with deg p = d has no angular content above
-        # order d, so the full projection is rounding there and the cut
-        # one exactly 0; the kept coefficients agree to rounding
-        domain = request.getfixturevalue(shape)
-        modes, _ = request.getfixturevalue(f"{shape}_modes")
-        dropped = np.array([mode.angular[0] > degree for mode in modes])
-        spec = PolynomialSpec(degree=degree)
-        for seed in (1, 5):
-            full = project_function(initial_condition_field(domain, spec,
-                                                            seed),
-                                    modes, domain)
-            cut = project_initial_condition(domain, modes, spec, seed)
-            assert np.max(np.abs(full[dropped])) <= 1e-12
-            assert np.all(cut[dropped] == 0.0)
-            assert np.max(np.abs(cut - full)[~dropped]) \
-                <= 1e-13 * np.max(np.abs(full))
+        # order d, so the quadrature oracle is rounding there and the exact
+        # projection exactly 0; the kept coefficients agree to rounding,
+        # for seeded and explicit coefficients
+        for n_sim in (300, 800):
+            domain, modes = mode_table(shape, n_sim)
+            dropped = np.array([mode.angular[0] > degree for mode in modes])
+            explicit = PolynomialSpec(degree, tuple(np.linspace(
+                -1.0, 1.5, math.comb(degree + domain.dim, degree))))
+            for spec, seed in [(PolynomialSpec(degree=degree), seed)
+                               for seed in (0, 1, 5)] + [(explicit, 0)]:
+                full = project_function(
+                    initial_condition_field(domain, spec, seed), modes,
+                    domain)
+                cut = project_initial_condition(domain, modes, spec, seed)
+                assert np.max(np.abs(full[dropped])) <= 1e-12
+                assert np.all(cut[dropped] == 0.0)
+                assert np.max(np.abs(cut - full)[~dropped]) \
+                    <= 1e-13 * np.max(np.abs(full))
 
     @pytest.mark.parametrize("shape", ["disk", "ball"])
     def test_field_follows_documented_monomial_order(self, shape, request):
@@ -459,6 +493,35 @@ class TestInitialCondition:
         with pytest.raises(ValueError):
             project_initial_condition(disk, modes[:5],
                                       PolynomialSpec(degree=4), seed=1)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_refined_boundary_rule_agrees(self, shape):
+        # the rule at refine 1 is already exact for the boundary integrands
+        domain, modes = mode_table(shape, 300)
+        coarse = project_initial_condition(domain, modes, PolynomialSpec(), 1)
+        fine = project_initial_condition(domain, modes, PolynomialSpec(), 1,
+                                         refine=2)
+        assert np.max(np.abs(coarse - fine)) <= 1e-13
+
+    def test_coefficient_count_checked(self, disk, disk_modes):
+        modes, _ = disk_modes
+        with pytest.raises(ValueError, match="expected 10 coefficients"):
+            project_initial_condition(disk, modes[:5], PolynomialSpec(
+                degree=3, coefficients=(1.0,) * 9), seed=1)
+
+    @pytest.mark.parametrize("shape,bound", [("disk", 1e-4), ("ball", 3e-3)])
+    def test_truncation_tail_obeys_bessel_inequality(self, shape, bound):
+        # 1 - sum c^2 / ||u0||^2 is the share of u0 outside the table:
+        # nonnegative, small, and shrinking as the table grows
+        spec = PolynomialSpec()
+        tails = []
+        for n_sim in (100, 300, 800):
+            domain, modes = mode_table(shape, n_sim)
+            coeffs = project_initial_condition(domain, modes, spec, 1)
+            tails.append(1.0 - np.sum(coeffs**2)
+                         / field_norm_squared(domain, spec, 1, refine=3))
+        assert 0.0 <= tails[1] <= bound
+        assert tails[0] > tails[1] > tails[2] >= 0.0
 
     def test_lcg_is_reproducible_and_in_range(self):
         a = lcg_uniform(42, 64)
