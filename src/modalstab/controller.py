@@ -15,6 +15,7 @@ the direct (physical) generator; stability validation gates on its margin
 while both are reported.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -53,6 +54,11 @@ class GainSet:
     @property
     def n_unstable(self) -> int:
         return len(self.gammas)
+
+    @functools.cached_property
+    def beta(self) -> np.ndarray:
+        """n_sim x N extended boundary Gram, built once on first use."""
+        return boundary_gram(self.modes, self.modes[:self.n_unstable])
 
     @property
     def a_direct(self) -> np.ndarray:

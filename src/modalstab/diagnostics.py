@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# boundary_gram is bound here for bench/tracing
 from .basis import (angular_keys, angular_parities, boundary_gram,
                     mode_values)
 from .lifting import xi_coefficients
@@ -168,8 +169,7 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes,
     lap_modal = -kappa[None, :] * states
     xi = np.empty((times.size, 0))
     if gain_set is not None and n:
-        beta = boundary_gram(modes, modes[:n])
-        lap_modal -= trajectory.boundary_data @ beta.T
+        lap_modal -= trajectory.boundary_data @ gain_set.beta.T
         lifted = xi_coefficients(gain_set, states[:, :n])
         xi = np.sqrt(np.square(lifted, out=lifted) @ w_h2).T
     lap = np.linalg.norm(lap_modal, axis=1)

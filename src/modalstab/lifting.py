@@ -14,8 +14,8 @@ right-hand sides reduce to rows of the extended boundary Gram matrix.
 The lift is linear and acts on stacks: trace coefficients and states carry
 their mode index on the last axis and the shifts broadcast against the
 leading axes, so every gain of a gain set and a whole trajectory of K
-samples are lifted as one (N, K, n_sim) array, with one Gram build and one
-table of denominators.
+samples are lifted as one (N, K, n_sim) array, through the gain set's own
+extended Gram (GainSet.beta) and one table of denominators.
 """
 
 import numpy as np
@@ -42,7 +42,13 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
     of shape (G, 1) with c of shape (G, K, N) give (G, K, n_sim), entry
     [g, k] lifting c[g, k] with shift gammas[g]."""
     c = np.asarray(c, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
+    return _lift(np.asarray(gammas, dtype=float), c, modes,
+                 boundary_gram(modes, modes[:c.shape[-1]]))
+
+
+def _lift(gammas, c, modes, beta) -> np.ndarray:
+    """c @ beta.T over the resonance-checked denominators, beta the extended
+    Gram of the table against the traces of c."""
     n_trace = c.shape[-1]
     n_unstable = count_unstable(modes)
     if n_trace > n_unstable:
@@ -59,7 +65,7 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
         raise ResonanceError(
             f"gamma={float(gammas[tuple(shift)])} resonates with mode "
             f"n={j + 1} (mu={modes[j].mu})")
-    d = c @ boundary_gram(modes, modes[:n_trace]).T
+    d = c @ beta.T
     d /= denom
     return d
 
@@ -73,8 +79,8 @@ def xi_coefficients(gain_set, U) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     stack_axes = tuple(range(1, U.ndim))
     c = np.expand_dims(gain_set.m_list, stack_axes) * (U @ gain_set.a_gain.T)
-    return lifting_coefficients(np.expand_dims(gain_set.gammas, stack_axes),
-                                c, gain_set.modes)
+    return _lift(np.expand_dims(gain_set.gammas, stack_axes), c,
+                 gain_set.modes, gain_set.beta)
 
 
 def commutation_check(gain_set, trajectory) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# project_function, the quadrature projection, is bound here for bench/tracing
+# boundary_gram and project_function are bound here for bench/tracing
 from .basis import (angular_nodes, angular_rule, boundary_gram,
                     boundary_traces, count_unstable, project_function)
 from .controller import GainSet, control_map
@@ -160,7 +160,7 @@ def initial_condition_field(domain, spec: PolynomialSpec, seed: int):
 
 
 def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
-                              seed: int, refine: int = 1) -> np.ndarray:
+                              seed: int) -> np.ndarray:
     """Exact projection of the bump-times-polynomial initial state.
 
     u0 = (R^2 - |x|^2) p and phi_n vanish on the boundary and Delta phi_n =
@@ -168,13 +168,13 @@ def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
     kappa_n^2 - b_2 / kappa_n^3, b_k the boundary integral of (Delta^k u0)
     d_n phi_n; the sum stops there, as deg p <= 3 makes Delta^3 u0 = 0.
     On the boundary Delta^k u0 has angular order <= deg p, so
-    angular_rule(domain, deg p, refine) is exact against the closed-form
+    angular_rule(domain, deg p, 1) is exact against the closed-form
     normal traces, and every mode of higher angular order (disk m, ball l)
     has coefficient 0.
     """
     dim, R, degree = domain.dim, domain.radius, polynomial_spec.degree
     poly = _polynomial_factor(dim, polynomial_spec, seed)
-    angles, weights = angular_nodes(angular_rule(domain, degree, refine))
+    angles, weights = angular_nodes(angular_rule(domain, degree, 1))
     ct, st, ph = angles if dim == 3 else (0.0, 1.0, angles)   # disk: equator
     xs = (R * st * np.cos(ph), R * st * np.sin(ph), R * ct)[:dim]
     # on |x| = R, with q_d the degree-d part of q (x . grad q_d = d q_d),
@@ -226,7 +226,7 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     coupled split: S the N leading columns, K = -(beta C) with its diagonal
     moved into d.
 
-    A deterministic 5 percent sample of the closed-form beta entries is
+    A deterministic 5 percent sample of the closed-form gain_set.beta is
     always cross-checked against surface quadrature, one rule for the whole
     sample; a disagreement beyond 1e-9 relative raises ConsistencyError.
     The open loop (v = 0) needs no assembly: see open_loop.
@@ -238,7 +238,7 @@ def assemble_closed_loop(modes, gain_set: GainSet,
             gm != tm for gm, tm in zip(gain_set.modes[:n], modes[:n])):
         raise ConsistencyError("gain set was synthesized over a different "
                                "mode table")
-    beta = boundary_gram(modes, modes[:n])
+    beta = gain_set.beta
     _check_gram_sample(modes, domain, beta)
     coupling = control_map(gain_set)
     product = beta @ coupling

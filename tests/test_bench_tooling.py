@@ -55,10 +55,10 @@ def test_traced_verify_batches_bessel_work(tmp_path):
     # the configured shifts, then the doubling search's scales 1 and 2
     assert calls["controller.synthesize_calls"] == 3
     # one stacked lift for all gains in the commutation check; one head Gram
-    # per synthesis, and the extended Gram in assembly, in the norm series'
-    # flux term and lift, and in the commutation check
+    # per synthesis, and one extended Gram for the accepted gain set, which
+    # assembly, the norm series and the commutation check share
     assert calls["lifting.xi_calls"] == 1
-    assert calls["basis.boundary_gram_calls"] == 7
+    assert calls["basis.boundary_gram_calls"] == 4
 
 
 def test_auto_verify_synthesizes_only_in_the_search(tmp_path, monkeypatch):

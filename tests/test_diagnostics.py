@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from _oracles import dense_linf
+from modalstab import controller, diagnostics, lifting, simulator
+from modalstab.basis import boundary_gram
+from modalstab.controller import synthesize
 from modalstab.diagnostics import (GridEvaluator, UndefinedRatioError,
                                    claims_report_json, compute_norm_series,
                                    decay_rate_fit, gn_exponents, gn_ratio,
                                    verify_claims, write_norm_series_csv)
-from modalstab.simulator import Trajectory, open_loop
+from modalstab.lifting import commutation_check, lifting_coefficients
+from modalstab.simulator import (PolynomialSpec, Trajectory,
+                                 assemble_closed_loop, integrate, open_loop,
+                                 project_initial_condition)
 
 DISK_MU_1 = 5.1642035092633039
 # sqrt(1 + mu_1^2) for the disk benchmark spectrum
@@ -281,6 +287,45 @@ class TestNormSeries:
         direct = series_of(lifted, modes, disk_evaluator).h2_surrogate
         for (k, i), want in zip(picks, direct):
             assert s.xi[k, i] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_one_extended_gram_per_gain_set(self, shape, request,
+                                            monkeypatch):
+        # assembly, the norm series' flux term and lift, and the commutation
+        # check all read the gain set's one extended Gram, and the columns
+        # it feeds are bitwise those of the standalone lifting path
+        domain = request.getfixturevalue(shape)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        evaluator = request.getfixturevalue(f"{shape}_evaluator")
+        gains = synthesize(modes,
+                           request.getfixturevalue(f"{shape}_gains").gammas)
+        u0 = project_initial_condition(domain, modes, PolynomialSpec(), 1)
+        built = []
+
+        def counted(rows, cols):
+            built.append((len(rows), len(cols)))
+            return boundary_gram(rows, cols)
+
+        for module in (controller, diagnostics, lifting, simulator):
+            monkeypatch.setattr(module, "boundary_gram", counted)
+        system = assemble_closed_loop(modes, gains, domain)
+        traj = integrate(system, u0, 0.05, 4.0)
+        series = compute_norm_series(traj, gains, modes, evaluator)
+        commutation_check(gains, traj)
+        n = gains.n_unstable
+        assert built == [(len(modes), n)]
+        assert system.beta is gains.beta
+
+        c = gains.m_list[:, None, :] * (traj.states[:, :n] @ gains.a_gain.T)
+        lifted = lifting_coefficients(np.reshape(gains.gammas, (n, 1)), c,
+                                      modes)
+        mu = np.array([m.mu for m in modes])
+        kappa = np.array([m.kappa for m in modes])
+        xi = np.sqrt(np.square(lifted) @ (1.0 + mu * mu)).T
+        lap = np.linalg.norm(-kappa * traj.states - traj.boundary_data
+                             @ boundary_gram(modes, modes[:n]).T, axis=1)
+        assert np.array_equal(series.xi, xi)
+        assert np.array_equal(series.laplacian_l2, lap)
 
     def test_csv_header_and_length(self, disk_modes, disk_gains,
                                    disk_traj_seed1, disk_evaluator, tmp_path):

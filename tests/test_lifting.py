@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from modalstab import lifting
+from modalstab import controller, lifting
 from modalstab.basis import boundary_gram, enumerate_modes
+from modalstab.controller import synthesize
 from modalstab.lifting import (InsufficientDataError, ResonanceError,
                                commutation_check, lifting_coefficients,
                                xi_coefficients)
@@ -149,7 +150,6 @@ class TestXiCoefficients:
 @pytest.fixture(scope="module")
 def synthetic_gain_set():
     from modalstab.basis import EigenMode
-    from modalstab.controller import synthesize
     mode = EigenMode(n=1, angular=(0, "cos"), k=1, alpha=1.0, kappa=1.0,
                      mu=1.0, norm_const=1.0, trace_amp=1.0)
     return synthesize((mode,), (3.0,))
@@ -226,8 +226,11 @@ class TestCommutation:
             ref, scale = per_sample_commutation(gs, trajectory, i)
             assert abs(got[i] - ref) <= 1e-15 * scale
 
-    def test_gram_built_at_most_twice(self, disk_gains, disk_traj_seed1,
-                                      monkeypatch):
+    def test_gram_built_once_per_gain_set(self, disk_gains, disk_traj_seed1,
+                                          monkeypatch):
+        # one extended Gram for the states, their differences and all
+        # gains, built by the gain set itself; once built, none is rebuilt
+        gains = synthesize(disk_gains.modes, disk_gains.gammas)
         calls = []
         original = lifting.boundary_gram
 
@@ -235,9 +238,11 @@ class TestCommutation:
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(lifting, "boundary_gram", counting)
-        # one extended Gram for the states, their differences and all gains
-        commutation_check(disk_gains, disk_traj_seed1)
+        for module in (controller, lifting):
+            monkeypatch.setattr(module, "boundary_gram", counting)
+        commutation_check(gains, disk_traj_seed1)
+        assert len(calls) == 1
+        commutation_check(gains, disk_traj_seed1)
         assert len(calls) == 1
 
     def test_closed_loop_trajectory(self, disk_gains, disk_traj_seed1):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modalstab import simulator
+from modalstab import controller, simulator
 from modalstab.basis import (Domain, angular_nodes, angular_rule,
                              enumerate_modes, project_function)
+from modalstab.controller import synthesize
 from modalstab.special import quadrature_rule
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  CoupledSplit, InsufficientExcitationError,
@@ -91,12 +92,15 @@ class TestAssemble:
             self, shape, entry, request, monkeypatch):
         # negative control: a 1e-6 relative error in the closed-form Gram
         # must trip the per-run surface-quadrature sample, at the first
-        # sampled entry large enough to exceed the 1e-9 tolerance
+        # sampled entry large enough to exceed the 1e-9 tolerance.  The error
+        # enters through the extended Gram that a fresh gain set builds on
+        # first use, inside assembly
         domain = request.getfixturevalue(shape)
         modes, _ = request.getfixturevalue(f"{shape}_modes")
-        gains = request.getfixturevalue(f"{shape}_gains")
-        exact = simulator.boundary_gram
-        monkeypatch.setattr(simulator, "boundary_gram",
+        gains = synthesize(modes,
+                           request.getfixturevalue(f"{shape}_gains").gammas)
+        exact = controller.boundary_gram
+        monkeypatch.setattr(controller, "boundary_gram",
                             lambda rows, cols: exact(rows, cols) * (1 + 1e-6))
         with pytest.raises(ConsistencyError,
                            match=re.escape(f"Gram entry {entry}=")):
@@ -388,6 +392,13 @@ def mode_table(shape, n_sim):
     return domain, enumerate_modes(domain, LAMBDA, n_sim)[0]
 
 
+def refine_boundary_rule(monkeypatch):
+    """Make the projection's boundary angular rule twice as fine."""
+    monkeypatch.setattr(simulator, "angular_rule",
+                        lambda domain, order, refine: angular_rule(
+                            domain, order, 2 * refine))
+
+
 def field_norm_squared(domain, spec, seed, refine):
     """||u0||^2 by tensor quadrature: Gauss-Legendre in r, exact for the
     radial degree <= 12 of u0^2 r^(dim-1), times angular_rule at u0's
@@ -425,12 +436,13 @@ class TestInitialCondition:
             if mode.angular[0] >= 1:
                 assert abs(c) < 1e-12
 
-    def test_constant_polynomial_self_convergence(self, disk, disk_modes):
+    def test_constant_polynomial_self_convergence(self, disk, disk_modes,
+                                                  monkeypatch):
         modes, _ = disk_modes
         spec = PolynomialSpec(degree=0, coefficients=(1.0,))
         coarse = project_initial_condition(disk, modes[:30], spec, seed=1)
-        fine = project_initial_condition(disk, modes[:30], spec, seed=1,
-                                         refine=2)
+        refine_boundary_rule(monkeypatch)
+        fine = project_initial_condition(disk, modes[:30], spec, seed=1)
         idx = 0  # mode (0, 1)
         assert abs(coarse[idx] - fine[idx]) < 1e-8 * abs(fine[idx])
 
@@ -495,12 +507,12 @@ class TestInitialCondition:
                                       PolynomialSpec(degree=4), seed=1)
 
     @pytest.mark.parametrize("shape", ["disk", "ball"])
-    def test_refined_boundary_rule_agrees(self, shape):
+    def test_refined_boundary_rule_agrees(self, shape, monkeypatch):
         # the rule at refine 1 is already exact for the boundary integrands
         domain, modes = mode_table(shape, 300)
         coarse = project_initial_condition(domain, modes, PolynomialSpec(), 1)
-        fine = project_initial_condition(domain, modes, PolynomialSpec(), 1,
-                                         refine=2)
+        refine_boundary_rule(monkeypatch)
+        fine = project_initial_condition(domain, modes, PolynomialSpec(), 1)
         assert np.max(np.abs(coarse - fine)) <= 1e-13
 
     def test_coefficient_count_checked(self, disk, disk_modes):
