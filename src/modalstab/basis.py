@@ -103,19 +103,18 @@ class SpectrumSummary:
 
 
 def _zeros_below(zeros_fn, cut: float, need: str):
-    """Every order's zeros up to `cut`, from one zero-finder call.
+    """Every order's zeros up to `cut`, from one zero-finder call whose
+    scan ends at the cut.
 
-    Zeros of order m lie above m and more than 3 apart (Sturm comparison;
-    the closest pair, j_{0,1} and j_{0,2}, is 3.1 apart), so only orders
-    below the cut have any and order m has at most (cut - m) // 3 + 1.
+    Zeros of order m lie above m, so only orders below the cut have any.
     Zeros grow with the order, so a zero of the top supported order below
     the cut means higher orders would be needed as well.
     """
     orders = np.arange(min(math.ceil(cut), MAX_ORDER + 1))
-    zeros = zeros_fn(orders, (cut - orders) // 3 + 1)
-    if orders[-1] == MAX_ORDER and zeros[-1][0] <= cut:
+    zeros = zeros_fn(orders, below=cut)
+    if orders[-1] == MAX_ORDER and zeros[-1].size:
         raise CapacityError(f"{need} beyond {MAX_ORDER}")
-    return [z[z <= cut] for z in zeros]
+    return zeros
 
 
 def _candidates(domain: Domain, n_sim: int):

@@ -13,9 +13,9 @@ order up to it (a table), and an order array gives each lane (one order at
 one point) only its own order, kept from the contiguous slice of lanes of
 that order as the loop passes it, so callers stack many (order, argument)
 lanes into one call with no table of lower orders.  Zeros of any set of
-orders come from one path: a single sign-change scan of all the orders on
-a shared grid, then one safeguarded Newton refinement of every bracket at
-once.
+orders come from one path: one sign-change scan of all the orders on a
+shared grid that ends at the cut, then Halley steps from each bracket's
+secant, every bracket at once, with a bracketed bisection as the guard.
 
 Real spherical harmonics of any set of (l, m) keys come from one
 normalized Legendre table and one trig factor per order m
@@ -211,110 +211,109 @@ def spherical_bessel_j(degree: int, x):
     return spherical_j_all(degree, x)[degree]
 
 
-def _lane_f_df(all_fn, shift: int, orders: np.ndarray, x: np.ndarray):
-    """Value and derivative of each lane's own order at its point.
+def _lane_derivatives(shift: int, orders: np.ndarray, x: np.ndarray):
+    """Value, first and second derivative of each lane's own order at its
+    point.
 
     One all-orders recurrence covers every lane; the derivative follows
     from the recurrence f_n' = f_{n-1} - ((n + shift)/x) f_n (shift 0 for
-    J_n, 1 for j_n), with f_0' = -f_1.
+    J_n, 1 for j_n), with f_0' = -f_1, and the second derivative from the
+    Bessel equation f'' = -(1 + shift) f'/x - (1 - n(n + shift)/x^2) f.
     """
-    vals = all_fn(max(int(orders.max()), 1), x)
+    vals = _bessel_family(shift, int(orders.max(initial=1)), x)
     lane = np.arange(x.size)
     f = vals[orders, lane]
     below = vals[np.abs(orders - 1), lane]
     df = np.where(orders == 0, -below, below - ((orders + shift) / x) * f)
-    return f, df
+    ddf = -(1 + shift) * df / x - (1.0 - orders * (orders + shift) / x**2) * f
+    return f, df, ddf
 
 
-def _refine_zeros(f_df, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vector root refinement on sign-change brackets [lo, hi].
+def _refine_zeros(derivatives, lo: np.ndarray, hi: np.ndarray,
+                  f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """Vector root refinement on sign-change brackets [lo, hi], given the
+    function values f_lo, f_hi at their ends.
 
-    Three bisection rounds shrink the brackets well inside the Newton basin
-    of these simple oscillatory zeros; plain Newton then converges
-    quadratically.  A bracketed bisection fallback guards the rare lane
-    where Newton leaves its bracket; it bisects every lane, since f_df
-    evaluates each lane's own function.
+    Each lane starts at the secant of its bracket, well inside the basin
+    of these simple oscillatory zeros, and Halley steps (`derivatives`
+    gives f, f', f'' of every lane) converge cubically: three passes reach
+    rounding level.  Iterates are held in their brackets; a bracketed
+    bisection guards the rare lane that has not converged when the steps
+    end.  It bisects every lane, since `derivatives` evaluates each lane's
+    own function.
     """
-    a = lo.copy()
-    b = hi.copy()
-    fa, _ = f_df(a)
-    for _ in range(3):
-        x = 0.5 * (a + b)
-        f, _ = f_df(x)
-        neg_side = f * fa > 0
-        a = np.where(neg_side, x, a)
-        b = np.where(neg_side, b, x)
-    x = 0.5 * (a + b)
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
     for _ in range(10):
-        f, df = f_df(x)
+        f, df, ddf = derivatives(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / df
-        x_new = x - step
-        if np.all(np.abs(x_new - x) <= 1e-15 * np.maximum(1.0, x)):
-            x = x_new
-            break
-        x = x_new
-    stray = ~np.isfinite(x) | (x < lo) | (x > hi)
-    if stray.any():
-        aa, bb = lo.copy(), hi.copy()
-        ffa, _ = f_df(aa)
-        for _ in range(60):
-            mid = 0.5 * (aa + bb)
-            fm, _ = f_df(mid)
-            neg_side = fm * ffa > 0
-            aa = np.where(neg_side, mid, aa)
-            bb = np.where(neg_side, bb, mid)
-        x[stray] = 0.5 * (aa[stray] + bb[stray])
+            newton = f / df
+            step = newton / (1.0 - 0.5 * newton * ddf / df)
+        x = np.clip(x - step, lo, hi)
+        done = np.abs(step) <= 1e-15 * np.maximum(1.0, x)
+        if done.all():
+            return x
+    a, b = lo.copy(), hi.copy()
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        same_side = derivatives(mid)[0] * f_lo > 0
+        a = np.where(same_side, mid, a)
+        b = np.where(same_side, b, mid)
+    x[~done] = 0.5 * (a[~done] + b[~done])
     return x
 
 
-def _first_zeros(all_fn, shift: int, order, count):
-    """First `count` positive zeros of each order of one Bessel family.
+def _zeros(shift: int, order, count, below):
+    """Positive zeros of each order of one Bessel family (J for shift 0,
+    j for shift 1): the first `count`, or every zero <= `below`.
 
     Every order is scanned at once: one all-orders evaluation on a uniform
-    grid from _SCAN_STEP upward (no zero of either family lies below 2.4,
-    and zeros are more than 3 apart, so each grid cell holds at most one),
-    extended until every order shows `count` sign changes; then one
-    refinement over all brackets.  An int `order` gives one array; a 1-D
-    array of orders (with an int or a matching array of counts) gives a
-    list of arrays, one per order.
+    grid from _SCAN_STEP to the first point at or above the cut (no zero
+    of either family lies below 2.4, and zeros are more than 3 apart, so
+    each grid cell holds at most one); then one refinement over all
+    brackets.  The count form cuts at (k + m/2 + 1/4) pi, above the k-th
+    zero of every order m: j_{nu,k} < (k + nu/2 - 1/4) pi for nu >= 1/2,
+    and J_0's zeros lie below J_{1/2}'s, k pi.  An int `order` gives one
+    array; a 1-D array of orders (with an int or a matching array of
+    counts) gives a list of arrays, one per order.
     """
     orders = np.atleast_1d(np.asarray(order)).astype(int)
     if orders.ndim > 1 or orders.size == 0:
         raise ValueError("order must be an int or a nonempty 1-D array")
     _check_order(int(orders.min()))
     _check_order(int(orders.max()))
-    counts = np.broadcast_to(np.asarray(count), orders.shape).astype(int)
-    if counts.min() < 1:
-        raise ValueError("count must be >= 1")
-    # the k-th zero of order m lies near m + 1.86 m^(1/3) + (k - 1) pi
-    # (first zeros) or (k + m/2 - 1/4) pi (later ones); start just above
-    top = float(np.max(orders + 2.0 * np.cbrt(orders) + np.pi * (counts + 1)))
-    m_top = int(orders.max())
-    while True:
-        grid = _SCAN_STEP * np.arange(1, int(top / _SCAN_STEP) + 2)
-        f = all_fn(m_top, grid)[orders]
-        change = f[:, :-1] * f[:, 1:] < 0
-        if np.all(change.sum(axis=1) >= counts):
-            break
-        top *= 1.25
-    row, col = np.nonzero(change & (np.cumsum(change, axis=1)
-                                    <= counts[:, None]))
-    lane_orders = orders[row]
-    zeros = _refine_zeros(lambda x: _lane_f_df(all_fn, shift, lane_orders, x),
-                          grid[col], grid[col + 1])
-    if np.ndim(order) == 0:
-        return zeros
-    return np.split(zeros, np.cumsum(counts)[:-1])
+    if (count is None) == (below is None):
+        raise ValueError("give exactly one of count and below")
+    cut = below
+    if count is not None:
+        counts = np.broadcast_to(np.asarray(count), orders.shape).astype(int)
+        if counts.min() < 1:
+            raise ValueError("count must be >= 1")
+        cut = float(np.max(np.pi * (counts + orders / 2 + 0.25)))
+    grid = _SCAN_STEP * np.arange(1, max(1, math.ceil(cut / _SCAN_STEP)) + 1)
+    f = _bessel_family(shift, int(orders.max()), grid)[orders]
+    change = f[:, :-1] * f[:, 1:] < 0
+    if count is not None:
+        change &= np.cumsum(change, axis=1) <= counts[:, None]
+    row, col = np.nonzero(change)
+    zeros = _refine_zeros(lambda x: _lane_derivatives(shift, orders[row], x),
+                          grid[col], grid[col + 1], f[row, col],
+                          f[row, col + 1])
+    if below is not None:
+        row, zeros = row[zeros <= below], zeros[zeros <= below]
+    sizes = np.bincount(row, minlength=orders.size)
+    parts = np.split(zeros, np.cumsum(sizes)[:-1])
+    return parts[0] if np.ndim(order) == 0 else parts
 
 
-def bessel_j_zeros(order, count) -> np.ndarray:
-    """First `count` positive zeros of J_order, strictly increasing.
+def bessel_j_zeros(order, count=None, *, below=None):
+    """Positive zeros of J_order, strictly increasing: the first `count`,
+    or every zero <= `below`.
 
     `order` may be a 1-D array of orders (and `count` an int or a matching
-    array); the result is then a list with one array per order.
+    array); the result is then a list with one array per order, empty for
+    an order with no zero below the cut.
     """
-    return _first_zeros(bessel_j_all, 0, order, count)
+    return _zeros(0, order, count, below)
 
 
 def bessel_j_zero(order: int, k: int) -> float:
@@ -322,12 +321,13 @@ def bessel_j_zero(order: int, k: int) -> float:
     return float(bessel_j_zeros(order, k)[k - 1])
 
 
-def spherical_bessel_zeros(degree, count) -> np.ndarray:
-    """First `count` positive zeros of j_degree, strictly increasing.
+def spherical_bessel_zeros(degree, count=None, *, below=None):
+    """Positive zeros of j_degree, strictly increasing: the first `count`,
+    or every zero <= `below`.
 
     Accepts arrays of degrees (and counts) like `bessel_j_zeros`.
     """
-    return _first_zeros(spherical_j_all, 1, degree, count)
+    return _zeros(1, degree, count, below)
 
 
 def spherical_bessel_zero(degree: int, k: int) -> float:

@@ -11,6 +11,7 @@ from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, DomainError,
                              enumerate_modes, eval_mode, export_mode_table,
                              interior_quadrature, mode_values, normal_trace,
                              point_angles, project_function)
+from modalstab import special
 from modalstab.special import (bessel_j, quadrature_rule,
                                real_spherical_harmonic, spherical_bessel_j)
 
@@ -99,8 +100,20 @@ class TestEnumeration:
         # the first n_sim whose candidate cut needs J_60's first zero
         modes, _ = enumerate_modes(disk, LAMBDA, 946)
         assert len(modes) == 946
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError,
+                           match="^n_sim=947 requires Bessel orders beyond 60$"):
             enumerate_modes(disk, LAMBDA, 947)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    @pytest.mark.parametrize("n_sim", [300, 800])
+    def test_recurrence_passes(self, monkeypatch, shape, n_sim):
+        # one zero scan, three Halley steps and the normalization pass
+        calls = []
+        miller = special._miller
+        monkeypatch.setattr(special, "_miller",
+                            lambda *args: calls.append(1) or miller(*args))
+        enumerate_modes(Domain(shape, 2.0), LAMBDA, n_sim)
+        assert len(calls) <= 5
 
     @pytest.mark.parametrize("radius, lam", [(1.3, 3.0), (2.0, LAMBDA),
                                              (0.5, 0.0)])

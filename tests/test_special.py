@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import oracle_bessel
 from modalstab.special import (MAX_ORDER, UnsupportedOrderError,
+                               _lane_derivatives, _refine_zeros,
                                bessel_j, bessel_j_all, bessel_j_zero,
                                bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
@@ -123,6 +124,121 @@ class TestBesselZeros:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             bessel_j_zero(0, 0)
+
+
+class TestZerosBelow:
+    """The below= form: every zero <= the cut, from a scan that ends at it."""
+
+    FINDERS = [bessel_j_zeros, spherical_bessel_zeros]
+
+    @pytest.mark.parametrize("zeros_fn", FINDERS)
+    def test_matches_count_form(self, zeros_fn):
+        orders = np.arange(21)
+        full = zeros_fn(orders, 16)
+        for cut in (2.0, 9.0, 25.3, 47.0):
+            got = zeros_fn(orders, below=cut)
+            assert len(got) == orders.size
+            for z, ref in zip(got, full):
+                want = ref[ref <= cut]
+                assert z.shape == want.shape
+                assert np.all(np.abs(z - want) <= 1e-15 * want)
+
+    @pytest.mark.parametrize("zeros_fn", FINDERS)
+    def test_cut_at_a_zero_keeps_it(self, zeros_fn):
+        orders = np.arange(12)
+        for m, k in ((0, 3), (4, 2), (11, 1)):
+            cut = zeros_fn(m, k)[-1]
+            got = zeros_fn(orders, below=cut)[m]
+            assert got.size == k and got[-1] == cut
+
+    @pytest.mark.parametrize("zeros_fn", FINDERS)
+    def test_zero_in_last_scan_cell_is_dropped(self, zeros_fn):
+        # the cut lies below the zero in the scan cell that brackets both,
+        # so that cell is refined and its zero filtered out
+        orders = np.arange(12)
+        for m, k in ((0, 3), (4, 2), (11, 1)):
+            z = zeros_fn(m, k)
+            cut = 0.5 * (z[-1] + 0.5 * math.floor(z[-1] / 0.5))
+            got = zeros_fn(orders, below=cut)[m]
+            assert got.size == k - 1
+            assert np.all(np.abs(got - z[:-1]) <= 1e-15 * z[:-1])
+
+    def test_orders_without_zeros_give_empty_arrays(self):
+        # the first zeros of j_27, j_28 and j_30 are about 33.44, 34.506
+        # (in the last scan cell above the cut 34.5) and 36.63; those of
+        # J_5 and J_6 about 8.77 and 9.94
+        for got in (spherical_bessel_zeros(30, below=34.5),
+                    bessel_j_zeros(5, below=0.25)):
+            assert isinstance(got, np.ndarray) and got.shape == (0,)
+        mixed = spherical_bessel_zeros(np.array([0, 27, 28, 30]), below=34.5)
+        assert [z.size for z in mixed] == [10, 1, 0, 0]
+        none = bessel_j_zeros(np.array([5, 6]), below=8.0)
+        assert [z.shape for z in none] == [(0,), (0,)]
+
+    def test_exactly_one_of_count_and_below(self):
+        with pytest.raises(ValueError):
+            bessel_j_zeros(3)
+        with pytest.raises(ValueError):
+            spherical_bessel_zeros(3, 2, below=10.0)
+
+    @pytest.mark.parametrize("zeros_fn, spherical, orders, cut", [
+        # the disk and ball candidate cuts at n_sim 946 and 2000
+        (bessel_j_zeros, False, [0, 15, 30, 45, 60],
+         2.0 * math.sqrt(946) + 6.0),
+        (spherical_bessel_zeros, True, [0, 9, 18, 27],
+         (4.5 * math.pi * 2000) ** (1.0 / 3.0) + 4.0)], ids=["disk", "ball"])
+    def test_high_orders_against_mpmath(self, zeros_fn, spherical, orders,
+                                        cut):
+        got = zeros_fn(np.array(orders), below=cut)
+        for m, zeros in zip(orders, got):
+            nu = m + mp.mpf(1) / 2 if spherical else m
+            # the first, second and last zero below the cut
+            for k in sorted({1, 2, zeros.size} - {0}):
+                if k > zeros.size:
+                    continue
+                ref = float(mp.besseljzero(nu, k))
+                assert abs(zeros[k - 1] - ref) <= 1e-13 * ref
+            # no zero below the cut is missing
+            assert mp.besseljzero(nu, zeros.size + 1) > cut
+
+
+class TestRefineGuard:
+    """The bracketed bisection behind the Halley steps."""
+
+    def test_lane_sent_out_of_its_bracket_is_bisected(self):
+        # J_0's 3rd, J_5's 2nd and J_12's 1st zero; the second lane gets a
+        # derivative of the wrong sign and a hundredth of the size, so its
+        # steps run away from the root and out of the bracket, and the
+        # third a zero derivative, so its step is not finite
+        orders = np.array([0, 5, 12])
+        zeros = [bessel_j_zeros(m, k)[-1] for m, k in zip(orders, (3, 2, 1))]
+        lo = 0.5 * np.floor(np.array(zeros) / 0.5)
+        hi = lo + 0.5
+        f_lo = bessel_j_all(orders, lo)
+        f_hi = bessel_j_all(orders, hi)
+        points = []
+
+        def wrong_derivatives(x):
+            points.append(x.copy())
+            f, df, ddf = _lane_derivatives(0, orders, x)
+            df[1], ddf[1] = -0.01 * df[1], 0.0
+            df[2] = 0.0
+            return f, df, ddf
+
+        with np.errstate(invalid="ignore"):
+            got = _refine_zeros(wrong_derivatives, lo, hi, f_lo, f_hi)
+        points = np.array(points)
+        # every Halley step ran, then the 60 bisection rounds
+        assert len(points) == 70
+        # the runaway lane was held at an end of its bracket
+        assert np.any((points[:, 1] == lo[1]) | (points[:, 1] == hi[1]))
+        assert np.all((lo[:2] <= points[:, :2]) & (points[:, :2] <= hi[:2]))
+        assert np.all((lo <= got) & (got <= hi))
+        for i, m in enumerate(orders):
+            f = lambda x: float(mp.besselj(int(m), mp.mpf(x)))
+            oracle = bisection_zero(f, lo[i], hi[i])
+            assert abs(got[i] - oracle) <= 1e-13 * oracle
+        assert got[0] == zeros[0]
 
 
 class TestSphericalBessel:
