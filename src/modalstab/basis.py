@@ -118,30 +118,38 @@ def _zeros_below(zeros_fn, cut: float, need: str):
 
 
 def _candidates(domain: Domain, n_sim: int):
-    """All (alpha, angular, k) with the n_sim smallest alpha, in the
-    deterministic order of the tuples themselves: alpha, then the angular
-    key ("cos" before "sin", ball m ascending), then k.
+    """Arrays (alpha, order, slot, k) of the n_sim smallest alpha, from one
+    lexsort by alpha, order, slot, then k: as equal alphas occur only
+    within one order, the order of the (alpha, key, k) tuples themselves.
 
     The shapes differ only in data: the starting cut, the zero finder, and
-    the angular keys of radial order m, which are (0, "cos") at m = 0, then
-    (m, "cos"), (m, "sin") on the disk and (l, -l) .. (l, l) on the ball.
+    the keys of radial order m by slot: (0, "cos") at m = 0, then
+    (m, "cos"), (m, "sin") on the disk, and (l, slot - l) on the ball.
     """
     if domain.shape == "disk":
         cut = 2.0 * math.sqrt(n_sim) + 6.0
         zeros_fn, needed = bessel_j_zeros, "Bessel orders"
-        keys = lambda m: [(m, "cos")] if m == 0 else [(m, "cos"), (m, "sin")]
+        key_count = lambda m: np.minimum(m, 1) + 1
     else:
         cut = (4.5 * math.pi * n_sim) ** (1.0 / 3.0) + 4.0
         zeros_fn, needed = spherical_bessel_zeros, "spherical degrees"
-        keys = lambda l: [(l, m) for m in range(-l, l + 1)]
+        key_count = lambda l: 2 * l + 1
     need = f"n_sim={n_sim} requires {needed}"
     while True:
-        entries = [(float(z), key, k)
-                   for m, zeros in enumerate(_zeros_below(zeros_fn, cut, need))
-                   for k, z in enumerate(zeros, start=1) for key in keys(m)]
-        if len(entries) >= n_sim:
-            return sorted(entries)[:n_sim]
+        zeros = _zeros_below(zeros_fn, cut, need)
+        order = np.repeat(np.arange(len(zeros)), [z.size for z in zeros])
+        counts = key_count(order)
+        if counts.sum() >= n_sim:
+            break
         cut *= 1.25
+    k = np.concatenate([np.arange(1, z.size + 1) for z in zeros])
+    # every zero once per key of its order
+    alpha, order, k = (np.repeat(a, counts)
+                       for a in (np.concatenate(zeros), order, k))
+    slot = np.arange(alpha.size) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    pick = np.lexsort((k, slot, order, alpha))[:n_sim]
+    return alpha[pick], order[pick], slot[pick], k[pick]
 
 
 def enumerate_modes(domain: Domain, lam: float, n_sim: int):
@@ -157,30 +165,27 @@ def enumerate_modes(domain: Domain, lam: float, n_sim: int):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     R = domain.radius
-    cands = _candidates(domain, n_sim)
+    alpha, order, slot, k = _candidates(domain, n_sim)
 
     trace_scale = math.sqrt(2.0 / R**3)
-    alphas = np.array([alpha for alpha, _, _ in cands])
-    orders = np.array([angular[0] for _, angular, _ in cands])
     lane_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
-    j_next = np.abs(lane_fn(orders + 1, alphas))
-    modes = []
-    for n, ((alpha, angular, k), j) in enumerate(zip(cands, j_next.tolist()),
-                                                 start=1):
-        kappa = (alpha / R) ** 2
-        mu = lam - kappa
-        if domain.shape == "disk":
-            scale = 1.0 if angular[0] == 0 else math.sqrt(2.0)
-            norm_const = scale / (math.sqrt(math.pi) * R * j)
-        else:
-            norm_const = trace_scale / j
-        trace_amp = (-1.0) ** k * alpha * trace_scale
-        modes.append(EigenMode(n=n, angular=angular, k=k, alpha=alpha,
-                               kappa=kappa, mu=mu, norm_const=norm_const,
-                               trace_amp=trace_amp))
-    return modes, SpectrumSummary(n_unstable=count_unstable(modes),
-                                  n_sim=n_sim,
-                                  eigenvalues=tuple(m.mu for m in modes))
+    j_next = np.abs(lane_fn(order + 1, alpha))
+    # C pow, as Python's ** is; numpy's ** 2 squares, off in the last bit
+    kappa = np.float_power(alpha / R, 2)
+    mu = lam - kappa
+    if domain.shape == "disk":
+        norm_const = np.where(order == 0, 1.0, math.sqrt(2.0)) \
+            / (math.sqrt(math.pi) * R * j_next)
+        angular = zip(order.tolist(), np.where(slot, "sin", "cos").tolist())
+    else:
+        norm_const = trace_scale / j_next
+        angular = zip(order.tolist(), (slot - order).tolist())
+    trace_amp = np.where(k % 2, -alpha, alpha) * trace_scale
+    modes = [EigenMode(*fields) for fields in zip(
+        range(1, n_sim + 1), angular, k.tolist(), alpha.tolist(),
+        kappa.tolist(), mu.tolist(), norm_const.tolist(), trace_amp.tolist())]
+    return modes, SpectrumSummary(n_unstable=int(np.sum(mu >= 0.0)),
+                                  n_sim=n_sim, eigenvalues=tuple(mu.tolist()))
 
 
 def count_unstable(modes) -> int:

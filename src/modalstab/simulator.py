@@ -5,18 +5,18 @@ gives the exact modal ODE
 
     du_n/dt = mu_n u_n - <v, T_n(phi_n)>_boundary,
 
-so the closed-loop generator G is diag(mu) minus a rank-N coupling through
-the extended boundary Gram matrix on the leading N coordinates: its
-coupled columns S (the N leading ones) evolve on their own, and every
-other coordinate sees only itself and S.  The closed loop is held only as
-that split, G = diag(d) + K on S (CoupledSplit), assembled straight from
-mu, the Gram and the control map.  Both one-step maps are a Taylor
-polynomial power P(G dt / count)^count on that split: the exact map by
-scaling and squaring (degree 18, count a power of two), the classical
-Runge-Kutta cross-check with P of degree 4 and count the number of
-substeps.  Each tail row t is a bordered block [[A, 0], [G[t, S], d_t]]
+so G is diag(mu) minus a rank-N coupling through the extended boundary
+Gram on the leading N coordinates S, which evolve on their own; every other
+coordinate sees only itself and S, and only the Gram rows of a head angular
+key are nonzero, which assembly cross-checks in full on every run.  The
+loop is held only as that split, G = diag(d) + K on S (CoupledSplit).
+Both one-step maps are a Taylor polynomial power P(G dt / count)^count on
+it: the exact map by scaling and squaring (degree 18, count a power of
+two), the Runge-Kutta cross-check with P of degree 4 and count the number
+of substeps.  Each tail row t is a bordered block [[A, 0], [G[t, S], d_t]]
 (Van Loan 1978) sharing the lead block A = G[S, S], so every product in
-that power is one N x N product plus one |T| x N row update; no n_sim x
+that power is one N x N product plus one |T| x N row update, and a
+trajectory fills one array in place from the map's blocks; no n_sim x
 n_sim array or product is formed.  Green's second identity also projects
 the initial state exactly, by boundary integrals (project_initial_condition).
 """
@@ -54,6 +54,7 @@ class ClosedLoopSystem:
     coupling: np.ndarray      # N x N map from U to trace coefficients of v
     mu: np.ndarray
     n_unstable: int
+    gram_deviation: float = None  # max relative deviation of the Gram check
 
 
 @dataclass(frozen=True)
@@ -194,30 +195,31 @@ def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
     return coeffs
 
 
-def _check_gram_sample(modes, domain, beta) -> None:
-    """Cross-check a deterministic 5 percent sample of beta entries against
-    surface quadrature of the normal traces.
-
-    One rule serves every sampled entry: basis.angular_rule at the highest
-    angular order among the sampled modes.
-    """
-    n_sim, n = beta.shape
-    sample = max(1, n_sim * n // 20)
-    picks = (lcg_uniform(12345, 2 * sample) + 1.0) / 2.0
-    rows = (picks[0::2] * n_sim).astype(int) % n_sim
-    cols = (picks[1::2] * n).astype(int) % n
-    order = max(modes[i].angular[0] for i in (*rows, *cols))
+def _check_gram_block(modes, domain, beta) -> float:
+    """Cross-check every entry of the coupled rows of beta (those of a head
+    key, chosen from the keys, and any with a nonzero entry) against
+    surface quadrature of the normal traces, by one rule at their highest
+    angular order; returns the max relative deviation.  Every other entry
+    is a zero between distinct keys."""
+    n = beta.shape[1]
+    heads = {mode.angular for mode in modes[:n]}
+    rows = np.flatnonzero(np.array([mode.angular in heads for mode in modes])
+                          | beta.any(axis=1))
+    order = max(modes[i].angular[0] for i in rows)
     angles, weights = angular_nodes(angular_rule(domain, order, 1))
-    traces_r = boundary_traces([modes[i] for i in rows], domain, angles)
-    traces_c = boundary_traces([modes[j] for j in cols], domain, angles)
-    # the boundary's surface measure is R^(dim-1) times the angular one
-    quads = np.sum((traces_r * traces_c * weights).reshape(sample, -1),
-                   axis=1) * domain.radius ** (domain.dim - 1)
-    for row, col, quad in zip(rows, cols, quads):
-        if abs(quad - beta[row, col]) > 1e-9 * max(1.0, abs(quad)):
-            raise ConsistencyError(
-                f"closed-form Gram entry ({row},{col})={beta[row, col]} "
-                f"disagrees with quadrature {quad}")
+    traces = boundary_traces([modes[i] for i in rows], domain,
+                             angles).reshape(rows.size, -1)
+    # head rows lead; the surface measure is R^(dim-1) times the angular one
+    quads = (traces * weights.ravel()) @ traces[:n].T \
+        * domain.radius ** (domain.dim - 1)
+    deviation = np.abs(quads - beta[rows]) / np.maximum(1.0, np.abs(quads))
+    failed = np.argwhere(~(deviation <= 1e-9))    # NaN fails as well
+    if failed.size:
+        i, col = failed[0]
+        raise ConsistencyError(
+            f"closed-form Gram entry ({rows[i]},{col})={beta[rows[i], col]} "
+            f"disagrees with quadrature {quads[i, col]}")
+    return float(np.max(deviation))
 
 
 def assemble_closed_loop(modes, gain_set: GainSet,
@@ -226,10 +228,11 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     coupled split: S the N leading columns, K = -(beta C) with its diagonal
     moved into d.
 
-    A deterministic 5 percent sample of the closed-form gain_set.beta is
-    always cross-checked against surface quadrature, one rule for the whole
-    sample; a disagreement beyond 1e-9 relative raises ConsistencyError.
-    The open loop (v = 0) needs no assembly: see open_loop.
+    Every entry of the closed-form gain_set.beta in the rows of a head
+    angular key or with a nonzero entry is cross-checked against surface
+    quadrature; a disagreement beyond 1e-9 relative raises
+    ConsistencyError, naming the first failing entry, and the max
+    deviation is kept.  The open loop (v = 0) needs no assembly.
     """
     mu = np.array([m.mu for m in modes])
     n_sim = len(modes)
@@ -239,7 +242,7 @@ def assemble_closed_loop(modes, gain_set: GainSet,
         raise ConsistencyError("gain set was synthesized over a different "
                                "mode table")
     beta = gain_set.beta
-    _check_gram_sample(modes, domain, beta)
+    gram_deviation = _check_gram_block(modes, domain, beta)
     coupling = control_map(gain_set)
     product = beta @ coupling
     d = mu.copy()
@@ -250,11 +253,10 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     np.fill_diagonal(K, 0.0)
     split = CoupledSplit(d=d, S=np.arange(n), T=np.arange(n, n_sim), K=K)
     return ClosedLoopSystem(split=split, beta=beta, coupling=coupling, mu=mu,
-                            n_unstable=n)
+                            n_unstable=n, gram_deviation=gram_deviation)
 
 
 def _finalize(times, states, coupling, n, truncated) -> Trajectory:
-    states = np.asarray(states)
     boundary = states[:, :n] @ coupling.T if coupling.size else \
         np.zeros((states.shape[0], n))
     return Trajectory(times=np.asarray(times), states=states,
@@ -282,8 +284,9 @@ class CoupledSplit:
         return self.d * u + self.K @ u[self.S]
 
     def step_map(self, dt: float, degree: int = 18, count: int = None):
-        """u -> P(G dt / count)^count u, P the degree-`degree` Taylor
-        polynomial of exp.
+        """The blocks (E, F, decay) of the one-step map u -> P(G dt /
+        count)^count u, P the degree-`degree` Taylor polynomial of exp: a
+        step takes u[S] to E u[S] and u[T] to decay u[T] + F u[S].
 
         By default count is the smallest power of two that brings the
         largest block 1-norm to at most 1, where degree 18 is exp to double
@@ -319,15 +322,7 @@ class CoupledSplit:
             if not count:
                 break
             w = _offset_product(w, w)
-        E, F, decay = np.eye(s) + power[0], power[1], 1.0 + power[2]
-
-        def step(u):
-            lead_u = u[S]
-            nxt = np.empty_like(u)
-            nxt[S] = E @ lead_u
-            nxt[T] = decay * u[T] + F @ lead_u
-            return nxt
-        return step
+        return np.eye(s) + power[0], power[1], 1.0 + power[2]
 
 
 def _bordered_product(x, y):
@@ -362,16 +357,17 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
 
     Both methods work on the system's coupled-column split of the
     generator (CoupledSplit): the coupled columns S, the N leading ones of
-    an assembled closed loop, and the diagonal rest T.  Each builds its
-    one-step map once, as a Taylor polynomial power on the split's bordered
-    blocks in O(n_sim N^2), and applies it in O(n_sim N) per step.
-    expm_step samples the exact flow exp(G dt) by scaling and squaring.
-    rk4, an independent check, takes P(hG)^n_sub, the classical
-    fourth-order step of a linear system (the degree-4 Taylor polynomial of
-    h G) raised to the n_sub substeps sized to the spectral radius.
-    Neither forms an n_sim x n_sim product.  A sample that is not finite or
-    exceeds 1e12 in magnitude truncates the trajectory at the last valid
-    sample and flags it.
+    an assembled closed loop, and the diagonal rest T.  Each builds the
+    blocks of its one-step map once, as a Taylor polynomial power on the
+    split's bordered blocks in O(n_sim N^2).  expm_step samples the exact
+    flow exp(G dt) by scaling and squaring.  rk4, an independent check,
+    takes P(hG)^n_sub, the classical fourth-order step of a linear system
+    (the degree-4 Taylor polynomial of h G) raised to the n_sub substeps
+    sized to the spectral radius.  The samples fill one array, S columns
+    first: S by an N x N product per step, T by one F product over all
+    steps and t_(k+1) += decay t_k.  A sample that is not finite or exceeds
+    1e12 in magnitude truncates the trajectory at the last valid one and
+    flags it.
     """
     if dt <= 0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
@@ -382,29 +378,37 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
     if u0.shape != split.d.shape:
         raise ValueError(f"initial state has shape {u0.shape}, "
                          f"expected {split.d.shape}")
-    states = [u0]
-    truncated = False
     if method == "expm_step":
-        step = split.step_map(dt)
+        E, F, decay = split.step_map(dt)
     elif method == "rk4":
         # ||G - diag(mu)||_F, whose off-diagonal part is all in K
         radius_bound = float(np.max(np.abs(system.mu))
                              + np.hypot(np.linalg.norm(split.K),
                                         np.linalg.norm(split.d - system.mu)))
         n_sub = max(1, int(np.ceil(dt * radius_bound / 0.5)))
-        step = split.step_map(dt, 4, n_sub)
+        E, F, decay = split.step_map(dt, 4, n_sub)
     else:
         raise ValueError(f"unknown method {method!r}")
-    for _ in range(n_steps):
-        nxt = step(states[-1])
-        # NaN and inf fail the comparison as well
-        if not np.max(np.abs(nxt)) <= OVERFLOW_LIMIT:
-            truncated = True
-            break
-        states.append(nxt)
-    times = times[: len(states)]
-    return _finalize(times, states, system.coupling, system.n_unstable,
-                     truncated)
+    columns = np.concatenate([split.S, split.T])
+    states = np.empty((n_steps + 1, u0.size))
+    states[0] = u0[columns]
+    lead, tail = states[:, :split.S.size], states[:, split.S.size:]
+    # past an overflow the samples may turn inf or NaN; they are cut below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            np.matmul(E, lead[k], out=lead[k + 1])
+        np.matmul(lead[:-1], F.T, out=tail[1:])
+        for k in range(n_steps):
+            tail[k + 1] += decay * tail[k]
+        # NaN and inf fail the comparison as well; u0 is taken as given
+        valid = np.maximum(states.max(axis=1), -states.min(axis=1)) \
+            <= OVERFLOW_LIMIT
+    keep = int(np.argmin(np.append(valid[1:], False)))
+    states = states[:keep + 1]
+    if np.any(columns != np.arange(columns.size)):
+        states = states[:, np.argsort(columns)]
+    return _finalize(times[:keep + 1], states, system.coupling,
+                     system.n_unstable, keep < n_steps)
 
 
 def open_loop(modes, u0_coeffs, dt: float, horizon: float) -> Trajectory:

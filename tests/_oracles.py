@@ -9,7 +9,11 @@ whole reconstruction grid (it shares the package's mode_values, since it
 pins the orthant reflection, not the eigenfunction values).  The candidate orderings (disk_candidates,
 ball_candidates) are the per-shape enumerators that basis._candidates
 replaced, with their explicit sort keys; they share the package's zero
-finder, since they pin the order, not the zeros.
+finder, since they pin the order, not the zeros.  mode_table_loop is the
+per-mode constant loop that enumerate_modes replaced, and step_loop the
+per-step loop over a step map's blocks that integrate replaced; both pin
+the arithmetic bit for bit, so they share the package's Bessel lanes and
+step maps.
 """
 
 import math
@@ -17,10 +21,10 @@ import math
 import mpmath as mp
 import numpy as np
 
-from modalstab.basis import _zeros_below, mode_values
-from modalstab.special import (bessel_j_zeros, quadrature_rule,
+from modalstab.basis import EigenMode, _zeros_below, mode_values
+from modalstab.special import (bessel_j_all, bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
-                               spherical_bessel_zeros)
+                               spherical_bessel_zeros, spherical_j_all)
 
 mp.mp.dps = 30
 
@@ -96,6 +100,52 @@ def ball_candidates(n_sim):
             entries.sort(key=lambda e: (e[0], e[1][0], e[1][1], e[2]))
             return entries[:n_sim]
         cut *= 1.25
+
+
+def mode_table_loop(domain, lam, n_sim):
+    """The mode table built one mode at a time over the oracle candidates:
+    kappa, mu, norm_const and trace_amp as Python floats, per mode."""
+    R = domain.radius
+    disk = domain.shape == "disk"
+    cands = (disk_candidates if disk else ball_candidates)(n_sim)
+    trace_scale = math.sqrt(2.0 / R**3)
+    alphas = np.array([alpha for alpha, _, _ in cands])
+    orders = np.array([angular[0] for _, angular, _ in cands])
+    lane_fn = bessel_j_all if disk else spherical_j_all
+    j_next = np.abs(lane_fn(orders + 1, alphas))
+    modes = []
+    for n, ((alpha, angular, k), j) in enumerate(zip(cands, j_next.tolist()),
+                                                 start=1):
+        kappa = (alpha / R) ** 2
+        if disk:
+            scale = 1.0 if angular[0] == 0 else math.sqrt(2.0)
+            norm_const = scale / (math.sqrt(math.pi) * R * j)
+        else:
+            norm_const = trace_scale / j
+        modes.append(EigenMode(n=n, angular=angular, k=k, alpha=alpha,
+                               kappa=kappa, mu=lam - kappa,
+                               norm_const=norm_const,
+                               trace_amp=(-1.0) ** k * alpha * trace_scale))
+    return modes
+
+
+def step_loop(split, blocks, u0, n_steps, limit=1e12):
+    """Samples of the one-step map with blocks (E, F, decay) applied one
+    step at a time, u[S] <- E u[S] and u[T] <- decay u[T] + F u[S],
+    stopping before the first sample that is not finite or exceeds limit
+    in magnitude; returns (states, truncated)."""
+    E, F, decay = blocks
+    states = [np.asarray(u0, dtype=float)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            u = states[-1]
+            nxt = np.empty_like(u)
+            nxt[split.S] = E @ u[split.S]
+            nxt[split.T] = decay * u[split.T] + F @ u[split.S]
+            if not np.max(np.abs(nxt)) <= limit:
+                return np.array(states), True
+            states.append(nxt)
+    return np.array(states), False
 
 
 def quadrature_boundary_gram(domain, modes):

@@ -35,6 +35,18 @@ def ball_modes(ball):
 
 
 @pytest.fixture(scope="session")
+def disk800_modes(disk):
+    modes, summary = enumerate_modes(disk, LAMBDA, 800)
+    return modes, summary
+
+
+@pytest.fixture(scope="session")
+def disk800_gains(disk800_modes):
+    modes, _ = disk800_modes
+    return scaled_gain_set(modes, GAMMAS_DISK, -0.5)
+
+
+@pytest.fixture(scope="session")
 def disk_gains(disk_modes):
     modes, _ = disk_modes
     return scaled_gain_set(modes, GAMMAS_DISK, -0.5)

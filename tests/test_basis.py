@@ -1,18 +1,20 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from _oracles import (ball_candidates, disk_candidates, oracle_bessel,
-                      oracle_zero_bisection)
+from _oracles import (ball_candidates, disk_candidates, mode_table_loop,
+                      oracle_bessel, oracle_zero_bisection)
 from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, DomainError,
-                             _radial_values, angular_keys, angular_parities,
-                             boundary_gram, boundary_inner, boundary_traces,
+                             _radial_values, angular_keys, angular_nodes,
+                             angular_parities, angular_rule, boundary_gram,
+                             boundary_inner, boundary_traces, count_unstable,
                              enumerate_modes, eval_mode, export_mode_table,
                              interior_quadrature, mode_values, normal_trace,
                              point_angles, project_function)
 from modalstab import special
-from modalstab.special import (bessel_j, quadrature_rule,
+from modalstab.special import (MAX_ORDER, bessel_j, quadrature_rule,
                                real_spherical_harmonic, spherical_bessel_j)
 
 LAMBDA = 6.61
@@ -39,6 +41,16 @@ TABLE_PINS = {
              300: ((10, "cos"), 7)},
     "ball": {282: ((12, -12), 1), 279: ((1, -1), 5), 300: ((12, 6), 1)},
 }
+
+
+def _bits(modes):
+    """Every field of every mode, floats by their bits and with the types
+    of the integer and angular fields."""
+    return [(mode.n, mode.k, mode.angular, type(mode.n), type(mode.k),
+             tuple(type(a) for a in mode.angular))
+            + tuple(float.hex(getattr(mode, name)) for name in
+                    ("alpha", "kappa", "mu", "norm_const", "trace_amp"))
+            for mode in modes]
 
 
 def _table_extremes(modes):
@@ -119,14 +131,27 @@ class TestEnumeration:
                                              (0.5, 0.0)])
     def test_order_matches_per_shape_oracle(self, radius, lam):
         # n_sim 2 and 3 cut the disk's first m = 1 pair and the ball's
-        # first l = 1 triplet; the larger tables end mid-multiplet too
+        # first l = 1 triplet; the larger tables end mid-multiplet too.
+        # Every field is bit for bit the per-mode loop's
         oracles = {"disk": disk_candidates, "ball": ball_candidates}
         for shape, oracle in oracles.items():
             domain = Domain(shape, radius)
             for n_sim in (1, 2, 3, 4, 5, 7, 10, 37, 301, 800):
-                modes, _ = enumerate_modes(domain, lam, n_sim)
+                modes, summary = enumerate_modes(domain, lam, n_sim)
                 got = [(mode.alpha, mode.angular, mode.k) for mode in modes]
                 assert got == oracle(n_sim), (shape, n_sim)
+                assert _bits(modes) == \
+                    _bits(mode_table_loop(domain, lam, n_sim)), (shape, n_sim)
+                assert summary.eigenvalues == tuple(m.mu for m in modes)
+
+    @pytest.mark.parametrize("shape, n_sim", [("disk", 946), ("ball", 2000)])
+    def test_largest_tables_match_per_mode_loop(self, shape, n_sim):
+        # the disk's largest table under the order cap, and a ball table
+        # reaching degree 25
+        domain = Domain(shape, 2.0)
+        modes, summary = enumerate_modes(domain, LAMBDA, n_sim)
+        assert _bits(modes) == _bits(mode_table_loop(domain, LAMBDA, n_sim))
+        assert summary.n_unstable == count_unstable(modes)
 
     @pytest.mark.parametrize("shape, n_sim, oracle", [
         ("disk", 947, disk_candidates), ("ball", 20000, ball_candidates)])
@@ -484,6 +509,36 @@ class TestBoundaryInner:
             assert [normal_trace(m, domain, pts[k]) for m in modes] == \
                 traces[:, k].tolist()
         return (traces * w) @ traces.T
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_angular_factors_orthonormal_up_to_table_orders(self, shape):
+        # The per-run Gram check reads only the rows of the head keys and
+        # the nonzero rows; every other entry of beta is a zero between
+        # distinct keys, which rests on this: the boundary-orthonormal
+        # factors of every key a table can hold (disk orders up to the cap,
+        # ball degrees up to those of n_sim 2000) are orthonormal on
+        # angular_rule at each pair's order
+        domain = Domain(shape, 2.0)
+        if shape == "disk":
+            top = MAX_ORDER
+            keys = [(0, "cos")] + [(m, parity) for m in range(1, top + 1)
+                                   for parity in ("cos", "sin")]
+        else:
+            modes, _ = enumerate_modes(domain, LAMBDA, 2000)
+            top = max(mode.angular[0] for mode in modes)
+            assert top == 25
+            keys = [(l, m) for l in range(top + 1) for m in range(-l, l + 1)]
+        units = [SimpleNamespace(angular=key, trace_amp=1.0) for key in keys]
+        orders = np.array([key[0] for key in keys])
+        surface = domain.radius ** (domain.dim - 1)
+        for order in range(top + 1):
+            angles, weights = angular_nodes(angular_rule(domain, order, 1))
+            count = np.count_nonzero(orders <= order)    # keys run by order
+            traces = boundary_traces(units[:count], domain,
+                                     angles).reshape(count, -1)
+            own = orders[:count] == order
+            gram = (traces[own] * weights.ravel()) @ traces.T * surface
+            assert np.max(np.abs(gram - np.eye(count)[own])) <= 1e-12, order
 
     def test_gram_matches_surface_quadrature(self, disk, ball, disk_modes,
                                              ball_modes):

@@ -1,9 +1,12 @@
+import dataclasses
 import functools
 import itertools
 import math
 import re
 import struct
 import sys
+import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +30,8 @@ from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  write_trajectory_csv)
 from modalstab.diagnostics import decay_rate_fit
 
-from _oracles import dense_coupled_split, dense_generator, rk4_substep_loop
+from _oracles import (dense_coupled_split, dense_generator, rk4_substep_loop,
+                      step_loop)
 
 DISK_MU_1 = 5.1642035092633039
 LAMBDA = 6.61
@@ -41,6 +45,25 @@ def system_of(gen, n_unstable=1):
                             beta=np.zeros((gen.shape[0], n_unstable)),
                             coupling=np.zeros((n_unstable, n_unstable)),
                             mu=np.diag(gen).copy(), n_unstable=n_unstable)
+
+
+def with_beta(gains, beta):
+    """A copy of the gain set whose extended Gram is the given one."""
+    copy = dataclasses.replace(gains)
+    copy.__dict__["beta"] = beta
+    return copy
+
+
+def record_step_maps(monkeypatch):
+    """The blocks of every step map built from now on, in order."""
+    built = []
+    step_map = CoupledSplit.step_map
+
+    def recording(self, *args):
+        built.append(step_map(self, *args))
+        return built[-1]
+    monkeypatch.setattr(CoupledSplit, "step_map", recording)
+    return built
 
 
 class TestAssemble:
@@ -86,15 +109,15 @@ class TestAssemble:
         with pytest.raises(ConsistencyError):
             assemble_closed_loop(modes[:200], disk_gains, disk)
 
-    @pytest.mark.parametrize("shape, entry", [("disk", "(8,1)"),
-                                              ("ball", "(9,0)")])
+    @pytest.mark.parametrize("shape, entry", [("disk", "(0,0)"),
+                                              ("ball", "(0,0)")])
     def test_perturbed_gram_fails_quadrature_cross_check(
             self, shape, entry, request, monkeypatch):
         # negative control: a 1e-6 relative error in the closed-form Gram
-        # must trip the per-run surface-quadrature sample, at the first
-        # sampled entry large enough to exceed the 1e-9 tolerance.  The error
-        # enters through the extended Gram that a fresh gain set builds on
-        # first use, inside assembly
+        # must trip the per-run surface-quadrature check, at the first
+        # entry of the coupled rows large enough to exceed the 1e-9
+        # tolerance.  The error enters through the extended Gram that a
+        # fresh gain set builds on first use, inside assembly
         domain = request.getfixturevalue(shape)
         modes, _ = request.getfixturevalue(f"{shape}_modes")
         gains = synthesize(modes,
@@ -105,6 +128,59 @@ class TestAssemble:
         with pytest.raises(ConsistencyError,
                            match=re.escape(f"Gram entry {entry}=")):
             assemble_closed_loop(modes, gains, domain)
+
+    def test_error_in_unsampled_entry_named(self, disk, disk800_modes,
+                                            disk800_gains):
+        # the last nonzero entry that the 5 percent sample the check once
+        # drew never read
+        modes, _ = disk800_modes
+        n = disk800_gains.n_unstable
+        picks = (lcg_uniform(12345, 2 * (800 * n // 20)) + 1.0) / 2.0
+        sampled = set(zip(((picks[0::2] * 800).astype(int) % 800).tolist(),
+                          ((picks[1::2] * n).astype(int) % n).tolist()))
+        row, col = max(entry for entry in
+                       zip(*np.nonzero(disk800_gains.beta))
+                       if entry not in sampled)
+        beta = disk800_gains.beta.copy()
+        beta[row, col] *= 1.0 + 1e-6
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"Gram entry ({row},{col})=")):
+            assemble_closed_loop(modes, with_beta(disk800_gains, beta), disk)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_zeroed_head_key_row_fails(self, shape, request):
+        # the coupled rows are chosen from the keys, not read off beta
+        domain = request.getfixturevalue(shape)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        gains = request.getfixturevalue(f"{shape}_gains")
+        heads = {m.angular for m in modes[:gains.n_unstable]}
+        row = max(i for i, mode in enumerate(modes) if mode.angular in heads)
+        col = int(np.flatnonzero(gains.beta[row])[0])
+        beta = gains.beta.copy()
+        beta[row] = 0.0
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"Gram entry ({row},{col})=")):
+            assemble_closed_loop(modes, with_beta(gains, beta), domain)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_nonzero_outside_head_keys_fails(self, shape, request):
+        # a row holding a nonzero entry is checked whatever its key
+        domain = request.getfixturevalue(shape)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        gains = request.getfixturevalue(f"{shape}_gains")
+        heads = {m.angular for m in modes[:gains.n_unstable]}
+        row = max(i for i, mode in enumerate(modes)
+                  if mode.angular not in heads)
+        beta = gains.beta.copy()
+        beta[row, 1] = 1e-3
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"Gram entry ({row},1)=")):
+            assemble_closed_loop(modes, with_beta(gains, beta), domain)
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_gram_deviation_reported(self, shape, request):
+        system = request.getfixturevalue(f"{shape}_system")
+        assert 0.0 <= system.gram_deviation < 1e-12
 
 
 class TestIntegrate:
@@ -155,6 +231,62 @@ class TestIntegrate:
         assert traj.truncated
         assert traj.times.size < 21
         assert np.max(np.abs(traj.states)) <= 1e12
+
+    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
+    @pytest.mark.parametrize("case", ("disk", "ball", "nilpotent"))
+    def test_equals_step_loop_bitwise(self, case, method, request,
+                                      monkeypatch):
+        # the nilpotent split's coupled column S = [1] is not a prefix
+        if case == "nilpotent":
+            system = system_of(SPLIT_CASES[case][0](request))
+        else:
+            system = request.getfixturevalue(f"{case}_system")
+        blocks = record_step_maps(monkeypatch)
+        u0 = lcg_uniform(5, system.mu.size)
+        traj = integrate(system, u0, 0.05, 4.0, method=method)
+        states, truncated = step_loop(system.split, blocks[0], u0, 80)
+        assert not traj.truncated and not truncated
+        assert traj.states.shape == states.shape
+        assert traj.states.tobytes() == states.tobytes()
+        boundary = states[:, :system.n_unstable] @ system.coupling.T
+        assert traj.boundary_data.tobytes() == boundary.tobytes()
+
+    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
+    def test_mid_run_overflow_matches_step_loop(self, method, monkeypatch):
+        # the lead block grows by about e^1.5 a step along (1, 1) and
+        # passes 1e12 at step 19; past it the samples run on to inf, and
+        # to NaN in the tail, whose coupling (1, -1) cancels along (1, 1)
+        system = system_of([[-1.0, 1.0, -1.0], [0.0, 2.5, 0.5],
+                            [0.0, 0.5, 2.5]])
+        blocks = record_step_maps(monkeypatch)
+        u0 = np.array([0.0, 1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(system, u0, 0.5, 300.0, method=method)
+        states, truncated = step_loop(system.split, blocks[0], u0, 600)
+        assert traj.truncated and truncated
+        assert 10 < traj.times.size == states.shape[0] < 30
+        # the tail's one-row F product may round differently from the
+        # loop's, relative to the sample's size, as the tail cancels
+        scale = np.max(np.abs(states), axis=1, keepdims=True)
+        assert np.all(np.abs(traj.states - states) <= 1e-14 * scale)
+
+    def test_trajectory_is_the_only_large_allocation(self, disk,
+                                                     disk800_modes,
+                                                     disk800_gains):
+        # the samples fill one buffer in place; a list of per-step states
+        # stacked at the end peaked at 2.1 times the trajectory
+        modes, _ = disk800_modes
+        system = assemble_closed_loop(modes, disk800_gains, disk)
+        u0 = project_initial_condition(disk, modes, PolynomialSpec(), seed=1)
+        for method in ("expm_step", "rk4"):
+            tracemalloc.start()
+            try:
+                traj = integrate(system, u0, 0.05, 4.0, method=method)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * traj.states.nbytes, method
 
     def test_bad_step_rejected(self, disk_system):
         with pytest.raises(ValueError):
@@ -222,6 +354,14 @@ SPLIT_CASES = {
 }
 
 
+def one_step_matrix(split, blocks):
+    """The one-step map with the given blocks as a dense matrix: its
+    columns are one step of step_loop from the identity's."""
+    eye = np.eye(split.d.size)
+    return np.stack([step_loop(split, blocks, e, 1)[0][1] for e in eye],
+                    axis=1)
+
+
 class TestCoupledSplit:
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_matches_dense_generator(self, case, request):
@@ -232,8 +372,7 @@ class TestCoupledSplit:
         assert split.S.tolist() == coupled
         assert sorted(split.S.tolist() + split.T.tolist()) == list(range(n))
         dt = 0.05
-        step = split.step_map(dt)
-        prop = np.stack([step(e) for e in np.eye(n)], axis=1)
+        prop = one_step_matrix(split, split.step_map(dt))
         dense = scipy.linalg.expm(gen * dt)
         assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
         u = lcg_uniform(3, n)
@@ -246,8 +385,8 @@ class TestCoupledSplit:
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_large_step_matches_dense_generator(self, case, request):
         gen = SPLIT_CASES[case][0](request)
-        step = coupled_split(gen).step_map(1.0)
-        prop = np.stack([step(e) for e in np.eye(gen.shape[0])], axis=1)
+        split = coupled_split(gen)
+        prop = one_step_matrix(split, split.step_map(1.0))
         dense = scipy.linalg.expm(gen)
         assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
 
