@@ -21,12 +21,11 @@ def _apply_thread_cap() -> None:
 
 _apply_thread_cap()
 
-from .basis import (Domain, EigenMode, SpectrumSummary, boundary_inner,
-                    enumerate_modes, eval_mode, normal_trace,
+from .basis import (Domain, EigenMode, SpectrumSummary, enumerate_modes,
                     project_function)
 from .controller import (GainSet, StabilityReport, auto_scale_gains,
-                         boundary_control_eval, hurwitz_margin,
-                         scaled_gain_set, synthesize, validate_gains)
+                         hurwitz_margin, scaled_gain_set, synthesize,
+                         validate_gains)
 from .diagnostics import (GridEvaluator, NormSeries, compute_norm_series,
                           decay_rate_fit, gn_exponents, gn_ratio,
                           verify_claims)

@@ -17,10 +17,9 @@ through it in cache-sized blocks.
 The angular factor exists once, in `angular_values`: 1, cos(m theta) or
 sin(m theta) on the disk and `special.real_spherical_harmonics` on the
 ball, evaluated once per distinct angular key (`angular_keys`).  Grid
-values, the quadrature projection, point evaluation and the normal traces
-(`boundary_traces`) all go through it.  Each key's sign under the
-reflection of each Cartesian axis is read off the key itself
-(`angular_parities`).
+values, the quadrature projection and the normal traces (`boundary_traces`)
+all go through it.  Each key's sign under the reflection of each Cartesian
+axis is read off the key itself (`angular_parities`).
 """
 
 import csv
@@ -50,10 +49,6 @@ _LANE_BLOCK = 1 << 13
 
 class CapacityError(ValueError):
     """Mode enumeration would need Bessel orders above the supported cap."""
-
-
-class DomainError(ValueError):
-    """Point outside the closed domain / off the boundary."""
 
 
 @dataclass(frozen=True)
@@ -277,41 +272,10 @@ def boundary_traces(modes, domain: Domain, angles) -> np.ndarray:
     return (factors[rows].T * amps).T
 
 
-def boundary_angles(domain: Domain, point):
-    """point_angles of one boundary point; DomainError off the boundary."""
-    p = np.asarray(point, dtype=float)
-    R = domain.radius
-    r = float(np.linalg.norm(p))
-    if abs(r - R) > 1e-9 * R:
-        raise DomainError(f"point at radius {r} is not on the boundary (R={R})")
-    return point_angles(domain, p[None, :])
-
-
-def eval_mode(mode: EigenMode, domain: Domain, point) -> float:
-    """Value of the L2-normalized eigenfunction at a point of the closure."""
-    p = np.asarray(point, dtype=float)
-    r = float(np.linalg.norm(p))
-    if r > domain.radius * (1.0 + 1e-12):
-        raise DomainError(
-            f"point at radius {r} outside closure (R={domain.radius})")
-    return float(mode_values([mode], domain, p[None, :])[0, 0])
-
-
-def normal_trace(mode: EigenMode, domain: Domain, point) -> float:
-    """Outward normal derivative of the eigenfunction at a boundary point."""
-    angles = boundary_angles(domain, point)
-    return float(boundary_traces([mode], domain, angles)[0, 0])
-
-
-def boundary_inner(mode_i: EigenMode, mode_j: EigenMode) -> float:
-    """L2(boundary) inner product of the two normal traces (closed form)."""
-    if mode_i.angular != mode_j.angular:
-        return 0.0
-    return mode_i.trace_amp * mode_j.trace_amp
-
-
 def boundary_gram(row_modes, col_modes) -> np.ndarray:
-    """Matrix of boundary_inner over row_modes x col_modes."""
+    """L2(boundary) inner products of the normal traces of row_modes x
+    col_modes, in closed form: trace_amp_i * trace_amp_j where the two
+    angular keys are equal, 0 otherwise."""
     amps_r = np.array([m.trace_amp for m in row_modes])
     amps_c = np.array([m.trace_amp for m in col_modes])
     _, codes = angular_keys((*row_modes, *col_modes))

@@ -12,6 +12,7 @@ package applies it on import, before the numeric modules load.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -56,22 +57,24 @@ class RunConfig:
     def validate(self):
         if self.shape not in ("disk", "ball"):
             raise ConfigError("domain.shape must be disk or ball")
-        if not self.radius > 0:
-            raise ConfigError("domain.radius must be positive")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        if not 0 < self.radius < math.inf:
+            raise ConfigError("domain.radius must be positive and finite")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError("lambda must be nonnegative and finite")
         if self.n_sim < 1:
             raise ConfigError("n_sim must be a positive integer")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if self.horizon < self.dt:
-            raise ConfigError("horizon must be at least dt")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
+        if not self.dt <= self.horizon < math.inf:
+            raise ConfigError("horizon must be finite and at least dt")
         if self.grid < 3:
             raise ConfigError("grid must be at least 3")
         if self.mode not in ("closed_loop", "open_loop"):
             raise ConfigError("mode must be closed_loop or open_loop")
-        if not self.target_margin < 0:
-            raise ConfigError("target_margin must be negative")
+        if not -math.inf < self.target_margin < 0:
+            raise ConfigError("target_margin must be negative and finite")
+        if not all(map(math.isfinite, self.resolved_gammas())):
+            raise ConfigError("gammas must be finite")
         if not 0 <= self.poly_degree <= 3:
             raise ConfigError("poly_degree must be between 0 and 3")
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (boundary_angles, boundary_gram, boundary_traces,
-                    count_unstable)
+from .basis import boundary_gram, count_unstable
 
 GAMMA_SEPARATION = 1e-8
 COLLISION_NUDGE = 1e-6
@@ -211,16 +210,6 @@ def scaled_gain_set(modes, gammas0, target_margin: float) -> GainSet:
 def auto_scale_gains(modes, gammas0, target_margin: float) -> tuple:
     """The shifts of scaled_gain_set."""
     return scaled_gain_set(modes, gammas0, target_margin).gammas
-
-
-def boundary_control_eval(gain_set: GainSet, U, domain, point) -> float:
-    """Boundary input value v(point) = sum_j c_j T_n(phi_j)(point) with
-    c = (sum_i M_i A) U."""
-    U = np.asarray(U, dtype=float)
-    c = control_map(gain_set) @ U
-    head = gain_set.modes[: gain_set.n_unstable]
-    traces = boundary_traces(head, domain, boundary_angles(domain, point))
-    return float(c @ traces[:, 0])
 
 
 def _matrix_strings(matrix) -> list:

@@ -6,13 +6,12 @@ import pytest
 
 from _oracles import (ball_candidates, disk_candidates, mode_table_loop,
                       oracle_bessel, oracle_zero_bisection)
-from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, DomainError,
+from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain,
                              _radial_values, angular_keys, angular_nodes,
                              angular_parities, angular_rule, boundary_gram,
-                             boundary_inner, boundary_traces, count_unstable,
-                             enumerate_modes, eval_mode, export_mode_table,
-                             interior_quadrature, mode_values, normal_trace,
-                             point_angles, project_function)
+                             boundary_traces, count_unstable, enumerate_modes,
+                             export_mode_table, interior_quadrature,
+                             mode_values, point_angles, project_function)
 from modalstab import special
 from modalstab.special import (MAX_ORDER, bessel_j, quadrature_rule,
                                real_spherical_harmonic, spherical_bessel_j)
@@ -181,24 +180,21 @@ class TestEnumeration:
 
 
 class TestEvalMode:
+    """Eigenfunction values, all through mode_values."""
+
     def test_disk_center_value(self, disk, disk_modes):
         modes, _ = disk_modes
-        assert eval_mode(modes[0], disk, (0.0, 0.0)) == \
+        assert mode_values(modes[:1], disk, [(0.0, 0.0)])[0, 0] == \
             pytest.approx(DISK_CENTER_VALUE, abs=1e-12)
 
     def test_dirichlet_boundary(self, disk, ball, disk_modes, ball_modes):
         modes, _ = disk_modes
-        for mode in modes[:8]:
-            theta = 0.8
-            pt = (2.0 * math.cos(theta), 2.0 * math.sin(theta))
-            assert abs(eval_mode(mode, disk, pt)) < 1e-12
+        theta = 0.8
+        pt = (2.0 * math.cos(theta), 2.0 * math.sin(theta))
+        assert np.max(np.abs(mode_values(modes[:8], disk, [pt]))) < 1e-12
         bmodes, _ = ball_modes
-        assert abs(eval_mode(bmodes[0], ball, (0.0, 0.0, 2.0))) < 1e-12
-
-    def test_outside_closure_rejected(self, disk, disk_modes):
-        modes, _ = disk_modes
-        with pytest.raises(DomainError):
-            eval_mode(modes[0], disk, (2.1, 0.0))
+        assert abs(mode_values(bmodes[:1], ball, [(0.0, 0.0, 2.0)])[0, 0]) \
+            < 1e-12
 
     def test_orthonormality_first_30(self, disk, ball, disk_modes, ball_modes):
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
@@ -413,30 +409,28 @@ class TestRadialLanes:
 
 
 class TestNormalTrace:
+    """Normal traces at Cartesian boundary points, all through
+    boundary_traces at their point_angles."""
+
     def test_disk_constant_trace(self, disk, disk_modes):
         modes, _ = disk_modes
-        for theta in (0.0, 1.1, 4.0):
-            pt = (2.0 * math.cos(theta), 2.0 * math.sin(theta))
-            assert normal_trace(modes[0], disk, pt) == \
-                pytest.approx(DISK_TRACE_VALUE, abs=1e-12)
+        theta = np.array([0.0, 1.1, 4.0])
+        pts = 2.0 * np.column_stack([np.cos(theta), np.sin(theta)])
+        traces = boundary_traces(modes[:1], disk, point_angles(disk, pts))
+        assert np.max(np.abs(traces - DISK_TRACE_VALUE)) < 1e-12
 
     def test_disk_cos_mode_vanishes_at_quarter_turn(self, disk, disk_modes):
         modes, _ = disk_modes
-        mode = modes[1]
-        assert mode.angular == (1, "cos")
-        assert abs(normal_trace(mode, disk, (0.0, 2.0))) < 1e-12
+        assert modes[1].angular == (1, "cos")
+        angles = point_angles(disk, [(0.0, 2.0)])
+        assert abs(boundary_traces(modes[1:2], disk, angles)[0, 0]) < 1e-12
 
     def test_ball_first_mode_trace(self, ball, ball_modes):
         modes, _ = ball_modes
-        for pt in [(0.0, 0.0, 2.0), (2.0, 0.0, 0.0),
-                   (1.2, -0.8, math.sqrt(4.0 - 1.44 - 0.64))]:
-            assert normal_trace(modes[0], ball, pt) == \
-                pytest.approx(BALL_TRACE_VALUE, abs=1e-12)
-
-    def test_off_boundary_rejected(self, disk, disk_modes):
-        modes, _ = disk_modes
-        with pytest.raises(DomainError):
-            normal_trace(modes[0], disk, (1.0, 0.0))
+        pts = [(0.0, 0.0, 2.0), (2.0, 0.0, 0.0),
+               (1.2, -0.8, math.sqrt(4.0 - 1.44 - 0.64))]
+        traces = boundary_traces(modes[:1], ball, point_angles(ball, pts))
+        assert np.max(np.abs(traces - BALL_TRACE_VALUE)) < 1e-12
 
     def test_matches_finite_difference(self, disk, ball, disk_modes,
                                        ball_modes):
@@ -447,12 +441,12 @@ class TestNormalTrace:
             direction = np.array([0.6, 0.8]) if domain.dim == 2 \
                 else np.array([0.48, 0.6, 0.64])
             direction = direction / np.linalg.norm(direction)
-            for mode in modes[:6]:
-                fd = (-4.0 * eval_mode(mode, domain, (R - h) * direction)
-                      + eval_mode(mode, domain, (R - 2 * h) * direction)) \
-                    / (2.0 * h)
-                assert abs(fd - normal_trace(mode, domain, R * direction)) \
-                    < 1e-6
+            inner = mode_values(modes[:6], domain,
+                                np.outer([R - h, R - 2 * h], direction))
+            fd = (-4.0 * inner[:, 0] + inner[:, 1]) / (2.0 * h)
+            traces = boundary_traces(
+                modes[:6], domain, point_angles(domain, [R * direction]))
+            assert np.max(np.abs(fd - traces[:, 0])) < 1e-6
 
     def test_trace_amp_closed_form(self, disk_modes, ball_modes):
         for modes, _ in (disk_modes, ball_modes):
@@ -463,27 +457,30 @@ class TestNormalTrace:
 
 
 class TestBoundaryInner:
+    """Entries of the closed-form boundary_gram."""
+
     def test_disk_diagonal(self, disk_modes):
         modes, _ = disk_modes
-        assert boundary_inner(modes[0], modes[0]) == \
+        assert boundary_gram(modes[:1], modes[:1])[0, 0] == \
             pytest.approx(DISK_GRAM_11, abs=1e-12)
 
     def test_cross_family_zero(self, disk_modes):
+        # modes 1-3 hold the distinct keys (0, cos), (1, cos), (1, sin)
         modes, _ = disk_modes
-        assert boundary_inner(modes[0], modes[1]) == 0.0
-        assert boundary_inner(modes[1], modes[2]) == 0.0
+        gram = boundary_gram(modes[:3], modes[:3])
+        assert np.all(gram[~np.eye(3, dtype=bool)] == 0.0)
 
     def test_ball_same_family_off_diagonal(self, ball_modes):
         modes, _ = ball_modes
         k2 = next(m for m in modes if m.angular == (0, 0) and m.k == 2)
-        assert boundary_inner(modes[0], k2) == \
+        assert boundary_gram(modes[:1], [k2])[0, 0] == \
             pytest.approx(BALL_GRAM_0102, abs=1e-12)
 
     def test_diagonal_closed_form(self, disk_modes, ball_modes):
         for modes, _ in (disk_modes, ball_modes):
-            for mode in modes[:30]:
-                assert boundary_inner(mode, mode) == \
-                    pytest.approx(2.0 * mode.alpha**2 / 8.0, abs=1e-10)
+            diagonal = np.diag(boundary_gram(modes[:30], modes[:30]))
+            alpha = np.array([mode.alpha for mode in modes[:30]])
+            assert np.max(np.abs(diagonal - 2.0 * alpha**2 / 8.0)) < 1e-10
 
     def _quadrature_gram(self, domain, modes):
         if domain.shape == "disk":
@@ -504,10 +501,6 @@ class TestBoundaryInner:
             pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
             w = np.outer(polar.weights, azim.weights).ravel() * 4.0
         traces = boundary_traces(modes, domain, point_angles(domain, pts))
-        # normal_trace is the one-point view of the same traces
-        for k in (0, pts.shape[0] // 3, pts.shape[0] - 1):
-            assert [normal_trace(m, domain, pts[k]) for m in modes] == \
-                traces[:, k].tolist()
         return (traces * w) @ traces.T
 
     @pytest.mark.parametrize("shape", ["disk", "ball"])

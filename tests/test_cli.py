@@ -239,6 +239,24 @@ class TestMain:
         assert main(["spectrum", "--config", str(path)]) == EXIT_BAD_INPUT
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("domain.radius", "inf"), ("domain.radius", "nan"),
+        ("lambda", "nan"), ("lambda", "inf"), ("dt", "nan"), ("dt", "inf"),
+        ("horizon", "nan"), ("horizon", "inf"), ("target_margin", "nan"),
+        ("target_margin", "-inf"), ("gammas", "6.17,7.17,nan,9.17,10.17"),
+        ("gammas", "6.17,7.17,8.17,9.17,inf")])
+    def test_non_finite_value_is_bad_input(self, tmp_path, capsys, key,
+                                           value):
+        # rejected by name before any run starts, not read as a failed
+        # claim check or a synthesis failure
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\nn_sim = 40\n")
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(path),
+                     "--output", str(out)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith(f"bad input: {key} must ")
+        assert not out.exists()
+
     def test_capacity_error_is_bad_input(self, tmp_path, capsys):
         # the disk needs Bessel orders above the supported cap past 946
         path = tmp_path / "run.cfg"

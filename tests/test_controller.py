@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modalstab.basis import EigenMode, boundary_gram, normal_trace
+from modalstab.basis import (EigenMode, boundary_gram, boundary_traces,
+                             point_angles)
 from modalstab.controller import (GainScalingError, SynthesisError,
-                                  auto_scale_gains, boundary_control_eval,
-                                  control_map, gain_set_to_json,
-                                  hurwitz_margin, nudge_gammas,
-                                  propagator_norms, synthesize,
+                                  auto_scale_gains, control_map,
+                                  gain_set_to_json, hurwitz_margin,
+                                  nudge_gammas, propagator_norms, synthesize,
                                   validate_gains)
 from modalstab.special import quadrature_rule
 
@@ -220,18 +220,19 @@ class TestAutoScale:
 
 
 class TestBoundaryControlEval:
-    def test_zero_state(self, disk, disk_gains):
-        assert boundary_control_eval(disk_gains, np.zeros(5), disk,
-                                     (2.0, 0.0)) == 0.0
+    """The boundary input v = sum_j c_j T_n(phi_j) with c = (sum_i M_i A) U,
+    formed as (control_map(gs) @ U) @ boundary_traces(head, ...)."""
 
     def test_single_mode_hand_expansion(self, disk):
         mode = make_synthetic_mode(mu=1.0, amp=1.0, angular=(0, "cos"))
         gs = synthesize((mode,), (3.0,))
         U = np.array([1.3])
-        got = boundary_control_eval(gs, U, disk, (2.0, 0.0))
+        traces = boundary_traces(gs.modes, disk,
+                                 point_angles(disk, [(2.0, 0.0)]))
+        got = (control_map(gs) @ U) @ traces
         c = (1.0 / (3.0 - 1.0)) * gs.a_gain[0, 0] * 1.3
         trace = mode.trace_amp / math.sqrt(2.0 * math.pi * 2.0)
-        assert got == pytest.approx(c * trace, rel=1e-14)
+        assert got[0] == pytest.approx(c * trace, rel=1e-14)
 
     def test_trace_projection_matches_matrix_product(self, disk, disk_gains,
                                                      disk_modes):
@@ -241,18 +242,13 @@ class TestBoundaryControlEval:
         rng = np.random.default_rng(2)
         U = rng.standard_normal(5)
         rule = quadrature_rule("periodic_trapezoid", 128, (0.0, 2.0 * math.pi))
-        pts = [(2.0 * math.cos(t), 2.0 * math.sin(t)) for t in rule.nodes]
-        v_vals = np.array([boundary_control_eval(gs, U, disk, p) for p in pts])
-        expected = gs.gram @ (control_map(gs) @ U)
-        for n in range(5):
-            traces = np.array([normal_trace(modes[n], disk, p) for p in pts])
-            quad = float(np.dot(rule.weights, v_vals * traces) * 2.0)
-            assert abs(quad - expected[n]) < 1e-9
-
-    def test_off_boundary_rejected(self, disk, disk_gains):
-        from modalstab.basis import DomainError
-        with pytest.raises(DomainError):
-            boundary_control_eval(disk_gains, np.ones(5), disk, (1.0, 0.0))
+        pts = 2.0 * np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
+        traces = boundary_traces(modes[:5], disk, point_angles(disk, pts))
+        c = control_map(gs) @ U
+        v_vals = c @ traces
+        quad = (traces * v_vals) @ rule.weights * 2.0
+        expected = gs.gram @ c
+        assert np.max(np.abs(quad - expected)) < 1e-9
 
 
 class TestExport:

@@ -15,7 +15,8 @@ import scipy.linalg
 
 from modalstab import controller, simulator
 from modalstab.basis import (Domain, angular_nodes, angular_rule,
-                             enumerate_modes, project_function)
+                             boundary_gram, enumerate_modes,
+                             project_function)
 from modalstab.controller import synthesize
 from modalstab.special import quadrature_rule
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
@@ -97,12 +98,10 @@ class TestAssemble:
             assert got.tobytes() == want.tobytes(), name
 
     def test_beta_equals_closed_form_rows(self, disk_system, disk_modes):
-        from modalstab.basis import boundary_inner
         modes, _ = disk_modes
-        for n in (0, 5, 17, 120):
-            for j in range(5):
-                assert disk_system.beta[n, j] == \
-                    boundary_inner(modes[n], modes[j])
+        rows = [0, 5, 17, 120]
+        closed = boundary_gram([modes[n] for n in rows], modes[:5])
+        assert np.array_equal(disk_system.beta[rows], closed)
 
     def test_mode_table_mismatch_rejected(self, disk, disk_modes, disk_gains):
         modes, _ = disk_modes
