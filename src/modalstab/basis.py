@@ -14,12 +14,16 @@ the quadrature projection).  Each (order, k) x radius is a lane of one
 backward recurrence that keeps only the lane's own order; the lanes go
 through it in cache-sized blocks.
 
+The table is one `ModeTable` of per-mode arrays, `modes[i]` the row's
+`EigenMode` view; every evaluator reads the arrays, and compares angular
+keys by one integer code per mode.
+
 The angular factor exists once, in `angular_values`: 1, cos(m theta) or
 sin(m theta) on the disk and `special.real_spherical_harmonics` on the
 ball, evaluated once per distinct angular key (`angular_keys`).  Grid
 values, the quadrature projection and the normal traces (`boundary_traces`)
-all go through it.  Each key's sign under the reflection of each Cartesian
-axis is read off the key itself (`angular_parities`).
+all go through it.  Each mode's sign under the reflection of each
+Cartesian axis is read off its key (`angular_parities`).
 """
 
 import csv
@@ -90,6 +94,76 @@ class EigenMode:
     trace_amp: float
 
 
+_FLOAT_FIELDS = ("alpha", "kappa", "mu", "norm_const", "trace_amp")
+_ARRAY_FIELDS = ("n", "order", "second", "k") + _FLOAT_FIELDS
+
+
+@dataclass(frozen=True, eq=False)
+class ModeTable:
+    """One read-only array per EigenMode field; the angular key is (order,
+    "cos" / "sin" for second 0 / 1) on the disk, (order, second) = (l, m)
+    on the ball.  modes[i] is row i's EigenMode view, and a slice, index
+    array or mask the sub-table of those rows, each keeping its n."""
+
+    shape: str
+    n: np.ndarray
+    order: np.ndarray
+    second: np.ndarray
+    k: np.ndarray
+    alpha: np.ndarray
+    kappa: np.ndarray
+    mu: np.ndarray
+    norm_const: np.ndarray
+    trace_amp: np.ndarray
+
+    def __post_init__(self):
+        # read-only views: the arrays the caller passed stay writable
+        for name in _ARRAY_FIELDS:
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
+    @property
+    def code(self) -> np.ndarray:
+        """One integer per angular key, equal exactly when the keys are."""
+        return self.second + self.order * (
+            2 if self.shape == "disk" else self.order + 1)
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    def __getitem__(self, index):
+        # an int past the end raises IndexError, which ends iteration
+        rows = [getattr(self, name)[index] for name in _ARRAY_FIELDS]
+        if np.ndim(rows[0]):
+            return ModeTable(self.shape, *rows)
+        n, order, second, k, *floats = (value.item() for value in rows)
+        if self.shape == "disk":
+            second = ("cos", "sin")[second]
+        return EigenMode(n, (order, second), k, *floats)
+
+    def same_as(self, other) -> bool:
+        """Whether the two tables are equal in every field."""
+        return self.shape == other.shape and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _ARRAY_FIELDS)
+
+
+def mode_table(modes) -> ModeTable:
+    """modes as a ModeTable: a table as it is, a sequence of EigenMode as
+    the table of their fields."""
+    if isinstance(modes, ModeTable):
+        return modes
+    modes = list(modes)
+    disk = not modes or isinstance(modes[0].angular[1], str)
+    ints = np.array([(m.n, m.angular[0], (m.angular[1] == "sin") if disk
+                      else m.angular[1], m.k) for m in modes], dtype=int)
+    floats = np.array([[getattr(m, name) for name in _FLOAT_FIELDS]
+                       for m in modes], dtype=float)
+    return ModeTable("disk" if disk else "ball", *ints.reshape(-1, 4).T.copy(),
+                     *floats.reshape(-1, 5).T.copy())   # contiguous rows
+
+
 @dataclass(frozen=True)
 class SpectrumSummary:
     n_unstable: int          # count of nonnegative mu
@@ -150,7 +224,7 @@ def _candidates(domain: Domain, n_sim: int):
 def enumerate_modes(domain: Domain, lam: float, n_sim: int):
     """Leading n_sim eigenpairs sorted by descending mu = lambda - kappa.
 
-    Returns (modes, SpectrumSummary).  The candidate pool always holds
+    Returns (ModeTable, SpectrumSummary).  The candidate pool always holds
     complete degenerate multiplets; the final cut keeps exactly n_sim modes
     in the deterministic tie-break order, so the trailing multiplet may be
     kept only partially.
@@ -171,28 +245,28 @@ def enumerate_modes(domain: Domain, lam: float, n_sim: int):
     if domain.shape == "disk":
         norm_const = np.where(order == 0, 1.0, math.sqrt(2.0)) \
             / (math.sqrt(math.pi) * R * j_next)
-        angular = zip(order.tolist(), np.where(slot, "sin", "cos").tolist())
     else:
         norm_const = trace_scale / j_next
-        angular = zip(order.tolist(), (slot - order).tolist())
     trace_amp = np.where(k % 2, -alpha, alpha) * trace_scale
-    modes = [EigenMode(*fields) for fields in zip(
-        range(1, n_sim + 1), angular, k.tolist(), alpha.tolist(),
-        kappa.tolist(), mu.tolist(), norm_const.tolist(), trace_amp.tolist())]
+    modes = ModeTable(domain.shape, np.arange(1, n_sim + 1), order,
+                      slot if domain.shape == "disk" else slot - order, k,
+                      alpha, kappa, mu, norm_const, trace_amp)
     return modes, SpectrumSummary(n_unstable=int(np.sum(mu >= 0.0)),
                                   n_sim=n_sim, eigenvalues=tuple(mu.tolist()))
 
 
 def count_unstable(modes) -> int:
-    return int(sum(1 for mode in modes if mode.mu >= 0.0))
+    return int(np.count_nonzero(mode_table(modes).mu >= 0.0))
 
 
 def angular_keys(modes):
-    """Distinct angular keys in first-appearance order, and each mode's row
-    among them."""
-    index = {}
-    rows = [index.setdefault(mode.angular, len(index)) for mode in modes]
-    return list(index), np.array(rows, dtype=int)
+    """Distinct angular keys in first-appearance order, as the sub-table of
+    the first mode of each, and each mode's row among them."""
+    modes = mode_table(modes)
+    _, first, rows = np.unique(modes.code, return_index=True,
+                               return_inverse=True)
+    # np.unique sorts the codes: rank each by its first appearance
+    return modes[np.sort(first)], np.argsort(np.argsort(first))[rows]
 
 
 def point_angles(domain: Domain, points):
@@ -210,45 +284,36 @@ def point_angles(domain: Domain, points):
 
 
 def angular_values(keys, domain: Domain, angles) -> np.ndarray:
-    """Angular factors of the keys at the angles; shape (len(keys),) + the
-    angles' shape.
+    """Angular factors of the angular keys of a table's rows at the angles;
+    shape (len(keys),) + the angles' shape.
 
     Disk keys (m, parity) give 1 (m = 0), cos(m theta) or sin(m theta) at
     angles theta; ball keys (l, m) give the real spherical harmonic at
     angles (cos theta, sin theta, phi), which broadcast.
     """
     if domain.shape == "ball":
-        return real_spherical_harmonics(keys, *angles)
+        return real_spherical_harmonics(
+            zip(keys.order.tolist(), keys.second.tolist()), *angles)
     theta = np.asarray(angles, dtype=float)
-    out = np.empty((len(keys),) + theta.shape)
-    for row, (m, parity) in zip(out, keys):
-        if m == 0:
-            row[...] = 1.0
-        else:
-            row[...] = np.cos(m * theta) if parity == "cos" \
-                else np.sin(m * theta)
-    return out
+    m, sin = (a.reshape((-1,) + (1,) * theta.ndim)
+              for a in (keys.order, keys.second))
+    return np.where(sin == 1, np.sin(m * theta), np.cos(m * theta))
 
 
-def angular_parities(keys, domain: Domain) -> np.ndarray:
-    """Sign each key's angular factor takes under the reflection of each
-    Cartesian axis, x first; shape (len(keys), dim), entries +1 or -1.
+def angular_parities(modes, domain: Domain) -> np.ndarray:
+    """Sign each mode's angular factor takes under the reflection of each
+    Cartesian axis, x first; shape (len(modes), dim), entries +1 or -1.
 
     Disk (m, "cos") is even in y and (-1)^m in x, (m, "sin") odd in y and
     -(-1)^m in x.  Ball (l, m) is (-1)^(l+|m|) in z, odd in y iff m < 0,
     and (-1)^|m| in x for m >= 0, -(-1)^|m| for m < 0.  On both shapes
     the x sign is (-1)^|m| times the y sign.
     """
-    out = np.empty((len(keys), domain.dim), dtype=int)
-    for row, (first, second) in zip(out, keys):
-        if domain.shape == "disk":
-            m, odd_y = first, second == "sin"
-        else:
-            m, odd_y = abs(second), second < 0
-            row[2] = (-1) ** (first + m)
-        row[1] = -1 if odd_y else 1
-        row[0] = (-1) ** m * row[1]
-    return out
+    modes, disk = mode_table(modes), domain.shape == "disk"
+    m = modes.order if disk else np.abs(modes.second)
+    y = np.where(modes.second == 1 if disk else modes.second < 0, -1, 1)
+    z = [] if disk else [(-1) ** (modes.order + m)]
+    return np.stack([(-1) ** m * y, y, *z], axis=1)
 
 
 def boundary_traces(modes, domain: Domain, angles) -> np.ndarray:
@@ -259,28 +324,25 @@ def boundary_traces(modes, domain: Domain, angles) -> np.ndarray:
     the disk factor over sqrt(2 pi R) (m = 0) or sqrt(pi R), the ball
     harmonic over R.
     """
+    modes = mode_table(modes)
     keys, rows = angular_keys(modes)
     R = domain.radius
     factors = angular_values(keys, domain, angles)
     if domain.shape == "disk":
-        for row, (m, _) in zip(factors, keys):
-            row *= 1.0 / math.sqrt(2.0 * math.pi * R) if m == 0 \
-                else 1.0 / math.sqrt(math.pi * R)
+        factors = (factors.T * np.where(keys.order == 0, 1.0 / math.sqrt(
+            2.0 * math.pi * R), 1.0 / math.sqrt(math.pi * R))).T
     else:
         factors /= R
-    amps = np.array([mode.trace_amp for mode in modes])
-    return (factors[rows].T * amps).T
+    return (factors[rows].T * modes.trace_amp).T
 
 
 def boundary_gram(row_modes, col_modes) -> np.ndarray:
     """L2(boundary) inner products of the normal traces of row_modes x
     col_modes, in closed form: trace_amp_i * trace_amp_j where the two
     angular keys are equal, 0 otherwise."""
-    amps_r = np.array([m.trace_amp for m in row_modes])
-    amps_c = np.array([m.trace_amp for m in col_modes])
-    _, codes = angular_keys((*row_modes, *col_modes))
-    codes_r, codes_c = codes[:len(row_modes)], codes[len(row_modes):]
-    return np.outer(amps_r, amps_c) * (codes_r[:, None] == codes_c[None, :])
+    rows, cols = mode_table(row_modes), mode_table(col_modes)
+    return np.outer(rows.trace_amp, cols.trace_amp) \
+        * (rows.code[:, None] == cols.code[None, :])
 
 
 def angular_rule(domain: Domain, order: int, refine: int):
@@ -313,11 +375,10 @@ def interior_quadrature(domain: Domain, modes, refine: int = 1):
     """Tensor quadrature rules sized for the given mode table: radial
     Gauss-Legendre with 8*k_max + 32 nodes, then angular_rule at the
     table's highest angular order; `refine` scales all sizes."""
-    k_max = max(mode.k for mode in modes)
-    radial = quadrature_rule("gauss_legendre", (8 * k_max + 32) * refine,
-                             (0.0, domain.radius))
-    order = max(mode.angular[0] for mode in modes)
-    return (radial, *angular_rule(domain, order, refine))
+    modes = mode_table(modes)
+    radial = quadrature_rule("gauss_legendre", (8 * int(modes.k.max()) + 32)
+                             * refine, (0.0, domain.radius))
+    return (radial, *angular_rule(domain, int(modes.order.max()), refine))
 
 
 def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
@@ -328,15 +389,15 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
     Every pair x radius is one lane of the own-order recurrence; the lanes,
     sorted by order, go through it in blocks of _LANE_BLOCK.
     """
-    R = domain.radius
+    modes, R = mode_table(modes), domain.radius
     lane_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
     r_unique, r_index = np.unique(r, return_inverse=True)
-    alpha = {(mode.angular[0], mode.k): mode.alpha for mode in modes}
-    pairs = sorted(alpha)
-    row = {pair: i for i, pair in enumerate(pairs)}
-    pair_alpha = np.array([alpha[pair] for pair in pairs])
-    pair_order = np.array([order for order, _ in pairs])
-    table = np.empty(len(pairs) * r_unique.size)
+    # the distinct (order, k) pairs, sorted, by one integer per pair
+    _, first, rows = np.unique(modes.order * (modes.k.max(initial=0) + 1)
+                               + modes.k, return_index=True,
+                               return_inverse=True)
+    pair_alpha, pair_order = modes.alpha[first], modes.order[first]
+    table = np.empty(first.size * r_unique.size)
     # lane = pair * radii + radius; a block's lanes are made only when it
     # runs, so no lane-sized array outlives its block
     for lo in range(0, table.size, _LANE_BLOCK):
@@ -344,12 +405,9 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
                          r_unique.size)
         table[lo:lo + _LANE_BLOCK] = lane_fn(pair_order[p],
                                              pair_alpha[p] * r_unique[i] / R)
-    table = table.reshape(len(pairs), r_unique.size)
-    # row by row, so that no second modes x radii array is needed
-    out = np.empty((len(modes), r.size))
-    for value, mode in zip(out, modes):
-        np.multiply(table[row[mode.angular[0], mode.k]][r_index],
-                    mode.norm_const, out=value)
+    # gathered in place, so that no second modes x radii array is needed
+    out = table.reshape(first.size, r_unique.size)[rows[:, None], r_index]
+    out *= modes.norm_const[:, None]
     return out
 
 
@@ -361,7 +419,7 @@ def mode_values(modes, domain: Domain, points: np.ndarray) -> np.ndarray:
     before the largest array is allocated; the other order raises ball
     peak RSS by about 40 MB at grid 40.
     """
-    pts = np.asarray(points, dtype=float)
+    pts, modes = np.asarray(points, dtype=float), mode_table(modes)
     keys, rows = angular_keys(modes)
     angular = angular_values(keys, domain, point_angles(domain, pts))
     values = _radial_values(modes, domain, np.linalg.norm(pts, axis=1))
@@ -403,14 +461,14 @@ def export_mode_table(modes, path) -> None:
     """Write the mode table as CSV: n, ang1, ang2, k, alpha, kappa, mu,
     norm_const, trace_amp (ang1/ang2 are m/parity on the disk, l/m on the
     ball)."""
+    modes = mode_table(modes)
+    second = modes.second.tolist() if modes.shape == "ball" \
+        else np.where(modes.second, "sin", "cos").tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "ang1", "ang2", "k", "alpha", "kappa", "mu",
                          "norm_const", "trace_amp"])
-        for mode in modes:
-            writer.writerow([mode.n, mode.angular[0], mode.angular[1], mode.k,
-                             format(mode.alpha, ".17g"),
-                             format(mode.kappa, ".17g"),
-                             format(mode.mu, ".17g"),
-                             format(mode.norm_const, ".17g"),
-                             format(mode.trace_amp, ".17g")])
+        writer.writerows(zip(
+            modes.n.tolist(), modes.order.tolist(), second, modes.k.tolist(),
+            *([format(v, ".17g") for v in getattr(modes, name).tolist()]
+              for name in _FLOAT_FIELDS)))

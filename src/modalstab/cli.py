@@ -207,13 +207,11 @@ def _resolve_gains(cfg: RunConfig, modes):
     and verify run with it.  Returns (gain_set, scaled, info), with `info`
     describing the gains a run uses; each command validates only the set
     it writes or runs."""
-    import numpy as np
     from .basis import count_unstable
     from .controller import (hurwitz_margin, nudge_gammas, scaled_gain_set,
                              synthesize)
     gammas0 = cfg.resolved_gammas()
-    mu = np.array([m.mu for m in modes[: count_unstable(modes)]])
-    nudged = nudge_gammas(gammas0, mu)
+    nudged = nudge_gammas(gammas0, modes.mu[:count_unstable(modes)])
     info = {"gammas_config": list(gammas0), "gains_source": "config",
             "auto_requested": cfg.gammas == "auto"}
     if nudged != tuple(float(g) for g in gammas0):
@@ -278,7 +276,7 @@ def _run_simulation(cfg: RunConfig):
     else:
         trajectory = open_loop(modes, u0, cfg.dt, cfg.horizon)
     moved = np.flatnonzero(np.any(trajectory.states, axis=0))
-    evaluator = GridEvaluator([modes[i] for i in moved], domain, cfg.grid)
+    evaluator = GridEvaluator(modes[moved], domain, cfg.grid)
     series = compute_norm_series(trajectory, gain_set, modes, evaluator)
     diverged = bool(trajectory.truncated
                     or series.linf[-1] > max(series.linf[0], 1e-300))

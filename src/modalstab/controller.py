@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import boundary_gram, count_unstable
+from .basis import ModeTable, boundary_gram, count_unstable, mode_table
 
 GAMMA_SEPARATION = 1e-8
 COLLISION_NUDGE = 1e-6
@@ -48,7 +48,7 @@ class GainSet:
     s_total: np.ndarray       # sum gamma_i B_i A
     a_o: np.ndarray           # diag(mu)
     cond_sum_b: float
-    modes: tuple              # full mode table the synthesis was built on
+    modes: ModeTable          # the table the synthesis was built on
 
     @property
     def n_unstable(self) -> int:
@@ -86,7 +86,7 @@ def hurwitz_margin(matrix) -> float:
 def synthesize(modes, gammas) -> GainSet:
     """Build all gain-set matrices over the leading modes of the table."""
     gammas = tuple(float(g) for g in gammas)
-    n = len(gammas)
+    modes, n = mode_table(modes), len(gammas)
     if n < 1:
         raise SynthesisError("need at least one gamma")
     n_unstable = count_unstable(modes)
@@ -97,7 +97,7 @@ def synthesize(modes, gammas) -> GainSet:
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise SynthesisError("gammas must be strictly increasing")
     head = modes[:n]
-    mu = np.array([m.mu for m in head])
+    mu = head.mu
     shifts = np.array(gammas)[:, None] - mu       # gamma_i - mu_n
     gaps = np.min(np.abs(shifts), axis=1)
     if np.any(gaps <= GAMMA_SEPARATION):
@@ -118,7 +118,7 @@ def synthesize(modes, gammas) -> GainSet:
                      axis=0)
     return GainSet(gammas=gammas, mu=mu, gram=gram, m_list=m_list,
                    b_list=b_list, a_gain=a_gain, s_total=s_total,
-                   a_o=np.diag(mu), cond_sum_b=cond, modes=tuple(modes))
+                   a_o=np.diag(mu), cond_sum_b=cond, modes=modes)
 
 
 def control_map(gain_set: GainSet) -> np.ndarray:
@@ -184,7 +184,8 @@ def scaled_gain_set(modes, gammas0, target_margin: float) -> GainSet:
     since it names the cause."""
     if not target_margin < 0:
         raise ValueError("target_margin must be negative")
-    mu = np.array([m.mu for m in modes[: len(tuple(gammas0))]])
+    modes = mode_table(modes)
+    mu = modes.mu[:len(tuple(gammas0))]
     margins = []
     first_error = None
     for p in range(11):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # boundary_gram is bound here for bench/tracing
-from .basis import (angular_keys, angular_parities, boundary_gram,
+from .basis import (angular_parities, boundary_gram, mode_table,
                     mode_values)
 from .lifting import xi_coefficients
 from .simulator import Trajectory
@@ -78,14 +78,14 @@ class GridEvaluator:
         pts = np.column_stack([g.ravel() for g in grids])
         self.points = pts[np.linalg.norm(pts, axis=1) <= R]
         # class code: bit d is set when the mode is odd in axis d
-        keys, rows = angular_keys(modes)
+        modes = mode_table(modes)
         axes = np.arange(domain.dim)
-        codes = (angular_parities(keys, domain)[rows] < 0) @ (1 << axes)
+        codes = (angular_parities(modes, domain) < 0) @ (1 << axes)
         order = np.argsort(codes, kind="stable")
         self._bounds = np.searchsorted(codes[order],
                                        np.arange(2 ** domain.dim + 1))
-        modes = [modes[i] for i in order]
-        self._columns = np.array([mode.n - 1 for mode in modes], dtype=int)
+        modes = modes[order]
+        self._columns = modes.n - 1
         self.values = mode_values(modes, domain, self.points)
         # reflection s (bit d set: axis d negated) flips the sign of class
         # c once per odd axis that it negates
@@ -156,8 +156,8 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes,
         raise ValueError("nonzero boundary data requires a gain set")
     states = np.asarray(trajectory.states)
     times = np.asarray(trajectory.times)
-    mu = np.array([m.mu for m in modes])
-    kappa = np.array([m.kappa for m in modes])
+    modes = mode_table(modes)
+    mu, kappa = modes.mu, modes.kappa
     w_h2 = 1.0 + mu * mu
     w_full = 1.0 + kappa + kappa * kappa
     h2 = np.sqrt(states**2 @ w_h2)

@@ -20,7 +20,7 @@ extended Gram (GainSet.beta) and one table of denominators.
 
 import numpy as np
 
-from .basis import boundary_gram, count_unstable
+from .basis import boundary_gram, count_unstable, mode_table
 
 RESONANCE_TOL = 1e-8
 
@@ -41,7 +41,7 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
     its leading axes.  One shift with c of shape (N,) gives (n_sim,); shifts
     of shape (G, 1) with c of shape (G, K, N) give (G, K, n_sim), entry
     [g, k] lifting c[g, k] with shift gammas[g]."""
-    c = np.asarray(c, dtype=float)
+    c, modes = np.asarray(c, dtype=float), mode_table(modes)
     return _lift(np.asarray(gammas, dtype=float), c, modes,
                  boundary_gram(modes, modes[:c.shape[-1]]))
 
@@ -49,13 +49,13 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
 def _lift(gammas, c, modes, beta) -> np.ndarray:
     """c @ beta.T over the resonance-checked denominators, beta the extended
     Gram of the table against the traces of c."""
-    n_trace = c.shape[-1]
+    n_trace, modes = c.shape[-1], mode_table(modes)
     n_unstable = count_unstable(modes)
     if n_trace > n_unstable:
         raise ValueError(
             f"boundary data has {n_trace} trace coefficients but only "
             f"{n_unstable} leading modes are available")
-    mu = np.array([m.mu for m in modes])
+    mu = modes.mu.copy()
     # gamma - mu_n on the leading modes, gamma + mu_n on the rest
     mu[n_unstable:] *= -1.0
     denom = gammas[..., None] - mu

@@ -15,10 +15,13 @@ it: the exact map by scaling and squaring (degree 18, count a power of
 two), the Runge-Kutta cross-check with P of degree 4 and count the number
 of substeps.  Each tail row t is a bordered block [[A, 0], [G[t, S], d_t]]
 (Van Loan 1978) sharing the lead block A = G[S, S], so every product in
-that power is one N x N product plus one |T| x N row update, and a
+that power is one N x N product plus one row update on the tail rows
+whose G[t, S] is nonzero (the others keep an exact zero row), and a
 trajectory fills one array in place from the map's blocks; no n_sim x
 n_sim array or product is formed.  Green's second identity also projects
 the initial state exactly, by boundary integrals (project_initial_condition).
+Every per-mode number is read off the arrays of the run's ModeTable, and
+assembly rejects a gain set built over a table that differs in any field.
 """
 
 import itertools
@@ -30,7 +33,8 @@ import numpy as np
 
 # boundary_gram and project_function are bound here for bench/tracing
 from .basis import (angular_nodes, angular_rule, boundary_gram,
-                    boundary_traces, count_unstable, project_function)
+                    boundary_traces, count_unstable, mode_table,
+                    project_function)
 from .controller import GainSet, control_map
 
 OVERFLOW_LIMIT = 1e12
@@ -186,10 +190,11 @@ def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
         for q, slope, offset in ((poly, 4, 2 * dim),
                                  (_laplacian(poly), 8, 4 * dim + 8))])
     rows = (values * weights).reshape(2, -1) * R ** (dim - 1)
-    kept = [i for i, mode in enumerate(modes) if mode.angular[0] <= degree]
-    traces = boundary_traces([modes[i] for i in kept], domain, angles)
-    b1, b2 = rows @ traces.reshape(len(kept), -1).T
-    kappa = np.array([modes[i].kappa for i in kept])
+    modes = mode_table(modes)
+    kept = np.flatnonzero(modes.order <= degree)
+    traces = boundary_traces(modes[kept], domain, angles)
+    b1, b2 = rows @ traces.reshape(kept.size, -1).T
+    kappa = modes.kappa[kept]
     coeffs = np.zeros(len(modes))
     coeffs[kept] = (b1 - b2 / kappa) / kappa**2
     return coeffs
@@ -202,12 +207,11 @@ def _check_gram_block(modes, domain, beta) -> float:
     angular order; returns the max relative deviation.  Every other entry
     is a zero between distinct keys."""
     n = beta.shape[1]
-    heads = {mode.angular for mode in modes[:n]}
-    rows = np.flatnonzero(np.array([mode.angular in heads for mode in modes])
+    rows = np.flatnonzero(np.isin(modes.code, modes.code[:n])
                           | beta.any(axis=1))
-    order = max(modes[i].angular[0] for i in rows)
+    order = int(modes.order[rows].max())
     angles, weights = angular_nodes(angular_rule(domain, order, 1))
-    traces = boundary_traces([modes[i] for i in rows], domain,
+    traces = boundary_traces(modes[rows], domain,
                              angles).reshape(rows.size, -1)
     # head rows lead; the surface measure is R^(dim-1) times the angular one
     quads = (traces * weights.ravel()) @ traces[:n].T \
@@ -232,13 +236,12 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     angular key or with a nonzero entry is cross-checked against surface
     quadrature; a disagreement beyond 1e-9 relative raises
     ConsistencyError, naming the first failing entry, and the max
-    deviation is kept.  The open loop (v = 0) needs no assembly.
+    deviation is kept; so does a gain set built over a table that differs
+    from modes in any field.  The open loop (v = 0) needs no assembly.
     """
-    mu = np.array([m.mu for m in modes])
-    n_sim = len(modes)
-    n = gain_set.n_unstable
-    if len(gain_set.modes) != n_sim or any(
-            gm != tm for gm, tm in zip(gain_set.modes[:n], modes[:n])):
+    modes = mode_table(modes)
+    mu, n_sim, n = modes.mu, len(modes), gain_set.n_unstable
+    if not modes.same_as(mode_table(gain_set.modes)):
         raise ConsistencyError("gain set was synthesized over a different "
                                "mode table")
     beta = gain_set.beta
@@ -295,11 +298,13 @@ class CoupledSplit:
         block E of the power; row t of T takes the lower-left row F_t and
         corner e_t of the same power of [[A, 0], [G[t, S], d_t]] dt (Van
         Loan 1978), u_t <- e_t u_t + F_t u[S].  All blocks are powered at
-        once (_bordered_product), and a tail rate resonant with eig(A)
-        needs no special handling.
+        once, and a tail rate resonant with eig(A) needs no special
+        handling.  F_t stays 0 through every product where G[t, S] is 0,
+        so F is powered on the other, coupled rows only.
         """
         S, T, s = self.S, self.T, self.S.size
-        x = ((self.K[S] + np.diag(self.d[S])) * dt, self.K[T] * dt,
+        coupled = np.flatnonzero(self.K[T].any(axis=1))
+        x = ((self.K[S] + np.diag(self.d[S])) * dt, self.K[T[coupled]] * dt,
              self.d[T] * dt)
         if count is None:
             lead, rows, corner = (np.abs(b) for b in x)
@@ -307,35 +312,33 @@ class CoupledSplit:
                               initial=0.0), np.max(corner, initial=0.0))
             count = 2 ** max(0, int(np.ceil(np.log2(norm)))) if norm else 1
         x = tuple(b / count for b in x)
+
+        # [[E1, 0], [f1, e1]] [[E2, 0], [f2, e2]] on the coupled rows, and
+        # (I + x)(I + y) - I = x + y + xy
+        def bordered(x, y):
+            (E1, f1, e1), (E2, f2, e2) = x, y
+            return E1 @ E2, f1 @ E2 + e1[coupled, None] * f2, e1 * e2
+
+        def offset(x, y):
+            return tuple(a + b + c for a, b, c in zip(x, y, bordered(x, y)))
         # every block is held as its offset w from the identity, so that
         # the powering does not round I + w (about count ulps otherwise);
         # Horner: I + w <- I + (x / j)(I + w)
         w = tuple(b / degree for b in x)
         for j in range(degree - 1, 0, -1):
             xj = tuple(b / j for b in x)
-            w = tuple(a + b for a, b in zip(xj, _bordered_product(xj, w)))
+            w = tuple(a + b for a, b in zip(xj, bordered(xj, w)))
         power = None
         while True:
             count, bit = divmod(count, 2)
             if bit:
-                power = w if power is None else _offset_product(power, w)
+                power = w if power is None else offset(power, w)
             if not count:
                 break
-            w = _offset_product(w, w)
-        return np.eye(s) + power[0], power[1], 1.0 + power[2]
-
-
-def _bordered_product(x, y):
-    """Product of two stacks of bordered blocks [[E, 0], [f_t, e_t]] that
-    share E across the rows t: [[E1 E2, 0], [f1 E2 + e1 f2, e1 e2]]."""
-    (E1, f1, e1), (E2, f2, e2) = x, y
-    return E1 @ E2, f1 @ E2 + e1[:, None] * f2, e1 * e2
-
-
-def _offset_product(x, y):
-    """(I + x)(I + y) - I = x + y + xy for bordered blocks held as their
-    offsets from the identity."""
-    return tuple(a + b + c for a, b, c in zip(x, y, _bordered_product(x, y)))
+            w = offset(w, w)
+        F = np.zeros((T.size, s))
+        F[coupled] = power[1]
+        return np.eye(s) + power[0], F, 1.0 + power[2]
 
 
 def coupled_split(generator) -> CoupledSplit:
@@ -415,8 +418,8 @@ def open_loop(modes, u0_coeffs, dt: float, horizon: float) -> Trajectory:
     """Exact uncontrolled evolution u_n(t) = u_n(0) exp(mu_n t)."""
     if dt <= 0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
-    mu = np.array([m.mu for m in modes])
-    n = count_unstable(modes)
+    modes = mode_table(modes)
+    mu, n = modes.mu, count_unstable(modes)
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt
     u0 = np.asarray(u0_coeffs, dtype=float)

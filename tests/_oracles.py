@@ -13,7 +13,9 @@ finder, since they pin the order, not the zeros.  mode_table_loop is the
 per-mode constant loop that enumerate_modes replaced, and step_loop the
 per-step loop over a step map's blocks that integrate replaced; both pin
 the arithmetic bit for bit, so they share the package's Bessel lanes and
-step maps.
+step maps.  step_map_all_rows powers F on every tail row, zero rows of
+G[T, S] included, which CoupledSplit.step_map skips; the two must agree
+bit for bit.
 """
 
 import math
@@ -146,6 +148,41 @@ def step_loop(split, blocks, u0, n_steps, limit=1e12):
                 return np.array(states), True
             states.append(nxt)
     return np.array(states), False
+
+
+def step_map_all_rows(split, dt, degree=18, count=None):
+    """The blocks (E, F, decay) of split's one-step map P(G dt /
+    count)^count, the lower-left block F powered on every row of T,
+    whether or not its row of G[T, S] is zero."""
+    def bordered(x, y):
+        (E1, f1, e1), (E2, f2, e2) = x, y
+        return E1 @ E2, f1 @ E2 + e1[:, None] * f2, e1 * e2
+
+    def offset(x, y):
+        return tuple(a + b + c for a, b, c in zip(x, y, bordered(x, y)))
+
+    S, T = split.S, split.T
+    x = ((split.K[S] + np.diag(split.d[S])) * dt, split.K[T] * dt,
+         split.d[T] * dt)
+    if count is None:
+        lead, rows, corner = (np.abs(b) for b in x)
+        norm = max(np.max(lead.sum(axis=0) + rows.max(axis=0, initial=0.0),
+                          initial=0.0), np.max(corner, initial=0.0))
+        count = 2 ** max(0, int(np.ceil(np.log2(norm)))) if norm else 1
+    x = tuple(b / count for b in x)
+    w = tuple(b / degree for b in x)
+    for j in range(degree - 1, 0, -1):
+        xj = tuple(b / j for b in x)
+        w = tuple(a + b for a, b in zip(xj, bordered(xj, w)))
+    power = None
+    while True:
+        count, bit = divmod(count, 2)
+        if bit:
+            power = w if power is None else offset(power, w)
+        if not count:
+            break
+        w = offset(w, w)
+    return np.eye(S.size) + power[0], power[1], 1.0 + power[2]
 
 
 def quadrature_boundary_gram(domain, modes):

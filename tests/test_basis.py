@@ -1,12 +1,11 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from _oracles import (ball_candidates, disk_candidates, mode_table_loop,
                       oracle_bessel, oracle_zero_bisection)
-from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain,
+from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, EigenMode,
                              _radial_values, angular_keys, angular_nodes,
                              angular_parities, angular_rule, boundary_gram,
                              boundary_traces, count_unstable, enumerate_modes,
@@ -166,7 +165,7 @@ class TestEnumeration:
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
             for n, key in TABLE_PINS[domain.shape].items():
                 assert (modes[n - 1].angular, modes[n - 1].k) == key
-            for mode in modes[::37] + _table_extremes(modes):
+            for mode in list(modes[::37]) + _table_extremes(modes):
                 z = oracle_zero_bisection(mode.angular[0], mode.k,
                                           spherical=(domain.shape == "ball"))
                 assert abs(mode.alpha - z) <= 1e-13 * z
@@ -341,11 +340,11 @@ class TestAngularParities:
             first = {}
             for mode in modes:
                 first.setdefault(mode.angular, mode)
-            sample = [first[key] for key in keys]
+            sample = [first[key.angular] for key in keys]
             pts = _PARITY_POINTS[domain.shape]
             phi = mode_values(sample, domain, pts)
             scale = np.max(np.abs(phi), axis=1, keepdims=True)
-            signs = angular_parities(keys, domain)
+            signs = angular_parities(sample, domain)
             for axis in range(domain.dim):
                 mirrored = pts.copy()
                 mirrored[:, axis] *= -1.0
@@ -521,7 +520,9 @@ class TestBoundaryInner:
             top = max(mode.angular[0] for mode in modes)
             assert top == 25
             keys = [(l, m) for l in range(top + 1) for m in range(-l, l + 1)]
-        units = [SimpleNamespace(angular=key, trace_amp=1.0) for key in keys]
+        units = [EigenMode(n=i + 1, angular=key, k=1, alpha=0.0, kappa=0.0,
+                           mu=0.0, norm_const=0.0, trace_amp=1.0)
+                 for i, key in enumerate(keys)]
         orders = np.array([key[0] for key in keys])
         surface = domain.radius ** (domain.dim - 1)
         for order in range(top + 1):

@@ -7,14 +7,13 @@ import struct
 import sys
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from modalstab import controller, simulator
-from modalstab.basis import (Domain, angular_nodes, angular_rule,
+from modalstab.basis import (Domain, EigenMode, angular_nodes, angular_rule,
                              boundary_gram, enumerate_modes,
                              project_function)
 from modalstab.controller import synthesize
@@ -107,6 +106,19 @@ class TestAssemble:
         modes, _ = disk_modes
         with pytest.raises(ConsistencyError):
             assemble_closed_loop(modes[:200], disk_gains, disk)
+
+    @pytest.mark.parametrize("field", ["mu", "trace_amp"])
+    def test_tail_mismatch_rejected(self, disk, field):
+        # a gain set synthesized over a table that differs from the run's
+        # only past the leading modes, here in mode 21, is rejected as well
+        modes, _ = enumerate_modes(disk, LAMBDA, 40)
+        values = getattr(modes, field).copy()
+        values[20] -= 1.0
+        other = dataclasses.replace(modes, **{field: values})
+        gains = synthesize(other, (6.17, 7.17, 8.17, 9.17, 10.17))
+        with pytest.raises(ConsistencyError, match="different mode table"):
+            assemble_closed_loop(modes, gains, disk)
+        assert assemble_closed_loop(other, gains, disk).mu[20] == other.mu[20]
 
     @pytest.mark.parametrize("shape, entry", [("disk", "(0,0)"),
                                               ("ball", "(0,0)")])
@@ -489,7 +501,9 @@ class TestOpenLoop:
         ((2000.0, -1.0), (0.0, 1.0), 1),
     ])
     def test_truncates_at_first_bad_row(self, mu, u0, kept):
-        modes = [SimpleNamespace(mu=m) for m in mu]
+        modes = [EigenMode(n=i + 1, angular=(0, "cos"), k=i + 1, alpha=0.0,
+                           kappa=0.0, mu=m, norm_const=0.0, trace_amp=0.0)
+                 for i, m in enumerate(mu)]
         with np.errstate(all="raise"):
             traj = open_loop(modes, u0, 0.5, 10.0)
         assert traj.truncated
