@@ -149,21 +149,6 @@ class ModeTable:
             for name in _ARRAY_FIELDS)
 
 
-def mode_table(modes) -> ModeTable:
-    """modes as a ModeTable: a table as it is, a sequence of EigenMode as
-    the table of their fields."""
-    if isinstance(modes, ModeTable):
-        return modes
-    modes = list(modes)
-    disk = not modes or isinstance(modes[0].angular[1], str)
-    ints = np.array([(m.n, m.angular[0], (m.angular[1] == "sin") if disk
-                      else m.angular[1], m.k) for m in modes], dtype=int)
-    floats = np.array([[getattr(m, name) for name in _FLOAT_FIELDS]
-                       for m in modes], dtype=float)
-    return ModeTable("disk" if disk else "ball", *ints.reshape(-1, 4).T.copy(),
-                     *floats.reshape(-1, 5).T.copy())   # contiguous rows
-
-
 @dataclass(frozen=True)
 class SpectrumSummary:
     n_unstable: int          # count of nonnegative mu
@@ -251,18 +236,17 @@ def enumerate_modes(domain: Domain, lam: float, n_sim: int):
     modes = ModeTable(domain.shape, np.arange(1, n_sim + 1), order,
                       slot if domain.shape == "disk" else slot - order, k,
                       alpha, kappa, mu, norm_const, trace_amp)
-    return modes, SpectrumSummary(n_unstable=int(np.sum(mu >= 0.0)),
+    return modes, SpectrumSummary(n_unstable=count_unstable(modes),
                                   n_sim=n_sim, eigenvalues=tuple(mu.tolist()))
 
 
 def count_unstable(modes) -> int:
-    return int(np.count_nonzero(mode_table(modes).mu >= 0.0))
+    return int(np.count_nonzero(modes.mu >= 0.0))
 
 
 def angular_keys(modes):
     """Distinct angular keys in first-appearance order, as the sub-table of
     the first mode of each, and each mode's row among them."""
-    modes = mode_table(modes)
     _, first, rows = np.unique(modes.code, return_index=True,
                                return_inverse=True)
     # np.unique sorts the codes: rank each by its first appearance
@@ -309,7 +293,7 @@ def angular_parities(modes, domain: Domain) -> np.ndarray:
     and (-1)^|m| in x for m >= 0, -(-1)^|m| for m < 0.  On both shapes
     the x sign is (-1)^|m| times the y sign.
     """
-    modes, disk = mode_table(modes), domain.shape == "disk"
+    disk = domain.shape == "disk"
     m = modes.order if disk else np.abs(modes.second)
     y = np.where(modes.second == 1 if disk else modes.second < 0, -1, 1)
     z = [] if disk else [(-1) ** (modes.order + m)]
@@ -324,7 +308,6 @@ def boundary_traces(modes, domain: Domain, angles) -> np.ndarray:
     the disk factor over sqrt(2 pi R) (m = 0) or sqrt(pi R), the ball
     harmonic over R.
     """
-    modes = mode_table(modes)
     keys, rows = angular_keys(modes)
     R = domain.radius
     factors = angular_values(keys, domain, angles)
@@ -340,9 +323,8 @@ def boundary_gram(row_modes, col_modes) -> np.ndarray:
     """L2(boundary) inner products of the normal traces of row_modes x
     col_modes, in closed form: trace_amp_i * trace_amp_j where the two
     angular keys are equal, 0 otherwise."""
-    rows, cols = mode_table(row_modes), mode_table(col_modes)
-    return np.outer(rows.trace_amp, cols.trace_amp) \
-        * (rows.code[:, None] == cols.code[None, :])
+    return np.outer(row_modes.trace_amp, col_modes.trace_amp) \
+        * (row_modes.code[:, None] == col_modes.code[None, :])
 
 
 def angular_rule(domain: Domain, order: int, refine: int):
@@ -375,7 +357,6 @@ def interior_quadrature(domain: Domain, modes, refine: int = 1):
     """Tensor quadrature rules sized for the given mode table: radial
     Gauss-Legendre with 8*k_max + 32 nodes, then angular_rule at the
     table's highest angular order; `refine` scales all sizes."""
-    modes = mode_table(modes)
     radial = quadrature_rule("gauss_legendre", (8 * int(modes.k.max()) + 32)
                              * refine, (0.0, domain.radius))
     return (radial, *angular_rule(domain, int(modes.order.max()), refine))
@@ -389,7 +370,7 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
     Every pair x radius is one lane of the own-order recurrence; the lanes,
     sorted by order, go through it in blocks of _LANE_BLOCK.
     """
-    modes, R = mode_table(modes), domain.radius
+    R = domain.radius
     lane_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
     r_unique, r_index = np.unique(r, return_inverse=True)
     # the distinct (order, k) pairs, sorted, by one integer per pair
@@ -419,7 +400,7 @@ def mode_values(modes, domain: Domain, points: np.ndarray) -> np.ndarray:
     before the largest array is allocated; the other order raises ball
     peak RSS by about 40 MB at grid 40.
     """
-    pts, modes = np.asarray(points, dtype=float), mode_table(modes)
+    pts = np.asarray(points, dtype=float)
     keys, rows = angular_keys(modes)
     angular = angular_values(keys, domain, point_angles(domain, pts))
     values = _radial_values(modes, domain, np.linalg.norm(pts, axis=1))
@@ -461,7 +442,6 @@ def export_mode_table(modes, path) -> None:
     """Write the mode table as CSV: n, ang1, ang2, k, alpha, kappa, mu,
     norm_const, trace_amp (ang1/ang2 are m/parity on the disk, l/m on the
     ball)."""
-    modes = mode_table(modes)
     second = modes.second.tolist() if modes.shape == "ball" \
         else np.where(modes.second, "sin", "cos").tolist()
     with open(path, "w", newline="") as fh:

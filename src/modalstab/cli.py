@@ -4,7 +4,8 @@ Commands: spectrum | synthesize | simulate | verify, each reading a flat
 key-value config file (dotted keys, one `key = value` per line, `#`
 comments).  All artifacts are CSV / JSON / binary snapshots; runs are
 deterministic for a fixed seed.  Exit codes: 0 ok, 1 verification failed,
-2 bad input, 3 gains not validated, 4 synthesis failure.
+2 bad input, 3 gains not validated, 4 synthesis failure (also a shift
+resonant with a tail mode, whose lift is singular).
 
 The environment variable MODALSTAB_THREADS caps BLAS parallelism; the
 package applies it on import, before the numeric modules load.
@@ -388,6 +389,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     from .basis import CapacityError
     from .controller import GainScalingError, SynthesisError
+    from .lifting import ResonanceError
     command = {"spectrum": cmd_spectrum, "synthesize": cmd_synthesize,
                "simulate": cmd_simulate, "verify": cmd_verify}[args.command]
     try:
@@ -395,7 +397,7 @@ def main(argv=None) -> int:
     except (ConfigError, CapacityError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (SynthesisError, GainScalingError) as exc:
+    except (SynthesisError, GainScalingError, ResonanceError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS_FAILURE
 

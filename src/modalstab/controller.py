@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModeTable, boundary_gram, count_unstable, mode_table
+from .basis import ModeTable, boundary_gram, count_unstable
 
 GAMMA_SEPARATION = 1e-8
 COLLISION_NUDGE = 1e-6
@@ -86,7 +86,7 @@ def hurwitz_margin(matrix) -> float:
 def synthesize(modes, gammas) -> GainSet:
     """Build all gain-set matrices over the leading modes of the table."""
     gammas = tuple(float(g) for g in gammas)
-    modes, n = mode_table(modes), len(gammas)
+    n = len(gammas)
     if n < 1:
         raise SynthesisError("need at least one gamma")
     n_unstable = count_unstable(modes)
@@ -184,7 +184,6 @@ def scaled_gain_set(modes, gammas0, target_margin: float) -> GainSet:
     since it names the cause."""
     if not target_margin < 0:
         raise ValueError("target_margin must be negative")
-    modes = mode_table(modes)
     mu = modes.mu[:len(tuple(gammas0))]
     margins = []
     first_error = None

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # boundary_gram is bound here for bench/tracing
-from .basis import (angular_parities, boundary_gram, mode_table,
-                    mode_values)
+from .basis import angular_parities, boundary_gram, mode_values
 from .lifting import xi_coefficients
 from .simulator import Trajectory
 
@@ -78,7 +77,6 @@ class GridEvaluator:
         pts = np.column_stack([g.ravel() for g in grids])
         self.points = pts[np.linalg.norm(pts, axis=1) <= R]
         # class code: bit d is set when the mode is odd in axis d
-        modes = mode_table(modes)
         axes = np.arange(domain.dim)
         codes = (angular_parities(modes, domain) < 0) @ (1 << axes)
         order = np.argsort(codes, kind="stable")
@@ -156,7 +154,6 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes,
         raise ValueError("nonzero boundary data requires a gain set")
     states = np.asarray(trajectory.states)
     times = np.asarray(trajectory.times)
-    modes = mode_table(modes)
     mu, kappa = modes.mu, modes.kappa
     w_h2 = 1.0 + mu * mu
     w_full = 1.0 + kappa + kappa * kappa

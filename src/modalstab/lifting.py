@@ -20,7 +20,7 @@ extended Gram (GainSet.beta) and one table of denominators.
 
 import numpy as np
 
-from .basis import boundary_gram, count_unstable, mode_table
+from .basis import boundary_gram, count_unstable
 
 RESONANCE_TOL = 1e-8
 
@@ -41,7 +41,7 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
     its leading axes.  One shift with c of shape (N,) gives (n_sim,); shifts
     of shape (G, 1) with c of shape (G, K, N) give (G, K, n_sim), entry
     [g, k] lifting c[g, k] with shift gammas[g]."""
-    c, modes = np.asarray(c, dtype=float), mode_table(modes)
+    c = np.asarray(c, dtype=float)
     return _lift(np.asarray(gammas, dtype=float), c, modes,
                  boundary_gram(modes, modes[:c.shape[-1]]))
 
@@ -49,8 +49,7 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
 def _lift(gammas, c, modes, beta) -> np.ndarray:
     """c @ beta.T over the resonance-checked denominators, beta the extended
     Gram of the table against the traces of c."""
-    n_trace, modes = c.shape[-1], mode_table(modes)
-    n_unstable = count_unstable(modes)
+    n_trace, n_unstable = c.shape[-1], count_unstable(modes)
     if n_trace > n_unstable:
         raise ValueError(
             f"boundary data has {n_trace} trace coefficients but only "
@@ -64,7 +63,7 @@ def _lift(gammas, c, modes, beta) -> np.ndarray:
         *shift, j = hits[0]
         raise ResonanceError(
             f"gamma={float(gammas[tuple(shift)])} resonates with mode "
-            f"n={j + 1} (mu={modes[j].mu})")
+            f"n={j + 1} (mu={modes.mu[j]})")
     d = c @ beta.T
     d /= denom
     return d

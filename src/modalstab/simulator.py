@@ -33,8 +33,7 @@ import numpy as np
 
 # boundary_gram and project_function are bound here for bench/tracing
 from .basis import (angular_nodes, angular_rule, boundary_gram,
-                    boundary_traces, count_unstable, mode_table,
-                    project_function)
+                    boundary_traces, count_unstable, project_function)
 from .controller import GainSet, control_map
 
 OVERFLOW_LIMIT = 1e12
@@ -190,7 +189,6 @@ def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
         for q, slope, offset in ((poly, 4, 2 * dim),
                                  (_laplacian(poly), 8, 4 * dim + 8))])
     rows = (values * weights).reshape(2, -1) * R ** (dim - 1)
-    modes = mode_table(modes)
     kept = np.flatnonzero(modes.order <= degree)
     traces = boundary_traces(modes[kept], domain, angles)
     b1, b2 = rows @ traces.reshape(kept.size, -1).T
@@ -239,9 +237,8 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     deviation is kept; so does a gain set built over a table that differs
     from modes in any field.  The open loop (v = 0) needs no assembly.
     """
-    modes = mode_table(modes)
     mu, n_sim, n = modes.mu, len(modes), gain_set.n_unstable
-    if not modes.same_as(mode_table(gain_set.modes)):
+    if not modes.same_as(gain_set.modes):
         raise ConsistencyError("gain set was synthesized over a different "
                                "mode table")
     beta = gain_set.beta
@@ -418,7 +415,6 @@ def open_loop(modes, u0_coeffs, dt: float, horizon: float) -> Trajectory:
     """Exact uncontrolled evolution u_n(t) = u_n(0) exp(mu_n t)."""
     if dt <= 0 or horizon < dt:
         raise ValueError("need dt > 0 and horizon >= dt")
-    modes = mode_table(modes)
     mu, n = modes.mu, count_unstable(modes)
     n_steps = int(round(horizon / dt))
     times = np.arange(n_steps + 1) * dt

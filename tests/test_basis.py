@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import (ball_candidates, disk_candidates, mode_table_loop,
                       oracle_bessel, oracle_zero_bisection)
-from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, EigenMode,
+from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, ModeTable,
                              _radial_values, angular_keys, angular_nodes,
                              angular_parities, angular_rule, boundary_gram,
                              boundary_traces, count_unstable, enumerate_modes,
@@ -52,9 +52,12 @@ def _bits(modes):
 
 
 def _table_extremes(modes):
-    """The highest-order mode, the highest-k mode and the last mode."""
-    return [max(modes, key=lambda m: (m.angular[0], m.k)),
-            max(modes, key=lambda m: (m.k, m.angular[0])), modes[-1]]
+    """Rows of the highest-order mode, the highest-k mode and the last
+    mode."""
+    rows = range(len(modes))
+    return [max(rows, key=lambda i: (modes.order[i], modes.k[i])),
+            max(rows, key=lambda i: (modes.k[i], modes.order[i])),
+            len(modes) - 1]
 
 
 class TestEnumeration:
@@ -165,7 +168,8 @@ class TestEnumeration:
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
             for n, key in TABLE_PINS[domain.shape].items():
                 assert (modes[n - 1].angular, modes[n - 1].k) == key
-            for mode in list(modes[::37]) + _table_extremes(modes):
+            for mode in modes[np.r_[0:len(modes):37,
+                                    _table_extremes(modes)]]:
                 z = oracle_zero_bisection(mode.angular[0], mode.k,
                                           spherical=(domain.shape == "ball"))
                 assert abs(mode.alpha - z) <= 1e-13 * z
@@ -226,7 +230,7 @@ class TestEvalMode:
         # quadrature norm of each mode is 1, so (lambda - kappa) <phi,phi>
         # must reproduce mu to high relative accuracy
         modes, _ = disk_modes
-        head = list(modes[:30]) + [modes[150], modes[299]]
+        head = modes[np.r_[0:30, 150, 299]]
         radial, azim = interior_quadrature(disk, modes)
         rr, tt = np.meshgrid(radial.nodes, azim.nodes, indexing="ij")
         pts = np.column_stack([(rr * np.cos(tt)).ravel(),
@@ -255,7 +259,7 @@ def _probe_points(domain):
 def _mode_sample(modes):
     """Modes sharing (order, k) pairs (cos/sin pairs, ball multiplets) and
     the table's extremes."""
-    return list(modes[:12]) + _table_extremes(modes)
+    return modes[np.r_[0:12, _table_extremes(modes)]]
 
 
 def _per_mode_field(mode, domain, r, angles):
@@ -339,8 +343,8 @@ class TestAngularParities:
             keys, _ = angular_keys(modes)
             first = {}
             for mode in modes:
-                first.setdefault(mode.angular, mode)
-            sample = [first[key.angular] for key in keys]
+                first.setdefault(mode.angular, mode.n - 1)
+            sample = modes[[first[key.angular] for key in keys]]
             pts = _PARITY_POINTS[domain.shape]
             phi = mode_values(sample, domain, pts)
             scale = np.max(np.abs(phi), axis=1, keepdims=True)
@@ -471,8 +475,8 @@ class TestBoundaryInner:
 
     def test_ball_same_family_off_diagonal(self, ball_modes):
         modes, _ = ball_modes
-        k2 = next(m for m in modes if m.angular == (0, 0) and m.k == 2)
-        assert boundary_gram(modes[:1], [k2])[0, 0] == \
+        k2 = next(m.n - 1 for m in modes if m.angular == (0, 0) and m.k == 2)
+        assert boundary_gram(modes[:1], modes[[k2]])[0, 0] == \
             pytest.approx(BALL_GRAM_0102, abs=1e-12)
 
     def test_diagonal_closed_form(self, disk_modes, ball_modes):
@@ -520,10 +524,13 @@ class TestBoundaryInner:
             top = max(mode.angular[0] for mode in modes)
             assert top == 25
             keys = [(l, m) for l in range(top + 1) for m in range(-l, l + 1)]
-        units = [EigenMode(n=i + 1, angular=key, k=1, alpha=0.0, kappa=0.0,
-                           mu=0.0, norm_const=0.0, trace_amp=1.0)
-                 for i, key in enumerate(keys)]
         orders = np.array([key[0] for key in keys])
+        seconds = np.array([key[1] == "sin" if shape == "disk" else key[1]
+                            for key in keys], dtype=int)
+        zeros = np.zeros(len(keys))
+        units = ModeTable(shape, np.arange(1, len(keys) + 1), orders,
+                          seconds, np.ones(len(keys), dtype=int), zeros,
+                          zeros, zeros, zeros, np.ones(len(keys)))
         surface = domain.radius ** (domain.dim - 1)
         for order in range(top + 1):
             angles, weights = angular_nodes(angular_rule(domain, order, 1))
@@ -547,9 +554,9 @@ class TestProjectFunction:
     def test_projects_own_mode_to_unit_vector(self, disk, disk_modes):
         modes, _ = disk_modes
         head = modes[:40]
-        target = head[3]
+        target = head[3:4]
         f = lambda x, y: mode_values(
-            [target], disk, np.column_stack([x.ravel(), y.ravel()]))[0] \
+            target, disk, np.column_stack([x.ravel(), y.ravel()]))[0] \
             .reshape(x.shape)
         coeffs = project_function(f, head, disk)
         expected = np.zeros(40)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modalstab.basis import (EigenMode, boundary_gram, boundary_traces,
+from modalstab.basis import (ModeTable, boundary_gram, boundary_traces,
                              point_angles)
 from modalstab.controller import (GainScalingError, SynthesisError,
                                   auto_scale_gains, control_map,
@@ -20,10 +20,12 @@ GAMMAS_BALL = (5.147, 6.147, 7.147, 8.147)
 DISK_GRAM_11 = 1.4457964907366961
 
 
-def make_synthetic_mode(mu, amp, angular, k=1):
+def make_synthetic_mode(mu, amp):
+    """A one-row disk table: key (0, "cos"), k = 1, the given mu and
+    trace amplitude."""
     kappa = max(1.0 - mu, 0.5)
-    return EigenMode(n=1, angular=angular, k=k, alpha=math.sqrt(kappa),
-                     kappa=kappa, mu=mu, norm_const=1.0, trace_amp=amp)
+    return ModeTable("disk", *(np.array([v]) for v in (
+        1, 0, 0, 1, math.sqrt(kappa), kappa, mu, 1.0, amp)))
 
 
 class TestBuildGram:
@@ -92,8 +94,8 @@ class TestSynthesize:
         assert np.max(np.abs((gs.a_o - acc) - (-gs.s_total))) < 1e-10
 
     def test_single_mode_closed_forms(self):
-        mode = make_synthetic_mode(mu=1.0, amp=1.0, angular=(0, "cos"))
-        gs = synthesize((mode,), (3.0,))
+        mode = make_synthetic_mode(mu=1.0, amp=1.0)
+        gs = synthesize(mode, (3.0,))
         g, mu1, b = 3.0, 1.0, 1.0
         assert gs.a_gain[0, 0] == pytest.approx((g - mu1) ** 2 / b, rel=1e-14)
         assert gs.s_total[0, 0] == pytest.approx(g, rel=1e-14)
@@ -136,8 +138,8 @@ class TestHurwitzMargin:
 
 class TestValidateGains:
     def test_stable_synthetic_pair(self):
-        mode = make_synthetic_mode(mu=1.0, amp=1.0, angular=(0, "cos"))
-        gs = synthesize((mode,), (3.0,))
+        mode = make_synthetic_mode(mu=1.0, amp=1.0)
+        gs = synthesize(mode, (3.0,))
         report = validate_gains(gs)
         assert report.hurwitz_s and report.hurwitz_direct
         assert report.margin_direct == pytest.approx(-1.0, rel=1e-12)
@@ -181,16 +183,16 @@ class TestValidateGains:
 
 class TestAutoScale:
     def test_already_valid_is_unchanged(self):
-        mode = make_synthetic_mode(mu=1.0, amp=1.0, angular=(0, "cos"))
-        assert auto_scale_gains((mode,), (3.0,), -0.5) == (3.0,)
+        mode = make_synthetic_mode(mu=1.0, amp=1.0)
+        assert auto_scale_gains(mode, (3.0,), -0.5) == (3.0,)
 
     def test_single_mode_doubling(self):
         # a_direct = 2 mu - gamma, so gamma0=1.5 needs one doubling to reach
         # margin -1
-        mode = make_synthetic_mode(mu=1.0, amp=1.0, angular=(0, "cos"))
-        gammas = auto_scale_gains((mode,), (1.5,), -0.5)
+        mode = make_synthetic_mode(mu=1.0, amp=1.0)
+        gammas = auto_scale_gains(mode, (1.5,), -0.5)
         assert gammas == (3.0,)
-        gs = synthesize((mode,), gammas)
+        gs = synthesize(mode, gammas)
         assert hurwitz_margin(gs.a_direct) == pytest.approx(-1.0, rel=1e-12)
 
     def test_disk_benchmark_scales_once(self, disk_modes):
@@ -224,14 +226,14 @@ class TestBoundaryControlEval:
     formed as (control_map(gs) @ U) @ boundary_traces(head, ...)."""
 
     def test_single_mode_hand_expansion(self, disk):
-        mode = make_synthetic_mode(mu=1.0, amp=1.0, angular=(0, "cos"))
-        gs = synthesize((mode,), (3.0,))
+        mode = make_synthetic_mode(mu=1.0, amp=1.0)
+        gs = synthesize(mode, (3.0,))
         U = np.array([1.3])
         traces = boundary_traces(gs.modes, disk,
                                  point_angles(disk, [(2.0, 0.0)]))
         got = (control_map(gs) @ U) @ traces
         c = (1.0 / (3.0 - 1.0)) * gs.a_gain[0, 0] * 1.3
-        trace = mode.trace_amp / math.sqrt(2.0 * math.pi * 2.0)
+        trace = mode[0].trace_amp / math.sqrt(2.0 * math.pi * 2.0)
         assert got[0] == pytest.approx(c * trace, rel=1e-14)
 
     def test_trace_projection_matches_matrix_product(self, disk, disk_gains,

@@ -197,8 +197,7 @@ class TestMovedModesLinf:
         moved = np.flatnonzero(np.any(states, axis=0))
         assert 0 < moved.size < len(modes)
         resolution = 50 if shape == "disk" else 40
-        evaluator = GridEvaluator([modes[i] for i in moved], domain,
-                                  resolution)
+        evaluator = GridEvaluator(modes[moved], domain, resolution)
         assert evaluator.values.shape == (moved.size, full.points.shape[0])
         linf, reference = evaluator.linf(states), full.linf(states)
         assert np.all(np.abs(linf - reference) <= 1e-14 * reference)
@@ -206,7 +205,9 @@ class TestMovedModesLinf:
     @pytest.mark.parametrize("shape", ["disk", "ball"])
     def test_no_moved_modes_gives_zero(self, request, shape):
         # an all-zero trajectory moves no mode: the table is empty
-        evaluator = GridEvaluator([], request.getfixturevalue(shape), 12)
+        modes, _ = request.getfixturevalue(f"{shape}_modes")
+        evaluator = GridEvaluator(modes[:0], request.getfixturevalue(shape),
+                                  12)
         assert evaluator.values.shape[0] == 0
         assert np.array_equal(evaluator.linf(np.zeros((3, 300))),
                               np.zeros(3))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modalstab import controller, lifting
-from modalstab.basis import boundary_gram, enumerate_modes
+from modalstab.basis import ModeTable, boundary_gram, enumerate_modes
 from modalstab.controller import synthesize
 from modalstab.lifting import (InsufficientDataError, ResonanceError,
                                commutation_check, lifting_coefficients,
@@ -149,10 +149,9 @@ class TestXiCoefficients:
 
 @pytest.fixture(scope="module")
 def synthetic_gain_set():
-    from modalstab.basis import EigenMode
-    mode = EigenMode(n=1, angular=(0, "cos"), k=1, alpha=1.0, kappa=1.0,
-                     mu=1.0, norm_const=1.0, trace_amp=1.0)
-    return synthesize((mode,), (3.0,))
+    mode = ModeTable("disk", *(np.array([v]) for v in (
+        1, 0, 0, 1, 1.0, 1.0, 1.0, 1.0, 1.0)))
+    return synthesize(mode, (3.0,))
 
 
 class TestSurrogates:

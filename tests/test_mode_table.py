@@ -1,8 +1,8 @@
-"""The mode table is one array per field.  A ModeTable, a sub-table and the
-same modes as a list of EigenMode views give the same bits in every
-evaluator; the step maps, which power F on the coupled tail rows only,
-give the blocks of the all-rows power; and no pipeline path builds an
-EigenMode."""
+"""The mode table is one array per field, which every function takes: a
+sub-table keeps its rows' n, its arrays are read-only, and `modes[i]` is
+row i's EigenMode view; the step maps, which power F on the coupled tail
+rows only, give the blocks of the all-rows power; and no pipeline path
+builds an EigenMode."""
 
 import dataclasses
 
@@ -11,14 +11,10 @@ import pytest
 
 import modalstab.cli
 from _oracles import step_map_all_rows
-from modalstab.basis import (Domain, EigenMode, angular_nodes, angular_rule,
-                             boundary_gram, boundary_traces, enumerate_modes,
-                             export_mode_table, mode_table, mode_values)
+from modalstab.basis import Domain, EigenMode, enumerate_modes
 from modalstab.controller import auto_scale_gains, scaled_gain_set, synthesize
-from modalstab.diagnostics import GridEvaluator
 from modalstab.simulator import (PolynomialSpec, assemble_closed_loop,
-                                 integrate, lcg_uniform,
-                                 project_initial_condition)
+                                 integrate, project_initial_condition)
 
 LAMBDA = 6.61
 GAMMAS = {"disk": (6.17, 7.17, 8.17, 9.17, 10.17),
@@ -43,53 +39,17 @@ def assert_same_bits(got, want):
 class TestTable:
     def test_views_round_trip(self, table):
         _, modes = table
-        assert mode_table(list(modes)).same_as(modes)
         sub = modes[SUB_ROWS]
         assert [mode.n for mode in sub] == (SUB_ROWS + 1).tolist()
         assert list(sub) == [modes[i] for i in SUB_ROWS]
-        assert mode_table(list(sub)).same_as(sub)
-        assert not mode_table(list(sub)).same_as(modes[SUB_ROWS[:-1]])
+        assert modes[:][SUB_ROWS].same_as(sub)
+        assert not sub.same_as(modes[SUB_ROWS[:-1]])
 
     def test_arrays_read_only(self, table):
         _, modes = table
         for sub in (modes, modes[SUB_ROWS], modes[::7]):
             with pytest.raises(ValueError):
                 sub.mu[0] = 0.0
-
-    @pytest.mark.parametrize("rows", [None, SUB_ROWS])
-    def test_evaluators_bit_identical_to_view_lists(self, table, rows):
-        domain, modes = table
-        sub = modes if rows is None else modes[rows]
-        views = list(sub)
-        assert_same_bits(boundary_gram(sub, sub[:5]),
-                         boundary_gram(views, views[:5]))
-        angles, _ = angular_nodes(angular_rule(domain,
-                                               int(sub.order.max()), 1))
-        assert_same_bits(boundary_traces(sub, domain, angles),
-                         boundary_traces(views, domain, angles))
-        points = (lcg_uniform(7, 60 * domain.dim).reshape(60, domain.dim)
-                  * domain.radius / np.sqrt(domain.dim))
-        assert_same_bits(mode_values(sub, domain, points),
-                         mode_values(views, domain, points))
-        states = lcg_uniform(9, 4 * len(modes)).reshape(4, len(modes))
-        assert_same_bits(GridEvaluator(sub, domain, 9).linf(states),
-                         GridEvaluator(views, domain, 9).linf(states))
-
-    def test_synthesis_bit_identical_to_view_list(self, table):
-        _, modes = table
-        gammas = GAMMAS[modes.shape]
-        got, want = synthesize(modes, gammas), synthesize(list(modes), gammas)
-        assert got.modes.same_as(want.modes)
-        for name in ("mu", "gram", "m_list", "b_list", "a_gain", "s_total",
-                     "a_o", "cond_sum_b", "beta"):
-            assert_same_bits(getattr(got, name), getattr(want, name))
-
-    def test_export_same_bytes_from_view_list(self, table, tmp_path):
-        _, modes = table
-        export_mode_table(modes, tmp_path / "table.csv")
-        export_mode_table(list(modes), tmp_path / "views.csv")
-        assert (tmp_path / "table.csv").read_bytes() == \
-            (tmp_path / "views.csv").read_bytes()
 
     def test_replace_builds_a_table(self, table):
         _, modes = table

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from modalstab import controller, simulator
-from modalstab.basis import (Domain, EigenMode, angular_nodes, angular_rule,
+from modalstab.basis import (Domain, ModeTable, angular_nodes, angular_rule,
                              boundary_gram, enumerate_modes,
                              project_function)
 from modalstab.controller import synthesize
@@ -99,7 +99,7 @@ class TestAssemble:
     def test_beta_equals_closed_form_rows(self, disk_system, disk_modes):
         modes, _ = disk_modes
         rows = [0, 5, 17, 120]
-        closed = boundary_gram([modes[n] for n in rows], modes[:5])
+        closed = boundary_gram(modes[rows], modes[:5])
         assert np.array_equal(disk_system.beta[rows], closed)
 
     def test_mode_table_mismatch_rejected(self, disk, disk_modes, disk_gains):
@@ -501,9 +501,10 @@ class TestOpenLoop:
         ((2000.0, -1.0), (0.0, 1.0), 1),
     ])
     def test_truncates_at_first_bad_row(self, mu, u0, kept):
-        modes = [EigenMode(n=i + 1, angular=(0, "cos"), k=i + 1, alpha=0.0,
-                           kappa=0.0, mu=m, norm_const=0.0, trace_amp=0.0)
-                 for i, m in enumerate(mu)]
+        zeros, ints = np.zeros(2), np.zeros(2, dtype=int)
+        modes = ModeTable("disk", np.arange(1, 3), ints, ints,
+                          np.arange(1, 3), zeros, zeros, np.array(mu), zeros,
+                          zeros)
         with np.errstate(all="raise"):
             traj = open_loop(modes, u0, 0.5, 10.0)
         assert traj.truncated
