@@ -4,8 +4,9 @@ Commands: spectrum | synthesize | simulate | verify, each reading a flat
 key-value config file (dotted keys, one `key = value` per line, `#`
 comments).  All artifacts are CSV / JSON / binary snapshots; runs are
 deterministic for a fixed seed.  Exit codes: 0 ok, 1 verification failed,
-2 bad input, 3 gains not validated, 4 synthesis failure (also a shift
-resonant with a tail mode, whose lift is singular).
+2 bad input, 3 gains not validated, 4 synthesis failure, also a shift
+resonant with a tail mode's -mu (the lift is singular), from synthesize,
+simulate and verify alike.
 
 The environment variable MODALSTAB_THREADS caps BLAS parallelism; the
 package applies it on import, before the numeric modules load.
@@ -256,13 +257,14 @@ def cmd_synthesize(cfg: RunConfig) -> int:
 
 def _run_simulation(cfg: RunConfig):
     """Shared pipeline: spectrum, gains (closed loop), projection,
-    integration, norm series (grid on the modes the trajectory moves)."""
+    integration, norm series (grid on the modes the trajectory moves);
+    returns (gain_set, report, info, trajectory, series, diverged)."""
     import numpy as np
     from .controller import validate_gains
     from .diagnostics import GridEvaluator, compute_norm_series
     from .simulator import (PolynomialSpec, assemble_closed_loop, integrate,
                             open_loop, project_initial_condition)
-    domain, modes, summary = _spectrum(cfg)
+    domain, modes, _ = _spectrum(cfg)
     gain_set = report = None
     info = {"gains_source": "none (open loop)"}
     u0 = project_initial_condition(domain, modes,
@@ -281,8 +283,7 @@ def _run_simulation(cfg: RunConfig):
     series = compute_norm_series(trajectory, gain_set, modes, evaluator)
     diverged = bool(trajectory.truncated
                     or series.linf[-1] > max(series.linf[0], 1e-300))
-    return (domain, modes, summary, gain_set, report, info, trajectory,
-            series, diverged)
+    return gain_set, report, info, trajectory, series, diverged
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -291,14 +292,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     from .diagnostics import write_norm_series_csv
     from .simulator import write_snapshots, write_trajectory_csv
     outdir = _ensure_outdir(cfg)
-    (domain, modes, summary, gain_set, report, info, trajectory, series,
-     diverged) = _run_simulation(cfg)
+    _, report, info, trajectory, series, diverged = _run_simulation(cfg)
     write_trajectory_csv(trajectory, os.path.join(outdir, "trajectory.csv"))
     write_norm_series_csv(series, os.path.join(outdir, "norm_series.csv"))
     write_snapshots(trajectory, os.path.join(outdir, "snapshots.bin"))
     payload = {
         "mode": cfg.mode,
-        "N": summary.n_unstable,
+        "N": trajectory.boundary_data.shape[1],
         "n_sim": cfg.n_sim,
         "dt": cfg.dt,
         "horizon": cfg.horizon,
@@ -324,8 +324,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     from .lifting import InsufficientDataError, commutation_check
     from .simulator import InsufficientExcitationError, reduced_dynamics_fit
     outdir = _ensure_outdir(cfg)
-    (domain, modes, summary, gain_set, report, info, trajectory, series,
-     diverged) = _run_simulation(cfg)
+    gain_set, _, info, trajectory, series, diverged = _run_simulation(cfg)
     claims = verify_claims(series)
     extra = {"gains": info, "diverged": diverged}
     if gain_set is not None and not diverged:
@@ -389,7 +388,6 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     from .basis import CapacityError
     from .controller import GainScalingError, SynthesisError
-    from .lifting import ResonanceError
     command = {"spectrum": cmd_spectrum, "synthesize": cmd_synthesize,
                "simulate": cmd_simulate, "verify": cmd_verify}[args.command]
     try:
@@ -397,7 +395,7 @@ def main(argv=None) -> int:
     except (ConfigError, CapacityError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (SynthesisError, GainScalingError, ResonanceError) as exc:
+    except (SynthesisError, GainScalingError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTHESIS_FAILURE
 

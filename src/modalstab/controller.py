@@ -33,6 +33,10 @@ class SynthesisError(ValueError):
     """Gain synthesis failed (ill-conditioned or invalid shifts)."""
 
 
+class ResonanceError(SynthesisError):
+    """gamma too close to a shifted eigenvalue; the modal lift is singular."""
+
+
 class GainScalingError(ValueError):
     """No tested scaling of the shifts reached the target margin."""
 
@@ -83,6 +87,22 @@ def hurwitz_margin(matrix) -> float:
     return float(np.max(np.linalg.eigvals(matrix).real))
 
 
+def shift_denominators(gammas, modes) -> np.ndarray:
+    """The lift's denominators, gamma - mu_n on the leading modes and gamma
+    + mu_n on the rest, with the table axis last; one within 1e-8 of zero
+    raises ResonanceError, naming the first such shift and mode."""
+    mu = modes.mu.copy()
+    mu[count_unstable(modes):] *= -1.0
+    denom = gammas[..., None] - mu
+    hits = np.argwhere(np.abs(denom) <= GAMMA_SEPARATION)
+    if hits.size:
+        *shift, j = hits[0]
+        raise ResonanceError(
+            f"gamma={float(gammas[tuple(shift)])} resonates with mode "
+            f"n={j + 1} (mu={modes.mu[j]})")
+    return denom
+
+
 def synthesize(modes, gammas) -> GainSet:
     """Build all gain-set matrices over the leading modes of the table."""
     gammas = tuple(float(g) for g in gammas)
@@ -97,15 +117,8 @@ def synthesize(modes, gammas) -> GainSet:
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise SynthesisError("gammas must be strictly increasing")
     head = modes[:n]
-    mu = head.mu
-    shifts = np.array(gammas)[:, None] - mu       # gamma_i - mu_n
-    gaps = np.min(np.abs(shifts), axis=1)
-    if np.any(gaps <= GAMMA_SEPARATION):
-        i = int(np.argmax(gaps <= GAMMA_SEPARATION))
-        raise SynthesisError(f"gamma={gammas[i]} within {gaps[i]:.2e} "
-                             "of a leading eigenvalue")
+    m_list = 1.0 / shift_denominators(np.array(gammas), modes)[:, :n]
     gram = boundary_gram(head, head)
-    m_list = 1.0 / shifts
     b_list = m_list[:, :, None] * m_list[:, None, :] * gram
     sum_b = np.sum(b_list, axis=0)
     cond = float(np.linalg.cond(sum_b))
@@ -116,9 +129,9 @@ def synthesize(modes, gammas) -> GainSet:
     a_gain = np.linalg.solve(sum_b, np.eye(n))
     s_total = np.sum(np.reshape(gammas, (n, 1, 1)) * (b_list @ a_gain),
                      axis=0)
-    return GainSet(gammas=gammas, mu=mu, gram=gram, m_list=m_list,
+    return GainSet(gammas=gammas, mu=head.mu, gram=gram, m_list=m_list,
                    b_list=b_list, a_gain=a_gain, s_total=s_total,
-                   a_o=np.diag(mu), cond_sum_b=cond, modes=modes)
+                   a_o=np.diag(head.mu), cond_sum_b=cond, modes=modes)
 
 
 def control_map(gain_set: GainSet) -> np.ndarray:
@@ -130,19 +143,17 @@ def control_map(gain_set: GainSet) -> np.ndarray:
 def propagator_norms(generator, dt: float, samples: int) -> np.ndarray:
     """2-norms of exp(G k dt) for k = 0 .. samples - 1.
 
-    The propagators are the powers of the one-step map exp(G dt), laid out
-    from the simulator's step-map blocks with the coupled columns first, a
-    permutation of rows and columns alike that leaves every norm as it is.
+    The propagators are the powers of the one-step map exp(G dt): the lead
+    block of the simulator's step map on the split of G whose columns are
+    all coupled.
     """
     # imported here: the simulator imports this module at load time
-    from .simulator import coupled_split
+    from .simulator import CoupledSplit
 
-    n = generator.shape[0]
-    props = np.empty((samples, n, n))
-    props[0] = np.eye(n)
-    E, F, decay = coupled_split(generator).step_map(dt)
-    one_step = np.block([[E, np.zeros((E.shape[0], decay.size))],
-                         [F, np.diag(decay)]])
+    d = np.diag(generator).copy()
+    one_step = CoupledSplit(d=d, K=generator - np.diag(d)).step_map(dt)[0]
+    props = np.empty((samples,) + one_step.shape)
+    props[0] = np.eye(d.size)
     for k in range(1, samples):
         np.matmul(one_step, props[k - 1], out=props[k])
     return np.linalg.norm(props, 2, axis=(1, 2))

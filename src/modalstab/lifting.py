@@ -21,12 +21,7 @@ extended Gram (GainSet.beta) and one table of denominators.
 import numpy as np
 
 from .basis import boundary_gram, count_unstable
-
-RESONANCE_TOL = 1e-8
-
-
-class ResonanceError(ValueError):
-    """gamma too close to a shifted eigenvalue; the modal solve is singular."""
+from .controller import shift_denominators
 
 
 class InsufficientDataError(ValueError):
@@ -47,23 +42,15 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
 
 
 def _lift(gammas, c, modes, beta) -> np.ndarray:
-    """c @ beta.T over the resonance-checked denominators, beta the extended
-    Gram of the table against the traces of c."""
+    """c @ beta.T over the resonance-checked denominators
+    (shift_denominators), beta the extended Gram of the table against the
+    traces of c."""
     n_trace, n_unstable = c.shape[-1], count_unstable(modes)
     if n_trace > n_unstable:
         raise ValueError(
             f"boundary data has {n_trace} trace coefficients but only "
             f"{n_unstable} leading modes are available")
-    mu = modes.mu.copy()
-    # gamma - mu_n on the leading modes, gamma + mu_n on the rest
-    mu[n_unstable:] *= -1.0
-    denom = gammas[..., None] - mu
-    hits = np.argwhere(np.abs(denom) <= RESONANCE_TOL)
-    if hits.size:
-        *shift, j = hits[0]
-        raise ResonanceError(
-            f"gamma={float(gammas[tuple(shift)])} resonates with mode "
-            f"n={j + 1} (mu={modes.mu[j]})")
+    denom = shift_denominators(gammas, modes)
     d = c @ beta.T
     d /= denom
     return d

@@ -6,20 +6,20 @@ gives the exact modal ODE
     du_n/dt = mu_n u_n - <v, T_n(phi_n)>_boundary,
 
 so G is diag(mu) minus a rank-N coupling through the extended boundary
-Gram on the leading N coordinates S, which evolve on their own; every other
-coordinate sees only itself and S, and only the Gram rows of a head angular
-key are nonzero, which assembly cross-checks in full on every run.  The
-loop is held only as that split, G = diag(d) + K on S (CoupledSplit).
-Both one-step maps are a Taylor polynomial power P(G dt / count)^count on
-it: the exact map by scaling and squaring (degree 18, count a power of
-two), the Runge-Kutta cross-check with P of degree 4 and count the number
-of substeps.  Each tail row t is a bordered block [[A, 0], [G[t, S], d_t]]
-(Van Loan 1978) sharing the lead block A = G[S, S], so every product in
-that power is one N x N product plus one row update on the tail rows
-whose G[t, S] is nonzero (the others keep an exact zero row), and a
-trajectory fills one array in place from the map's blocks; no n_sim x
-n_sim array or product is formed.  Green's second identity also projects
-the initial state exactly, by boundary integrals (project_initial_condition).
+Gram on the leading N coordinates, which evolve on their own; every other
+coordinate sees only itself and the lead, and only the Gram rows of a head
+angular key are nonzero, which assembly cross-checks in full on every run.
+The loop is held only as that split, G = diag(d) + K on the N leading
+columns (CoupledSplit).  Both one-step maps are a Taylor polynomial power
+P(G dt / count)^count on it: the exact map by scaling and squaring (degree
+18, count a power of two), the Runge-Kutta cross-check with P of degree 4
+and count the number of substeps.  Each tail row t is a bordered block
+[[A, 0], [G[t, :N], d_t]] (Van Loan 1978) sharing the lead block A =
+G[:N, :N], so every product in that power is one N x N product plus one
+row update on the tail rows whose G[t, :N] is nonzero (the others keep an
+exact zero row), and a trajectory fills one array in place from the map's
+blocks; no n_sim x n_sim array or product is formed.  Green's second
+identity projects the initial state exactly (project_initial_condition).
 Every per-mode number is read off the arrays of the run's ModeTable, and
 assembly rejects a gain set built over a table that differs in any field.
 """
@@ -52,11 +52,9 @@ class InsufficientExcitationError(ValueError):
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    split: "CoupledSplit"     # the generator diag(d) + K on its columns S
-    beta: np.ndarray          # n_sim x N extended boundary Gram
+    split: "CoupledSplit"     # the generator diag(d) + K on its N lead columns
     coupling: np.ndarray      # N x N map from U to trace coefficients of v
     mu: np.ndarray
-    n_unstable: int
     gram_deviation: float = None  # max relative deviation of the Gram check
 
 
@@ -227,8 +225,7 @@ def _check_gram_block(modes, domain, beta) -> float:
 def assemble_closed_loop(modes, gain_set: GainSet,
                          domain) -> ClosedLoopSystem:
     """The closed loop diag(mu) - beta C on the leading N columns, as its
-    coupled split: S the N leading columns, K = -(beta C) with its diagonal
-    moved into d.
+    coupled split: K = -(beta C) with its diagonal moved into d.
 
     Every entry of the closed-form gain_set.beta in the rows of a head
     angular key or with a nonzero entry is cross-checked against surface
@@ -237,7 +234,7 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     deviation is kept; so does a gain set built over a table that differs
     from modes in any field.  The open loop (v = 0) needs no assembly.
     """
-    mu, n_sim, n = modes.mu, len(modes), gain_set.n_unstable
+    mu, n = modes.mu, gain_set.n_unstable
     if not modes.same_as(gain_set.modes):
         raise ConsistencyError("gain set was synthesized over a different "
                                "mode table")
@@ -247,62 +244,73 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     product = beta @ coupling
     d = mu.copy()
     d[:n] -= product.diagonal()
-    # 0 - product, not -product: an exact zero stays +0.0 as in diag(mu) -
-    # product, so the split is the one coupled_split reads off that matrix
+    # 0 - product, not -product: an exact zero stays +0.0, so K holds the
+    # off-diagonal entries of the dense diag(mu) - product bit for bit
     K = 0.0 - product
     np.fill_diagonal(K, 0.0)
-    split = CoupledSplit(d=d, S=np.arange(n), T=np.arange(n, n_sim), K=K)
-    return ClosedLoopSystem(split=split, beta=beta, coupling=coupling, mu=mu,
-                            n_unstable=n, gram_deviation=gram_deviation)
+    return ClosedLoopSystem(split=CoupledSplit(d=d, K=K), coupling=coupling,
+                            mu=mu, gram_deviation=gram_deviation)
 
 
-def _finalize(times, states, coupling, n, truncated) -> Trajectory:
-    boundary = states[:, :n] @ coupling.T if coupling.size else \
-        np.zeros((states.shape[0], n))
-    return Trajectory(times=np.asarray(times), states=states,
-                      boundary_data=boundary, truncated=truncated)
+def _time_grid(dt: float, horizon: float) -> np.ndarray:
+    if dt <= 0 or horizon < dt:
+        raise ValueError("need dt > 0 and horizon >= dt")
+    return np.arange(int(round(horizon / dt)) + 1) * dt
+
+
+def _finalize(times, states, coupling) -> Trajectory:
+    """The samples before the first one past u0 that is not finite or
+    exceeds 1e12 in magnitude, which truncates the trajectory (u0 is taken
+    as given), with the boundary data coupling U."""
+    # NaN and inf fail the comparison as well
+    with np.errstate(invalid="ignore"):
+        valid = np.maximum(states[1:].max(axis=1),
+                           -states[1:].min(axis=1)) <= OVERFLOW_LIMIT
+    keep = 1 + int(np.argmin(np.append(valid, False)))
+    states = states[:keep]
+    return Trajectory(times=times[:keep], states=states,
+                      boundary_data=states[:, :coupling.shape[0]] @ coupling.T,
+                      truncated=keep < times.size)
 
 
 @dataclass(frozen=True)
 class CoupledSplit:
-    """G = diag(d) + K on its coupled columns.
+    """G = diag(d) + K on its s = K.shape[1] leading, coupled columns.
 
-    S indexes the columns of G - diag(d) that may hold nonzero entries, T
-    the rest, and K = (G - diag(d))[:, S].  Columns in T carry only their
-    diagonal, so the S block evolves on its own and each T coordinate sees
-    only itself and S.  A dense generator has T empty, a diagonal one S
-    empty.
+    K = (G - diag(d))[:, :s], and every later column carries only its
+    diagonal, so the lead block evolves on its own and each tail
+    coordinate sees only itself and the lead.
     """
 
     d: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
     K: np.ndarray
 
     def derivative(self, u):
-        """G u in O(n_sim |S|)."""
-        return self.d * u + self.K @ u[self.S]
+        """G u in O(n_sim s)."""
+        return self.d * u + self.K @ u[:self.K.shape[1]]
 
     def step_map(self, dt: float, degree: int = 18, count: int = None):
         """The blocks (E, F, decay) of the one-step map u -> P(G dt /
         count)^count u, P the degree-`degree` Taylor polynomial of exp: a
-        step takes u[S] to E u[S] and u[T] to decay u[T] + F u[S].
+        step takes the lead u[:s] to E u[:s] and the tail u[s:] to decay
+        u[s:] + F u[:s].
 
         By default count is the smallest power of two that brings the
         largest block 1-norm to at most 1, where degree 18 is exp to double
         precision: the exact map u -> exp(G dt) u by scaling and squaring
-        (Moler & Van Loan 2003).  With A = G[S, S], u[S] takes the lead
-        block E of the power; row t of T takes the lower-left row F_t and
-        corner e_t of the same power of [[A, 0], [G[t, S], d_t]] dt (Van
-        Loan 1978), u_t <- e_t u_t + F_t u[S].  All blocks are powered at
-        once, and a tail rate resonant with eig(A) needs no special
-        handling.  F_t stays 0 through every product where G[t, S] is 0,
-        so F is powered on the other, coupled rows only.
+        (Moler & Van Loan 2003).  With A = G[:s, :s], the lead takes the
+        lead block E of the power; tail row t takes the lower-left row F_t
+        and corner e_t of the same power of [[A, 0], [G[t, :s], d_t]] dt
+        (Van Loan 1978), u_t <- e_t u_t + F_t u[:s].  All blocks are
+        powered at once, and a tail rate resonant with eig(A) needs no
+        special handling.  F_t stays 0 through every product where
+        G[t, :s] is 0, so F is powered on the other, coupled rows only.
         """
-        S, T, s = self.S, self.T, self.S.size
-        coupled = np.flatnonzero(self.K[T].any(axis=1))
-        x = ((self.K[S] + np.diag(self.d[S])) * dt, self.K[T[coupled]] * dt,
-             self.d[T] * dt)
+        s = self.K.shape[1]
+        tail = self.K[s:]
+        coupled = np.flatnonzero(tail.any(axis=1))
+        x = ((self.K[:s] + np.diag(self.d[:s])) * dt, tail[coupled] * dt,
+             self.d[s:] * dt)
         if count is None:
             lead, rows, corner = (np.abs(b) for b in x)
             norm = max(np.max(lead.sum(axis=0) + rows.max(axis=0, initial=0.0),
@@ -333,100 +341,70 @@ class CoupledSplit:
             if not count:
                 break
             w = offset(w, w)
-        F = np.zeros((T.size, s))
+        F = np.zeros((tail.shape[0], s))
         F[coupled] = power[1]
         return np.eye(s) + power[0], F, 1.0 + power[2]
-
-
-def coupled_split(generator) -> CoupledSplit:
-    """Read the coupled-column split off a square generator: S holds
-    exactly the columns with a nonzero off-diagonal entry."""
-    gen = np.asarray(generator, dtype=float)
-    d = np.diag(gen).copy()
-    # a column is coupled when it holds a nonzero entry off the diagonal
-    coupled = np.count_nonzero(gen, axis=0) > (d != 0.0)
-    S = np.flatnonzero(coupled)
-    K = gen[:, S]
-    K[S, np.arange(S.size)] = 0.0
-    return CoupledSplit(d=d, S=S, T=np.flatnonzero(~coupled), K=K)
 
 
 def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
               method: str = "expm_step") -> Trajectory:
     """Propagate the linear system from the projected initial state.
 
-    Both methods work on the system's coupled-column split of the
-    generator (CoupledSplit): the coupled columns S, the N leading ones of
-    an assembled closed loop, and the diagonal rest T.  Each builds the
-    blocks of its one-step map once, as a Taylor polynomial power on the
-    split's bordered blocks in O(n_sim N^2).  expm_step samples the exact
-    flow exp(G dt) by scaling and squaring.  rk4, an independent check,
-    takes P(hG)^n_sub, the classical fourth-order step of a linear system
-    (the degree-4 Taylor polynomial of h G) raised to the n_sub substeps
-    sized to the spectral radius.  The samples fill one array, S columns
-    first: S by an N x N product per step, T by one F product over all
-    steps and t_(k+1) += decay t_k.  A sample that is not finite or exceeds
-    1e12 in magnitude truncates the trajectory at the last valid one and
-    flags it.
+    Both methods work on the system's coupled split of the generator
+    (CoupledSplit): the N leading, coupled columns and the diagonal rest.
+    Each builds the blocks of its one-step map once, as a Taylor
+    polynomial power on the split's bordered blocks in O(n_sim N^2).
+    expm_step samples the exact flow exp(G dt) by scaling and squaring.
+    rk4, an independent check, takes P(hG)^n_sub, the classical
+    fourth-order step of a linear system (the degree-4 Taylor polynomial of
+    h G) raised to the n_sub substeps sized to the spectral radius.  The
+    samples fill one array: the lead columns by an N x N product per step,
+    the tail by one F product over all steps and t_(k+1) += decay t_k.
+    The first sample past u0 that is not finite or exceeds 1e12 in
+    magnitude truncates the trajectory (_finalize, shared with open_loop).
     """
-    if dt <= 0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
-    n_steps = int(round(horizon / dt))
-    times = np.arange(n_steps + 1) * dt
+    times = _time_grid(dt, horizon)
     u0 = np.asarray(u0_coeffs, dtype=float)
     split = system.split
     if u0.shape != split.d.shape:
         raise ValueError(f"initial state has shape {u0.shape}, "
                          f"expected {split.d.shape}")
     if method == "expm_step":
-        E, F, decay = split.step_map(dt)
+        args = (dt,)
     elif method == "rk4":
         # ||G - diag(mu)||_F, whose off-diagonal part is all in K
         radius_bound = float(np.max(np.abs(system.mu))
                              + np.hypot(np.linalg.norm(split.K),
                                         np.linalg.norm(split.d - system.mu)))
-        n_sub = max(1, int(np.ceil(dt * radius_bound / 0.5)))
-        E, F, decay = split.step_map(dt, 4, n_sub)
+        args = (dt, 4, max(1, int(np.ceil(dt * radius_bound / 0.5))))
     else:
         raise ValueError(f"unknown method {method!r}")
-    columns = np.concatenate([split.S, split.T])
-    states = np.empty((n_steps + 1, u0.size))
-    states[0] = u0[columns]
-    lead, tail = states[:, :split.S.size], states[:, split.S.size:]
-    # past an overflow the samples may turn inf or NaN; they are cut below
+    states = np.empty((times.size, u0.size))
+    states[0] = u0
+    lead, tail = states[:, :split.K.shape[1]], states[:, split.K.shape[1]:]
+    # the map and the samples past an overflow may turn inf or NaN; they
+    # are cut in _finalize
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        E, F, decay = split.step_map(*args)
+        for k in range(times.size - 1):
             np.matmul(E, lead[k], out=lead[k + 1])
         np.matmul(lead[:-1], F.T, out=tail[1:])
-        for k in range(n_steps):
+        for k in range(times.size - 1):
             tail[k + 1] += decay * tail[k]
-        # NaN and inf fail the comparison as well; u0 is taken as given
-        valid = np.maximum(states.max(axis=1), -states.min(axis=1)) \
-            <= OVERFLOW_LIMIT
-    keep = int(np.argmin(np.append(valid[1:], False)))
-    states = states[:keep + 1]
-    if np.any(columns != np.arange(columns.size)):
-        states = states[:, np.argsort(columns)]
-    return _finalize(times[:keep + 1], states, system.coupling,
-                     system.n_unstable, keep < n_steps)
+    return _finalize(times, states, system.coupling)
 
 
 def open_loop(modes, u0_coeffs, dt: float, horizon: float) -> Trajectory:
-    """Exact uncontrolled evolution u_n(t) = u_n(0) exp(mu_n t)."""
-    if dt <= 0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
-    mu, n = modes.mu, count_unstable(modes)
-    n_steps = int(round(horizon / dt))
-    times = np.arange(n_steps + 1) * dt
+    """Exact uncontrolled evolution u_n(t) = u_n(0) exp(mu_n t), truncated
+    by integrate's rule (_finalize)."""
+    times = _time_grid(dt, horizon)
     u0 = np.asarray(u0_coeffs, dtype=float)
+    states = np.empty((times.size, u0.size))
+    states[0] = u0
     with np.errstate(over="ignore", invalid="ignore"):
-        later = u0 * np.exp(np.outer(times[1:], mu))
-        # a row is bad when its max is over the limit, inf or NaN
-        bad = ~(np.max(np.abs(later), axis=1) <= OVERFLOW_LIMIT)
-    keep = int(np.argmax(bad)) if bad.any() else bad.size
-    states = np.vstack([u0, later[:keep]])
-    return _finalize(times[: keep + 1], states, np.zeros((n, n)), n,
-                     keep < bad.size)
+        np.multiply(u0, np.exp(np.outer(times[1:], modes.mu)), out=states[1:])
+    n = count_unstable(modes)
+    return _finalize(times, states, np.zeros((n, n)))
 
 
 def reduced_dynamics_fit(trajectory: Trajectory,

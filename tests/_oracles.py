@@ -14,7 +14,7 @@ per-mode constant loop that enumerate_modes replaced, and step_loop the
 per-step loop over a step map's blocks that integrate replaced; both pin
 the arithmetic bit for bit, so they share the package's Bessel lanes and
 step maps.  step_map_all_rows powers F on every tail row, zero rows of
-G[T, S] included, which CoupledSplit.step_map skips; the two must agree
+G[s:, :s] included, which CoupledSplit.step_map skips; the two must agree
 bit for bit.
 """
 
@@ -133,17 +133,18 @@ def mode_table_loop(domain, lam, n_sim):
 
 def step_loop(split, blocks, u0, n_steps, limit=1e12):
     """Samples of the one-step map with blocks (E, F, decay) applied one
-    step at a time, u[S] <- E u[S] and u[T] <- decay u[T] + F u[S],
+    step at a time, u[:s] <- E u[:s] and u[s:] <- decay u[s:] + F u[:s],
     stopping before the first sample that is not finite or exceeds limit
     in magnitude; returns (states, truncated)."""
     E, F, decay = blocks
+    s = split.K.shape[1]
     states = [np.asarray(u0, dtype=float)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
             u = states[-1]
             nxt = np.empty_like(u)
-            nxt[split.S] = E @ u[split.S]
-            nxt[split.T] = decay * u[split.T] + F @ u[split.S]
+            nxt[:s] = E @ u[:s]
+            nxt[s:] = decay * u[s:] + F @ u[:s]
             if not np.max(np.abs(nxt)) <= limit:
                 return np.array(states), True
             states.append(nxt)
@@ -152,8 +153,8 @@ def step_loop(split, blocks, u0, n_steps, limit=1e12):
 
 def step_map_all_rows(split, dt, degree=18, count=None):
     """The blocks (E, F, decay) of split's one-step map P(G dt /
-    count)^count, the lower-left block F powered on every row of T,
-    whether or not its row of G[T, S] is zero."""
+    count)^count, the lower-left block F powered on every tail row,
+    whether or not its row of G[s:, :s] is zero."""
     def bordered(x, y):
         (E1, f1, e1), (E2, f2, e2) = x, y
         return E1 @ E2, f1 @ E2 + e1[:, None] * f2, e1 * e2
@@ -161,9 +162,9 @@ def step_map_all_rows(split, dt, degree=18, count=None):
     def offset(x, y):
         return tuple(a + b + c for a, b, c in zip(x, y, bordered(x, y)))
 
-    S, T = split.S, split.T
-    x = ((split.K[S] + np.diag(split.d[S])) * dt, split.K[T] * dt,
-         split.d[T] * dt)
+    s = split.K.shape[1]
+    x = ((split.K[:s] + np.diag(split.d[:s])) * dt, split.K[s:] * dt,
+         split.d[s:] * dt)
     if count is None:
         lead, rows, corner = (np.abs(b) for b in x)
         norm = max(np.max(lead.sum(axis=0) + rows.max(axis=0, initial=0.0),
@@ -182,7 +183,7 @@ def step_map_all_rows(split, dt, degree=18, count=None):
         if not count:
             break
         w = offset(w, w)
-    return np.eye(S.size) + power[0], power[1], 1.0 + power[2]
+    return np.eye(s) + power[0], power[1], 1.0 + power[2]
 
 
 def quadrature_boundary_gram(domain, modes):
@@ -222,23 +223,23 @@ def quadrature_boundary_gram(domain, modes):
     return (traces * w) @ traces.T
 
 
-def dense_coupled_split(generator):
-    """(d, S, T, K) of the coupled-column split through the dense
-    off-diagonal part G - diag(d): S holds the columns with a nonzero
-    off-diagonal entry, T the rest, and K = (G - diag(d))[:, S]."""
+def dense_split(generator):
+    """(d, K) of the leading-column split through the dense off-diagonal
+    part G - diag(d): K = (G - diag(d))[:, :s], s one past the last column
+    with a nonzero off-diagonal entry."""
     gen = np.asarray(generator, dtype=float)
     d = np.diag(gen).copy()
     off = gen - np.diag(d)
-    coupled = np.any(off != 0.0, axis=0)
-    return d, np.flatnonzero(coupled), np.flatnonzero(~coupled), \
-        off[:, coupled]
+    s = int(np.max(np.flatnonzero(np.any(off != 0.0, axis=0)) + 1,
+                   initial=0))
+    return d, off[:, :s]
 
 
-def dense_generator(system):
+def dense_generator(system, gain_set):
     """The closed-loop generator as a dense n_sim x n_sim matrix, from its
     defining formula diag(mu) - beta C on the leading N columns."""
     gen = np.diag(system.mu)
-    gen[:, :system.n_unstable] -= system.beta @ system.coupling
+    gen[:, :gain_set.n_unstable] -= gain_set.beta @ system.coupling
     return gen
 
 

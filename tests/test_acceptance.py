@@ -159,7 +159,7 @@ class TestCriterion4MatrixIdentities:
             worst_inv = max(worst_inv, float(np.max(np.abs(inv))))
             diff = gains.a_direct - (2.0 * gains.a_o - gains.s_total)
             worst_diff = max(worst_diff, float(np.max(np.abs(diff))))
-            block = dense_generator(system)[:n, :n] - gains.a_direct
+            block = dense_generator(system, gains)[:n, :n] - gains.a_direct
             worst_block = max(worst_block, float(np.max(np.abs(block))))
         elapsed = time.time() - t0
         ok = (worst_inv < 1e-10 and worst_diff < 1e-10

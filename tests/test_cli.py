@@ -286,26 +286,36 @@ class TestMain:
             "synthesis failed: 5 gammas supplied but the mode table has 0 "
             "nonnegative eigenvalues\n")
 
-    def test_resonant_shift_is_synthesis_failure(self, tmp_path, disk_modes):
-        # the first shift is -mu of tail mode 13: the set synthesizes and
-        # runs unscaled, and the lift of its boundary data is singular
+    @staticmethod
+    def run_resonant(command, tmp_path, disk_modes):
+        """Run command in a fresh interpreter on the disk config whose
+        first shift is -mu of tail mode 13, where the lift of the boundary
+        data is singular; every command must fail synthesis with one
+        line."""
         modes, _ = disk_modes
         gamma = format(-modes.mu[12], ".17g")
         path = tmp_path / "run.cfg"
         path.write_text(DISK_CFG.replace(
             "gammas = auto", f"gammas = {gamma},14.34,16.34,18.34,20.34"))
         src = str(Path(modalstab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "modalstab.cli", command, "--config",
+             str(path), "--output", str(tmp_path / command), "--grid", "12"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert run.returncode == EXIT_SYNTHESIS_FAILURE
+        assert "Traceback" not in run.stderr
+        assert run.stderr == (f"synthesis failed: gamma={gamma} resonates "
+                              f"with mode n=13 (mu={-float(gamma)})\n")
+
+    def test_resonant_shift_is_synthesis_failure(self, tmp_path, disk_modes):
         for command in ("simulate", "verify"):
-            run = subprocess.run(
-                [sys.executable, "-m", "modalstab.cli", command, "--config",
-                 str(path), "--output", str(tmp_path / command),
-                 "--grid", "12"], capture_output=True, text=True, env=env)
-            assert run.returncode == EXIT_SYNTHESIS_FAILURE
-            assert "Traceback" not in run.stderr
-            assert run.stderr == (f"synthesis failed: gamma={gamma} "
-                                  "resonates with mode n=13 "
-                                  f"(mu={-float(gamma)})\n")
+            self.run_resonant(command, tmp_path, disk_modes)
+
+    def test_resonant_shift_fails_synthesize(self, tmp_path, disk_modes):
+        # the set that simulate and verify refuse is never written
+        self.run_resonant("synthesize", tmp_path, disk_modes)
+        assert not (tmp_path / "synthesize" / "gains.json").exists()
 
     def test_grid_without_interior_point_is_bad_input(self, tmp_path,
                                                       capsys):

@@ -7,11 +7,12 @@ import scipy.linalg
 
 from modalstab.basis import (ModeTable, boundary_gram, boundary_traces,
                              point_angles)
-from modalstab.controller import (GainScalingError, SynthesisError,
-                                  auto_scale_gains, control_map,
-                                  gain_set_to_json, hurwitz_margin,
-                                  nudge_gammas, propagator_norms, synthesize,
-                                  validate_gains)
+from modalstab.controller import (GainScalingError, ResonanceError,
+                                  SynthesisError, auto_scale_gains,
+                                  control_map, gain_set_to_json,
+                                  hurwitz_margin, nudge_gammas,
+                                  propagator_norms, scaled_gain_set,
+                                  synthesize, validate_gains)
 from modalstab.special import quadrature_rule
 
 GAMMAS_DISK = (6.17, 7.17, 8.17, 9.17, 10.17)
@@ -112,6 +113,14 @@ class TestSynthesize:
         with pytest.raises(SynthesisError):
             synthesize(modes, bad)
 
+    def test_gamma_resonant_with_tail_rejected(self, disk_modes):
+        # -mu of tail mode 13 makes the lift of the table singular
+        modes, _ = disk_modes
+        gamma = float(-modes.mu[12])
+        with pytest.raises(ResonanceError, match=f"gamma={gamma} resonates "
+                           "with mode n=13 "):
+            synthesize(modes, (gamma, 14.34, 16.34, 18.34, 20.34))
+
     def test_wrong_gain_count_rejected(self, disk_modes):
         modes, _ = disk_modes
         with pytest.raises(SynthesisError):
@@ -168,7 +177,7 @@ class TestValidateGains:
         assert np.max(np.abs(got - oracle) / oracle) <= 1e-13
 
     def test_propagator_norms_of_decoupled_generator(self):
-        # no coupled column: the step map is all tail rows
+        # no off-diagonal entry: the lead block of the step map is diagonal
         rates = np.array([-1.0, 0.5])
         got = propagator_norms(np.diag(rates), 0.25, 5)
         expected = np.exp(0.25 * np.arange(5) * rates.max())
@@ -204,6 +213,14 @@ class TestAutoScale:
         modes, _ = disk_modes
         with pytest.raises(GainScalingError):
             auto_scale_gains(modes, GAMMAS_DISK, -1e6)
+
+    def test_resonant_scale_skipped(self, disk_modes):
+        # scale 1 would meet the target, but its first shift resonates
+        # with tail mode 13; the search goes on to scale 2
+        modes, _ = disk_modes
+        gammas0 = (float(-modes.mu[12]), 14.34, 16.34, 18.34, 20.34)
+        gs = scaled_gain_set(modes, gammas0, -0.5)
+        assert gs.gammas == tuple(2.0 * g for g in gammas0)
 
     def test_margin_eventually_decreasing_in_scale(self, disk_modes):
         modes, _ = disk_modes

@@ -315,7 +315,6 @@ class TestNormSeries:
         commutation_check(gains, traj)
         n = gains.n_unstable
         assert built == [(len(modes), n)]
-        assert system.beta is gains.beta
 
         c = gains.m_list[:, None, :] * (traj.states[:, :n] @ gains.a_gain.T)
         lifted = lifting_coefficients(np.reshape(gains.gammas, (n, 1)), c,

@@ -3,10 +3,9 @@ import pytest
 
 from modalstab import controller, lifting
 from modalstab.basis import ModeTable, boundary_gram, enumerate_modes
-from modalstab.controller import synthesize
-from modalstab.lifting import (InsufficientDataError, ResonanceError,
-                               commutation_check, lifting_coefficients,
-                               xi_coefficients)
+from modalstab.controller import ResonanceError, synthesize
+from modalstab.lifting import (InsufficientDataError, commutation_check,
+                               lifting_coefficients, xi_coefficients)
 from modalstab.simulator import (PolynomialSpec, Trajectory, integrate,
                                  project_initial_condition)
 

@@ -22,7 +22,7 @@ from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  CoupledSplit, InsufficientExcitationError,
                                  PolynomialSpec,
                                  Trajectory, assemble_closed_loop,
-                                 coupled_split, initial_condition_field,
+                                 initial_condition_field,
                                  integrate, lcg_uniform, open_loop,
                                  project_initial_condition,
                                  read_snapshots, reduced_dynamics_fit,
@@ -30,21 +30,20 @@ from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  write_trajectory_csv)
 from modalstab.diagnostics import decay_rate_fit
 
-from _oracles import (dense_coupled_split, dense_generator, rk4_substep_loop,
+from _oracles import (dense_generator, dense_split, rk4_substep_loop,
                       step_loop)
 
 DISK_MU_1 = 5.1642035092633039
 LAMBDA = 6.61
 
 
-def system_of(gen, n_unstable=1):
-    """An uncontrolled ClosedLoopSystem on the split of a given dense
-    generator, for the synthetic cases."""
-    gen = np.asarray(gen, dtype=float)
-    return ClosedLoopSystem(split=coupled_split(gen),
-                            beta=np.zeros((gen.shape[0], n_unstable)),
-                            coupling=np.zeros((n_unstable, n_unstable)),
-                            mu=np.diag(gen).copy(), n_unstable=n_unstable)
+def system_of(gen):
+    """An uncontrolled ClosedLoopSystem on the leading-column split of a
+    given dense generator, for the synthetic cases."""
+    d, K = dense_split(gen)
+    s = K.shape[1]
+    return ClosedLoopSystem(split=CoupledSplit(d=d, K=K),
+                            coupling=np.zeros((s, s)), mu=d.copy())
 
 
 def with_beta(gains, beta):
@@ -69,12 +68,12 @@ def record_step_maps(monkeypatch):
 class TestAssemble:
     def test_leading_block_matches_direct_generator(self, disk_system,
                                                     disk_gains):
-        lead = dense_generator(disk_system)[:5, :5]
+        lead = dense_generator(disk_system, disk_gains)[:5, :5]
         assert np.max(np.abs(lead - disk_gains.a_direct)) < 1e-12
 
     def test_coupling_restricted_to_leading_columns(self, disk_system):
-        assert disk_system.split.S.tolist() == list(range(5))
-        assert disk_system.split.T.tolist() == list(range(5, 300))
+        assert disk_system.split.K.shape == (300, 5)
+        assert disk_system.split.d.shape == (300,)
 
     def test_tail_rows_follow_angular_sparsity(self, disk_system, disk_modes):
         modes, _ = disk_modes
@@ -90,17 +89,18 @@ class TestAssemble:
         # the split assembled straight from (mu, beta, C) is the one read
         # off the dense generator diag(mu) - beta C, bit for bit
         system = request.getfixturevalue(f"{shape}_system")
-        dense = coupled_split(dense_generator(system))
-        for name in ("d", "S", "T", "K"):
-            got, want = getattr(system.split, name), getattr(dense, name)
+        gains = request.getfixturevalue(f"{shape}_gains")
+        dense = dense_split(dense_generator(system, gains))
+        for name, want in zip(("d", "K"), dense):
+            got = getattr(system.split, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
-    def test_beta_equals_closed_form_rows(self, disk_system, disk_modes):
+    def test_beta_equals_closed_form_rows(self, disk_gains, disk_modes):
         modes, _ = disk_modes
         rows = [0, 5, 17, 120]
         closed = boundary_gram(modes[rows], modes[:5])
-        assert np.array_equal(disk_system.beta[rows], closed)
+        assert np.array_equal(disk_gains.beta[rows], closed)
 
     def test_mode_table_mismatch_rejected(self, disk, disk_modes, disk_gains):
         modes, _ = disk_modes
@@ -247,7 +247,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("case", ("disk", "ball", "nilpotent"))
     def test_equals_step_loop_bitwise(self, case, method, request,
                                       monkeypatch):
-        # the nilpotent split's coupled column S = [1] is not a prefix
+        # the nilpotent generator's lead block is both of its columns
         if case == "nilpotent":
             system = system_of(SPLIT_CASES[case][0](request))
         else:
@@ -259,7 +259,7 @@ class TestIntegrate:
         assert not traj.truncated and not truncated
         assert traj.states.shape == states.shape
         assert traj.states.tobytes() == states.tobytes()
-        boundary = states[:, :system.n_unstable] @ system.coupling.T
+        boundary = states[:, :system.coupling.shape[0]] @ system.coupling.T
         assert traj.boundary_data.tobytes() == boundary.tobytes()
 
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
@@ -267,10 +267,10 @@ class TestIntegrate:
         # the lead block grows by about e^1.5 a step along (1, 1) and
         # passes 1e12 at step 19; past it the samples run on to inf, and
         # to NaN in the tail, whose coupling (1, -1) cancels along (1, 1)
-        system = system_of([[-1.0, 1.0, -1.0], [0.0, 2.5, 0.5],
-                            [0.0, 0.5, 2.5]])
+        system = system_of([[2.5, 0.5, 0.0], [0.5, 2.5, 0.0],
+                            [1.0, -1.0, -1.0]])
         blocks = record_step_maps(monkeypatch)
-        u0 = np.array([0.0, 1.0, 0.5])
+        u0 = np.array([1.0, 0.5, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = integrate(system, u0, 0.5, 300.0, method=method)
@@ -340,28 +340,30 @@ class TestIntegrate:
         assert np.count_nonzero(np.any(states, axis=0)) == count
 
 
-# (dense generator builder, expected coupled columns S)
+def closed_loop_generator(shape):
+    return lambda req: dense_generator(req.getfixturevalue(f"{shape}_system"),
+                                       req.getfixturevalue(f"{shape}_gains"))
+
+
+# (dense generator builder, expected count of lead columns)
 SPLIT_CASES = {
-    "disk": (lambda req: dense_generator(req.getfixturevalue("disk_system")),
-             [0, 1, 2, 3, 4]),
-    "ball": (lambda req: dense_generator(req.getfixturevalue("ball_system")),
-             [0, 1, 2, 3]),
+    "disk": (closed_loop_generator("disk"), 5),
+    "ball": (closed_loop_generator("ball"), 4),
     "open_loop_diagonal": (
-        lambda req: np.diag(req.getfixturevalue("disk_system").mu), []),
-    "nilpotent": (lambda req: np.array([[0.0, 1.0], [0.0, 0.0]]), [1]),
-    "dense_2x2": (lambda req: np.array([[-1.0, 0.3], [0.2, -0.5]]), [0, 1]),
+        lambda req: np.diag(req.getfixturevalue("disk_system").mu), 0),
+    "nilpotent": (lambda req: np.array([[0.0, 1.0], [0.0, 0.0]]), 2),
+    "dense_2x2": (lambda req: np.array([[-1.0, 0.3], [0.2, -0.5]]), 2),
     # tail rates -1 and -2 equal the eigenvalues of the leading 2x2 block
     "resonant": (lambda req: np.array([[-1.0, 0.0, 0.0, 0.0],
                                        [0.5, -2.0, 0.0, 0.0],
                                        [0.7, 0.4, -1.0, 0.0],
-                                       [0.2, -0.3, 0.0, -2.0]]), [0, 1]),
+                                       [0.2, -0.3, 0.0, -2.0]]), 2),
     # tail rates as stiff as disk n_sim 800's (d dt <= -40 at dt 0.05) next
     # to a coupled lead block
     "stiff_tail": (lambda req: np.array([[-1.0, 0.3, 0.0, 0.0],
                                          [0.2, 0.5, 0.0, 0.0],
                                          [0.7, -0.4, -800.0, 0.0],
-                                         [0.3, 0.9, 0.0, -1500.0]]),
-                   [0, 1]),
+                                         [0.3, 0.9, 0.0, -1500.0]]), 2),
 }
 
 
@@ -376,12 +378,11 @@ def one_step_matrix(split, blocks):
 class TestCoupledSplit:
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_matches_dense_generator(self, case, request):
-        build, coupled = SPLIT_CASES[case]
+        build, lead = SPLIT_CASES[case]
         gen = build(request)
         n = gen.shape[0]
-        split = coupled_split(gen)
-        assert split.S.tolist() == coupled
-        assert sorted(split.S.tolist() + split.T.tolist()) == list(range(n))
+        split = CoupledSplit(*dense_split(gen))
+        assert split.K.shape == (n, lead)
         dt = 0.05
         prop = one_step_matrix(split, split.step_map(dt))
         dense = scipy.linalg.expm(gen * dt)
@@ -396,19 +397,10 @@ class TestCoupledSplit:
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_large_step_matches_dense_generator(self, case, request):
         gen = SPLIT_CASES[case][0](request)
-        split = coupled_split(gen)
+        split = CoupledSplit(*dense_split(gen))
         prop = one_step_matrix(split, split.step_map(1.0))
         dense = scipy.linalg.expm(gen)
         assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
-
-    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
-    def test_split_bit_identical_to_dense_formula(self, case, request):
-        gen = SPLIT_CASES[case][0](request)
-        split = coupled_split(gen)
-        got = (split.d, split.S, split.T, split.K)
-        for new, old in zip(got, dense_coupled_split(gen)):
-            assert new.dtype == old.dtype and new.shape == old.shape
-            assert new.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
     def test_integrate_makes_no_pade_expm_call(self, method, disk_system,
@@ -462,6 +454,19 @@ class TestRK4Map:
         assert calls == []
 
 
+def two_mode_table(mu):
+    """A two-row disk table with the given mu and every other field 0."""
+    zeros, ints = np.zeros(2), np.zeros(2, dtype=int)
+    return ModeTable("disk", np.arange(1, 3), ints, ints, np.arange(1, 3),
+                     zeros, zeros, np.array(mu), zeros, zeros)
+
+
+# (mu, u0, samples kept): e^{5k} first passes 1e12 at k = 6; e^{1000}
+# overflows and 0 * inf is NaN at the first step
+BAD_ROW_CASES = [((10.0, -1.0), (1.0, 1.0), 6),
+                 ((2000.0, -1.0), (0.0, 1.0), 1)]
+
+
 class TestOpenLoop:
     def test_unstable_mode_growth_rate(self, disk_modes):
         modes, _ = disk_modes
@@ -494,30 +499,36 @@ class TestOpenLoop:
         traj = open_loop(modes, u0, 0.5, 50.0)
         assert traj.truncated
 
-    # (mu, u0, samples kept): e^{5k} first passes 1e12 at k = 6; e^{1000}
-    # overflows and 0 * inf is NaN at the first step
-    @pytest.mark.parametrize("mu, u0, kept", [
-        ((10.0, -1.0), (1.0, 1.0), 6),
-        ((2000.0, -1.0), (0.0, 1.0), 1),
-    ])
+    @pytest.mark.parametrize("mu, u0, kept", BAD_ROW_CASES)
     def test_truncates_at_first_bad_row(self, mu, u0, kept):
-        zeros, ints = np.zeros(2), np.zeros(2, dtype=int)
-        modes = ModeTable("disk", np.arange(1, 3), ints, ints,
-                          np.arange(1, 3), zeros, zeros, np.array(mu), zeros,
-                          zeros)
         with np.errstate(all="raise"):
-            traj = open_loop(modes, u0, 0.5, 10.0)
+            traj = open_loop(two_mode_table(mu), u0, 0.5, 10.0)
         assert traj.truncated
         assert traj.times.size == kept and traj.states.shape == (kept, 2)
         expected = np.array(u0) * np.exp(np.outer(traj.times, mu))
         assert np.array_equal(traj.states, expected)
         assert np.max(np.abs(traj.states)) <= 1e12
 
+    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
+    @pytest.mark.parametrize("mu, u0, kept", BAD_ROW_CASES)
+    def test_integrate_truncates_by_the_same_rule(self, mu, u0, kept,
+                                                  method):
+        # an uncoupled system (no lead column) cut where the closed form
+        # is; at mu 2000 the step map itself overflows
+        system = system_of(np.diag(mu))
+        assert system.split.K.shape == (2, 0)
+        with np.errstate(all="raise"):
+            traj = integrate(system, u0, 0.5, 10.0, method=method)
+            exact = open_loop(two_mode_table(mu), u0, 0.5, 10.0)
+        assert traj.truncated and exact.truncated
+        assert traj.times.size == exact.times.size == kept
+        assert traj.states.shape == exact.states.shape
+
 
 class TestReducedFit:
     def test_recovers_synthetic_generator(self):
         gen = np.array([[-1.0, 0.3], [0.2, -0.5]])
-        system = system_of(gen, n_unstable=2)
+        system = system_of(gen)
         traj = integrate(system, [1.0, -0.7], 0.01, 4.0)
         fit = reduced_dynamics_fit(traj)
         assert np.max(np.abs(fit.matrix - gen)) < 1e-4
