@@ -21,8 +21,8 @@ def _apply_thread_cap() -> None:
 
 _apply_thread_cap()
 
-from .basis import (Domain, EigenMode, ModeTable, SpectrumSummary,
-                    enumerate_modes, project_function)
+from .basis import (Domain, ModeTable, SpectrumSummary, enumerate_modes,
+                    project_function)
 from .controller import (GainSet, StabilityReport, auto_scale_gains,
                          hurwitz_margin, scaled_gain_set, synthesize,
                          validate_gains)

@@ -14,9 +14,8 @@ the quadrature projection).  Each (order, k) x radius is a lane of one
 backward recurrence that keeps only the lane's own order; the lanes go
 through it in cache-sized blocks.
 
-The table is one `ModeTable` of per-mode arrays, `modes[i]` the row's
-`EigenMode` view; every evaluator reads the arrays, and compares angular
-keys by one integer code per mode.
+The table is one `ModeTable` of per-mode arrays; every evaluator reads the
+arrays, and compares angular keys by one integer code per mode.
 
 The angular factor exists once, in `angular_values`: 1, cos(m theta) or
 sin(m theta) on the disk and `special.real_spherical_harmonics` on the
@@ -71,39 +70,25 @@ class Domain:
         return 2 if self.shape == "disk" else 3
 
 
-@dataclass(frozen=True)
-class EigenMode:
-    """One Dirichlet eigenpair of Delta + lambda.
-
-    n is the 1-based position in the mode table (state column n - 1);
-    angular is (m, parity) with parity in {"cos", "sin"} on the disk and
-    (l, m) with |m| <= l on the ball; k is the radial zero rank; alpha the
-    k-th positive zero of the radial Bessel factor; kappa = (alpha/R)^2 the
-    Dirichlet Laplacian eigenvalue; mu = lambda - kappa; norm_const the
-    L2(Omega) normalization; trace_amp the signed amplitude of the outward
-    normal derivative against the boundary-orthonormal angular factor.
-    """
-
-    n: int
-    angular: tuple
-    k: int
-    alpha: float
-    kappa: float
-    mu: float
-    norm_const: float
-    trace_amp: float
-
-
 _FLOAT_FIELDS = ("alpha", "kappa", "mu", "norm_const", "trace_amp")
 _ARRAY_FIELDS = ("n", "order", "second", "k") + _FLOAT_FIELDS
 
 
 @dataclass(frozen=True, eq=False)
 class ModeTable:
-    """One read-only array per EigenMode field; the angular key is (order,
-    "cos" / "sin" for second 0 / 1) on the disk, (order, second) = (l, m)
-    on the ball.  modes[i] is row i's EigenMode view, and a slice, index
-    array or mask the sub-table of those rows, each keeping its n."""
+    """Dirichlet eigenpairs of Delta + lambda, one read-only array per field.
+
+    n is the 1-based position in the table (state column n - 1); the
+    angular key (order, second) is (m, parity) on the disk, with second 0
+    for cos and 1 for sin, and (l, m) with |m| <= l on the ball; k is the
+    radial zero rank; alpha the k-th positive zero of the radial Bessel
+    factor; kappa = (alpha/R)^2 the Dirichlet Laplacian eigenvalue; mu =
+    lambda - kappa; norm_const the L2(Omega) normalization; trace_amp the
+    signed amplitude of the outward normal derivative against the
+    boundary-orthonormal angular factor.  A slice, index array or mask
+    gives the sub-table of those rows, each keeping its n; a row is read
+    off the arrays (modes.mu[i]), and an int index raises TypeError.
+    """
 
     shape: str
     n: np.ndarray
@@ -133,14 +118,11 @@ class ModeTable:
         return self.n.size
 
     def __getitem__(self, index):
-        # an int past the end raises IndexError, which ends iteration
         rows = [getattr(self, name)[index] for name in _ARRAY_FIELDS]
-        if np.ndim(rows[0]):
-            return ModeTable(self.shape, *rows)
-        n, order, second, k, *floats = (value.item() for value in rows)
-        if self.shape == "disk":
-            second = ("cos", "sin")[second]
-        return EigenMode(n, (order, second), k, *floats)
+        if np.ndim(rows[0]) != 1:
+            raise TypeError("a ModeTable takes a slice, index array or "
+                            "mask; read a row off its arrays")
+        return ModeTable(self.shape, *rows)
 
     def same_as(self, other) -> bool:
         """Whether the two tables are equal in every field."""
@@ -393,13 +375,8 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
 
 
 def mode_values(modes, domain: Domain, points: np.ndarray) -> np.ndarray:
-    """Eigenfunction values at Cartesian points; shape (n_modes, n_points).
-
-    Each distinct angular key is evaluated once.  The angular rows come
-    before the radial table so that the Legendre table behind them is freed
-    before the largest array is allocated; the other order raises ball
-    peak RSS by about 40 MB at grid 40.
-    """
+    """Eigenfunction values at Cartesian points, each distinct angular key
+    evaluated once; shape (n_modes, n_points)."""
     pts = np.asarray(points, dtype=float)
     keys, rows = angular_keys(modes)
     angular = angular_values(keys, domain, point_angles(domain, pts))

@@ -5,8 +5,9 @@ key-value config file (dotted keys, one `key = value` per line, `#`
 comments).  All artifacts are CSV / JSON / binary snapshots; runs are
 deterministic for a fixed seed.  Exit codes: 0 ok, 1 verification failed,
 2 bad input, 3 gains not validated, 4 synthesis failure, also a shift
-resonant with a tail mode's -mu (the lift is singular), from synthesize,
-simulate and verify alike.
+resonant with a tail mode's -mu (the lift is singular) or two leading modes
+on one angular key (B is singular), from synthesize, simulate and verify
+alike.
 
 The environment variable MODALSTAB_THREADS caps BLAS parallelism; the
 package applies it on import, before the numeric modules load.
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 DEFAULT_GAMMAS = {
     "disk": (6.17, 7.17, 8.17, 9.17, 10.17),
@@ -124,20 +125,6 @@ def parse_config(text: str) -> RunConfig:
         setattr(cfg, attr, parsed)
     cfg.validate()
     return cfg
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical flat-text form; parse(serialize(c)) == c."""
-    inverse = {attr: key for key, (attr, _) in _KEY_MAP.items()}
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "gammas" and not isinstance(value, str):
-            value = ",".join(format(v, ".17g") for v in value)
-        elif isinstance(value, float):
-            value = format(value, ".17g")
-        lines.append(f"{inverse[f.name]} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> RunConfig:

@@ -47,7 +47,6 @@ class GainSet:
     mu: np.ndarray            # leading eigenvalues mu_1..mu_N
     gram: np.ndarray          # B, boundary Gram of the leading traces
     m_list: np.ndarray        # (N, N): row i is the diagonal of M_{gamma_i}
-    b_list: np.ndarray        # (N, N, N): B_i = M_i B M_i
     a_gain: np.ndarray        # A = (sum B_i)^{-1}
     s_total: np.ndarray       # sum gamma_i B_i A
     a_o: np.ndarray           # diag(mu)
@@ -104,12 +103,22 @@ def shift_denominators(gammas, modes) -> np.ndarray:
 
 
 def synthesize(modes, gammas) -> GainSet:
-    """Build all gain-set matrices over the leading modes of the table."""
+    """Build all gain-set matrices over the leading modes of the table;
+    two of them on one angular key (collinear traces) raise SynthesisError."""
     gammas = tuple(float(g) for g in gammas)
     n = len(gammas)
     if n < 1:
         raise SynthesisError("need at least one gamma")
     n_unstable = count_unstable(modes)
+    codes = modes.code[:n_unstable].tolist()
+    for j, i in enumerate(map(codes.index, codes)):
+        if i < j:
+            second = modes.second[j] if modes.shape == "ball" \
+                else ("cos", "sin")[modes.second[j]]
+            raise SynthesisError(
+                f"leading modes n={modes.n[i]} and n={modes.n[j]} share the "
+                f"angular key ({modes.order[j]}, {second}), so their normal "
+                "traces are collinear and B is singular")
     if n != n_unstable:
         raise SynthesisError(
             f"{n} gammas supplied but the mode table has {n_unstable} "
@@ -119,19 +128,19 @@ def synthesize(modes, gammas) -> GainSet:
     head = modes[:n]
     m_list = 1.0 / shift_denominators(np.array(gammas), modes)[:, :n]
     gram = boundary_gram(head, head)
-    b_list = m_list[:, :, None] * m_list[:, None, :] * gram
-    sum_b = np.sum(b_list, axis=0)
+    b_stack = m_list[:, :, None] * m_list[:, None, :] * gram
+    sum_b = np.sum(b_stack, axis=0)
     cond = float(np.linalg.cond(sum_b))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SynthesisError(
             f"sum of B_i numerically singular (cond={cond:.3e}); "
             "choose larger or better separated gammas")
     a_gain = np.linalg.solve(sum_b, np.eye(n))
-    s_total = np.sum(np.reshape(gammas, (n, 1, 1)) * (b_list @ a_gain),
+    s_total = np.sum(np.reshape(gammas, (n, 1, 1)) * (b_stack @ a_gain),
                      axis=0)
     return GainSet(gammas=gammas, mu=head.mu, gram=gram, m_list=m_list,
-                   b_list=b_list, a_gain=a_gain, s_total=s_total,
-                   a_o=np.diag(head.mu), cond_sum_b=cond, modes=modes)
+                   a_gain=a_gain, s_total=s_total, a_o=np.diag(head.mu),
+                   cond_sum_b=cond, modes=modes)
 
 
 def control_map(gain_set: GainSet) -> np.ndarray:

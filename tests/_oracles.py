@@ -19,16 +19,21 @@ bit for bit.
 """
 
 import math
+from collections import namedtuple
 
 import mpmath as mp
 import numpy as np
 
-from modalstab.basis import EigenMode, _zeros_below, mode_values
+from modalstab.basis import _zeros_below, mode_values
 from modalstab.special import (bessel_j_all, bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
                                spherical_bessel_zeros, spherical_j_all)
 
 mp.mp.dps = 30
+
+# one mode of mode_table_loop; angular is (m, "cos" / "sin") on the disk and
+# (l, m) on the ball, as the candidate orderings write it
+Row = namedtuple("Row", "n angular k alpha kappa mu norm_const trace_amp")
 
 
 def oracle_bessel(order, x, spherical=False):
@@ -124,10 +129,9 @@ def mode_table_loop(domain, lam, n_sim):
             norm_const = scale / (math.sqrt(math.pi) * R * j)
         else:
             norm_const = trace_scale / j
-        modes.append(EigenMode(n=n, angular=angular, k=k, alpha=alpha,
-                               kappa=kappa, mu=lam - kappa,
-                               norm_const=norm_const,
-                               trace_amp=(-1.0) ** k * alpha * trace_scale))
+        modes.append(Row(n=n, angular=angular, k=k, alpha=alpha, kappa=kappa,
+                         mu=lam - kappa, norm_const=norm_const,
+                         trace_amp=(-1.0) ** k * alpha * trace_scale))
     return modes
 
 
@@ -200,14 +204,15 @@ def quadrature_boundary_gram(domain, modes):
         th = azim.nodes
         w = azim.weights * R
         traces = np.empty((len(modes), th.size))
-        for i, mode in enumerate(modes):
-            m, parity = mode.angular
+        for i, (m, sin, amp) in enumerate(zip(
+                modes.order.tolist(), modes.second.tolist(),
+                modes.trace_amp.tolist())):
             if m == 0:
                 ang = np.full_like(th, 1.0 / math.sqrt(2.0 * math.pi * R))
             else:
-                base = np.cos(m * th) if parity == "cos" else np.sin(m * th)
+                base = np.sin(m * th) if sin else np.cos(m * th)
                 ang = base / math.sqrt(math.pi * R)
-            traces[i] = mode.trace_amp * ang
+            traces[i] = amp * ang
     else:
         polar = quadrature_rule("gauss_legendre", 60, (-1.0, 1.0))
         azim = quadrature_rule("periodic_trapezoid", 120,
@@ -216,10 +221,11 @@ def quadrature_boundary_gram(domain, modes):
         tt, pp = np.meshgrid(theta, azim.nodes, indexing="ij")
         w = np.outer(polar.weights, azim.weights).ravel() * R * R
         traces = np.empty((len(modes), w.size))
-        for i, mode in enumerate(modes):
-            l, m = mode.angular
+        for i, (l, m, amp) in enumerate(zip(
+                modes.order.tolist(), modes.second.tolist(),
+                modes.trace_amp.tolist())):
             harm = real_spherical_harmonic(l, m, tt, pp)
-            traces[i] = mode.trace_amp * harm.ravel() / R
+            traces[i] = amp * harm.ravel() / R
     return (traces * w) @ traces.T
 
 

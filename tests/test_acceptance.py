@@ -103,16 +103,17 @@ class TestCriterion2EigenvalueAccuracy:
                                       ball_modes):
         worst = 0.0
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
-            for mode in modes[:12]:
-                z = oracle_zero_bisection(mode.angular[0], mode.k,
+            for order, k, mu in zip(modes.order[:12], modes.k[:12],
+                                    modes.mu[:12]):
+                z = oracle_zero_bisection(order, k,
                                           spherical=(domain.shape == "ball"))
-                worst = max(worst, abs(mode.mu - (LAMBDA - (z / 2.0) ** 2)))
+                worst = max(worst, abs(mu - (LAMBDA - (z / 2.0) ** 2)))
         bmodes, _ = ball_modes
-        ball_mu1_rel = abs(bmodes[0].mu - 4.147) / 4.147
-        ball_mu2_rel = abs(bmodes[1].mu - 1.566) / 1.566
+        ball_mu1_rel = abs(bmodes.mu[0] - 4.147) / 4.147
+        ball_mu2_rel = abs(bmodes.mu[1] - 1.566) / 1.566
         dmodes, _ = disk_modes
-        disk_ok = (abs(dmodes[1].mu - DISK_MU_2_ANALYTIC) < 1e-10
-                   and abs(dmodes[3].mu - DISK_MU_4_ANALYTIC) < 1e-10)
+        disk_ok = (abs(dmodes.mu[1] - DISK_MU_2_ANALYTIC) < 1e-10
+                   and abs(dmodes.mu[3] - DISK_MU_4_ANALYTIC) < 1e-10)
         ok = (worst < 1e-10 and ball_mu1_rel < 3e-3 and ball_mu2_rel < 3e-3
               and disk_ok)
         verdict(2, ok, f"(oracle dev {worst:.1e}; ball mu1 off "
@@ -135,7 +136,7 @@ class TestCriterion3GramClosedForms:
             quad = quadrature_boundary_gram(domain, head)
             worst = max(worst, float(np.max(np.abs(closed - quad))))
             diag = np.diag(closed)
-            expected = np.array([2.0 * m.alpha**2 / 8.0 for m in head])
+            expected = 2.0 * head.alpha**2 / 8.0
             diag_worst = max(diag_worst,
                              float(np.max(np.abs(diag - expected))))
         elapsed = time.time() - t0
@@ -155,7 +156,9 @@ class TestCriterion4MatrixIdentities:
         for gains, system in [(disk_gains, disk_system),
                               (ball_gains, ball_system)]:
             n = gains.n_unstable
-            inv = np.sum(gains.b_list, axis=0) @ gains.a_gain - np.eye(n)
+            # B_i = M_i B M_i, rebuilt from the rows of m_list
+            sum_b = sum(np.outer(m, m) * gains.gram for m in gains.m_list)
+            inv = sum_b @ gains.a_gain - np.eye(n)
             worst_inv = max(worst_inv, float(np.max(np.abs(inv))))
             diff = gains.a_direct - (2.0 * gains.a_o - gains.s_total)
             worst_diff = max(worst_diff, float(np.max(np.abs(diff))))

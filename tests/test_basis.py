@@ -41,13 +41,24 @@ TABLE_PINS = {
 }
 
 
+def _keys(modes):
+    """Each row's angular key as the oracles write it: (m, "cos" / "sin")
+    on the disk, (l, m) on the ball."""
+    second = modes.second.tolist() if modes.shape == "ball" \
+        else np.where(modes.second, "sin", "cos").tolist()
+    return list(zip(modes.order.tolist(), second))
+
+
 def _bits(modes):
-    """Every field of every mode, floats by their bits and with the types
-    of the integer and angular fields."""
-    return [(mode.n, mode.k, mode.angular, type(mode.n), type(mode.k),
-             tuple(type(a) for a in mode.angular))
-            + tuple(float.hex(getattr(mode, name)) for name in
-                    ("alpha", "kappa", "mu", "norm_const", "trace_amp"))
+    """Every field of every row, floats by their bits, from a table's
+    arrays or from the per-mode loop's rows."""
+    names = ("alpha", "kappa", "mu", "norm_const", "trace_amp")
+    if isinstance(modes, ModeTable):
+        return list(zip(modes.n.tolist(), modes.k.tolist(), _keys(modes),
+                        *([float.hex(v) for v in getattr(modes, name).tolist()]
+                          for name in names)))
+    return [(mode.n, mode.k, mode.angular)
+            + tuple(float.hex(getattr(mode, name)) for name in names)
             for mode in modes]
 
 
@@ -65,28 +76,28 @@ class TestEnumeration:
         modes, summary = disk_modes
         assert summary.n_unstable == 5
         assert summary.n_sim == 300 and len(modes) == 300
-        for mode, ref in zip(modes, DISK_MU):
-            assert abs(mode.mu - ref) < 1e-10
+        for mu, ref in zip(modes.mu, DISK_MU):
+            assert abs(mu - ref) < 1e-10
 
     def test_ball_count_and_values(self, ball_modes):
         modes, summary = ball_modes
         assert summary.n_unstable == 4
-        for mode, ref in zip(modes, BALL_MU):
-            assert abs(mode.mu - ref) < 1e-10
+        for mu, ref in zip(modes.mu, BALL_MU):
+            assert abs(mu - ref) < 1e-10
 
     def test_eigenvalues_match_bisection_oracle(self, disk, ball, disk_modes,
                                                 ball_modes):
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
-            for mode in modes[:12]:
-                z = oracle_zero_bisection(mode.angular[0], mode.k,
+            for order, k, mu in zip(modes.order[:12], modes.k[:12],
+                                    modes.mu[:12]):
+                z = oracle_zero_bisection(order, k,
                                           spherical=(domain.shape == "ball"))
-                assert abs(mode.mu - (LAMBDA - (z / domain.radius) ** 2)) \
-                    < 1e-10
+                assert abs(mu - (LAMBDA - (z / domain.radius) ** 2)) < 1e-10
 
     def test_ball_values_near_reported_benchmark(self, ball_modes):
         modes, _ = ball_modes
-        assert abs(modes[0].mu - 4.147) / 4.147 < 3e-3
-        assert abs(modes[1].mu - 1.566) / 1.566 < 3e-3
+        assert abs(modes.mu[0] - 4.147) / 4.147 < 3e-3
+        assert abs(modes.mu[1] - 1.566) / 1.566 < 3e-3
 
     def test_lambda_zero_all_stable(self, disk):
         _, summary = enumerate_modes(disk, 0.0, 10)
@@ -94,16 +105,16 @@ class TestEnumeration:
 
     def test_mu_nonincreasing_and_sign_split(self, disk_modes, ball_modes):
         for modes, summary in (disk_modes, ball_modes):
-            mus = np.array([m.mu for m in modes])
+            mus = modes.mu
             assert np.all(np.diff(mus) <= 1e-12)
             n = summary.n_unstable
             assert mus[n - 1] >= 0.0 > mus[n]
 
     def test_degenerate_multiplets_included(self, disk_modes, ball_modes):
         modes, _ = disk_modes
-        assert modes[1].angular == (1, "cos") and modes[2].angular == (1, "sin")
+        assert _keys(modes[1:3]) == [(1, "cos"), (1, "sin")]
         bmodes, _ = ball_modes
-        assert [m.angular for m in bmodes[1:4]] == [(1, -1), (1, 0), (1, 1)]
+        assert _keys(bmodes[1:4]) == [(1, -1), (1, 0), (1, 1)]
 
     def test_capacity_error(self, disk):
         with pytest.raises(CapacityError):
@@ -139,11 +150,12 @@ class TestEnumeration:
             domain = Domain(shape, radius)
             for n_sim in (1, 2, 3, 4, 5, 7, 10, 37, 301, 800):
                 modes, summary = enumerate_modes(domain, lam, n_sim)
-                got = [(mode.alpha, mode.angular, mode.k) for mode in modes]
+                got = list(zip(modes.alpha.tolist(), _keys(modes),
+                               modes.k.tolist()))
                 assert got == oracle(n_sim), (shape, n_sim)
                 assert _bits(modes) == \
                     _bits(mode_table_loop(domain, lam, n_sim)), (shape, n_sim)
-                assert summary.eigenvalues == tuple(m.mu for m in modes)
+                assert summary.eigenvalues == tuple(modes.mu.tolist())
 
     @pytest.mark.parametrize("shape, n_sim", [("disk", 946), ("ball", 2000)])
     def test_largest_tables_match_per_mode_loop(self, shape, n_sim):
@@ -166,20 +178,21 @@ class TestEnumeration:
     def test_alpha_sample_matches_bisection_oracle(self, disk, ball,
                                                    disk_modes, ball_modes):
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            keys = _keys(modes)
             for n, key in TABLE_PINS[domain.shape].items():
-                assert (modes[n - 1].angular, modes[n - 1].k) == key
-            for mode in modes[np.r_[0:len(modes):37,
-                                    _table_extremes(modes)]]:
-                z = oracle_zero_bisection(mode.angular[0], mode.k,
+                assert (keys[n - 1], modes.k[n - 1]) == key
+            sample = modes[np.r_[0:len(modes):37, _table_extremes(modes)]]
+            for order, k, alpha in zip(sample.order, sample.k, sample.alpha):
+                z = oracle_zero_bisection(order, k,
                                           spherical=(domain.shape == "ball"))
-                assert abs(mode.alpha - z) <= 1e-13 * z
+                assert abs(alpha - z) <= 1e-13 * z
 
     def test_radius_independent_ordering(self):
         small = Domain("disk", 0.5)
         modes, summary = enumerate_modes(small, LAMBDA, 10)
         # kappa scales with 1/R^2, so a small disk has no unstable modes here
         assert summary.n_unstable == 0
-        assert modes[0].kappa == pytest.approx((modes[0].alpha / 0.5) ** 2)
+        assert modes.kappa[0] == pytest.approx((modes.alpha[0] / 0.5) ** 2)
 
 
 class TestEvalMode:
@@ -237,10 +250,10 @@ class TestEvalMode:
                                (rr * np.sin(tt)).ravel()])
         w = np.outer(radial.weights * radial.nodes, azim.weights).ravel()
         vals = mode_values(head, disk, pts)
-        for mode, row in zip(head, vals):
+        for kappa, mu, row in zip(head.kappa, head.mu, vals):
             norm_sq = float(np.dot(w, row * row))
-            rayleigh = (LAMBDA - mode.kappa) * norm_sq
-            assert abs(rayleigh - mode.mu) <= 1e-9 * max(1.0, abs(mode.mu))
+            rayleigh = (LAMBDA - kappa) * norm_sq
+            assert abs(rayleigh - mu) <= 1e-9 * max(1.0, abs(mu))
 
 
 def _probe_points(domain):
@@ -262,20 +275,19 @@ def _mode_sample(modes):
     return modes[np.r_[0:12, _table_extremes(modes)]]
 
 
-def _per_mode_field(mode, domain, r, angles):
-    """One eigenfunction on a tensor grid of radii x angle samples, from
+def _per_mode_field(modes, i, domain, r, angles):
+    """Row i's eigenfunction on a tensor grid of radii x angle samples, from
     the single-order public evaluators (the per-mode reference)."""
     R = domain.radius
+    order, second = int(modes.order[i]), int(modes.second[i])
     if domain.shape == "disk":
-        m, parity = mode.angular
-        radial = bessel_j(m, mode.alpha * r / R)
-        ang = np.ones_like(angles) if m == 0 else \
-            (np.cos(m * angles) if parity == "cos" else np.sin(m * angles))
+        radial = bessel_j(order, modes.alpha[i] * r / R)
+        ang = np.ones_like(angles) if order == 0 else \
+            (np.sin(order * angles) if second else np.cos(order * angles))
     else:
-        l, m = mode.angular
-        radial = spherical_bessel_j(l, mode.alpha * r / R)
-        ang = real_spherical_harmonic(l, m, angles[0], angles[1])
-    return mode.norm_const * np.outer(radial, ang)
+        radial = spherical_bessel_j(order, modes.alpha[i] * r / R)
+        ang = real_spherical_harmonic(order, second, angles[0], angles[1])
+    return modes.norm_const[i] * np.outer(radial, ang)
 
 
 class TestBatchedRadialFactors:
@@ -294,8 +306,9 @@ class TestBatchedRadialFactors:
             vals = mode_values(sample, domain, pts)
             # the reference evaluates point k at radius r[k] and angle k:
             # the diagonal of its radii x angles table
-            ref = np.array([np.diag(_per_mode_field(m, domain, r, angles))
-                            for m in sample])
+            ref = np.array([np.diag(_per_mode_field(sample, i, domain, r,
+                                                    angles))
+                            for i in range(len(sample))])
             assert np.max(np.abs(vals - ref)) <= 1e-13
 
     def test_project_function_matches_per_mode_quadrature(
@@ -323,8 +336,9 @@ class TestBatchedRadialFactors:
                        np.outer(r, st * np.sin(angles[1])), np.outer(r, ct))
             coeffs = project_function(f, sample, domain)
             ref = np.array([np.sum(np.outer(w_r, w_ang) * fv
-                                   * _per_mode_field(m, domain, r, angles))
-                            for m in sample])
+                                   * _per_mode_field(sample, i, domain, r,
+                                                     angles))
+                            for i in range(len(sample))])
             assert np.max(np.abs(coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -342,9 +356,9 @@ class TestAngularParities:
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
             keys, _ = angular_keys(modes)
             first = {}
-            for mode in modes:
-                first.setdefault(mode.angular, mode.n - 1)
-            sample = modes[[first[key.angular] for key in keys]]
+            for row, code in enumerate(modes.code.tolist()):
+                first.setdefault(code, row)
+            sample = modes[[first[code] for code in keys.code.tolist()]]
             pts = _PARITY_POINTS[domain.shape]
             phi = mode_values(sample, domain, pts)
             scale = np.max(np.abs(phi), axis=1, keepdims=True)
@@ -363,11 +377,10 @@ def _per_order_radial(modes, domain, r):
     R = domain.radius
     single = bessel_j if domain.shape == "disk" else spherical_bessel_j
     out = np.empty((len(modes), r.size))
-    for order in {mode.angular[0] for mode in modes}:
-        rows = [i for i, mode in enumerate(modes) if mode.angular[0] == order]
-        alphas = np.array([modes[i].alpha for i in rows])
-        out[rows] = single(order, np.outer(alphas, r) / R)
-    return out * np.array([mode.norm_const for mode in modes])[:, None]
+    for order in set(modes.order.tolist()):
+        rows = np.flatnonzero(modes.order == order)
+        out[rows] = single(order, np.outer(modes.alpha[rows], r) / R)
+    return out * modes.norm_const[:, None]
 
 
 class TestRadialLanes:
@@ -390,7 +403,8 @@ class TestRadialLanes:
                                                ball_modes):
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
             R = domain.radius
-            pairs = sorted({(mode.angular[0], mode.k) for mode in modes})
+            row_pairs = list(zip(modes.order.tolist(), modes.k.tolist()))
+            pairs = sorted(set(row_pairs))
             n_r = _LANE_BLOCK // len(pairs) + 3
             # lanes run pair by pair over the radii: this pair's lanes sit
             # on both sides of the first block boundary
@@ -401,11 +415,9 @@ class TestRadialLanes:
             ref = _per_order_radial(modes, domain, r)
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
-            n = next(i for i, mode in enumerate(modes)
-                     if (mode.angular[0], mode.k) == straddling)
-            mode = modes[n]
-            exact = mode.norm_const * np.array(
-                [oracle_bessel(mode.angular[0], mode.alpha * rk / R,
+            n = row_pairs.index(straddling)
+            exact = modes.norm_const[n] * np.array(
+                [oracle_bessel(modes.order[n], modes.alpha[n] * rk / R,
                                domain.shape == "ball") for rk in r])
             assert np.all(np.abs(vals[n] - exact)
                           <= 1e-13 * np.max(np.abs(exact)))
@@ -424,7 +436,7 @@ class TestNormalTrace:
 
     def test_disk_cos_mode_vanishes_at_quarter_turn(self, disk, disk_modes):
         modes, _ = disk_modes
-        assert modes[1].angular == (1, "cos")
+        assert _keys(modes[1:2]) == [(1, "cos")]
         angles = point_angles(disk, [(0.0, 2.0)])
         assert abs(boundary_traces(modes[1:2], disk, angles)[0, 0]) < 1e-12
 
@@ -453,10 +465,11 @@ class TestNormalTrace:
 
     def test_trace_amp_closed_form(self, disk_modes, ball_modes):
         for modes, _ in (disk_modes, ball_modes):
-            for mode in modes[:20]:
-                expected = mode.alpha * math.sqrt(2.0 / 8.0)
-                assert abs(abs(mode.trace_amp) - expected) < 1e-12
-                assert math.copysign(1.0, mode.trace_amp) == (-1.0) ** mode.k
+            for alpha, amp, k in zip(modes.alpha[:20], modes.trace_amp[:20],
+                                     modes.k[:20]):
+                expected = alpha * math.sqrt(2.0 / 8.0)
+                assert abs(abs(amp) - expected) < 1e-12
+                assert math.copysign(1.0, amp) == (-1.0) ** k
 
 
 class TestBoundaryInner:
@@ -475,14 +488,15 @@ class TestBoundaryInner:
 
     def test_ball_same_family_off_diagonal(self, ball_modes):
         modes, _ = ball_modes
-        k2 = next(m.n - 1 for m in modes if m.angular == (0, 0) and m.k == 2)
+        k2 = np.flatnonzero((modes.order == 0) & (modes.second == 0)
+                            & (modes.k == 2))[0]
         assert boundary_gram(modes[:1], modes[[k2]])[0, 0] == \
             pytest.approx(BALL_GRAM_0102, abs=1e-12)
 
     def test_diagonal_closed_form(self, disk_modes, ball_modes):
         for modes, _ in (disk_modes, ball_modes):
             diagonal = np.diag(boundary_gram(modes[:30], modes[:30]))
-            alpha = np.array([mode.alpha for mode in modes[:30]])
+            alpha = modes.alpha[:30]
             assert np.max(np.abs(diagonal - 2.0 * alpha**2 / 8.0)) < 1e-10
 
     def _quadrature_gram(self, domain, modes):
@@ -521,7 +535,7 @@ class TestBoundaryInner:
                                    for parity in ("cos", "sin")]
         else:
             modes, _ = enumerate_modes(domain, LAMBDA, 2000)
-            top = max(mode.angular[0] for mode in modes)
+            top = int(modes.order.max())
             assert top == 25
             keys = [(l, m) for l in range(top + 1) for m in range(-l, l + 1)]
         orders = np.array([key[0] for key in keys])
@@ -573,8 +587,8 @@ class TestProjectFunction:
         modes, _ = disk_modes
         coeffs = project_function(lambda x, y: 4.0 - x * x - y * y,
                                   modes[:30], disk)
-        for mode, c in zip(modes[:30], coeffs):
-            if mode.angular[0] >= 1:
+        for order, c in zip(modes.order[:30], coeffs):
+            if order >= 1:
                 assert abs(c) < 1e-12
 
     def test_self_convergence_under_refinement(self, disk, disk_modes):

@@ -12,8 +12,7 @@ from modalstab.cli import (EXIT_BAD_INPUT, EXIT_GAINS_NOT_VALIDATED, EXIT_OK,
                            EXIT_SYNTHESIS_FAILURE, EXIT_VERIFY_FAILED,
                            ConfigError, RunConfig,
                            cmd_simulate, cmd_spectrum, cmd_synthesize,
-                           cmd_verify, main, parse_config,
-                           serialize_config)
+                           cmd_verify, main, parse_config)
 
 DISK_CFG = """
 # benchmark disk configuration
@@ -40,16 +39,6 @@ def make_cfg(tmp_path, text=DISK_CFG, **overrides):
 
 
 class TestConfig:
-    def test_round_trip_identity(self):
-        cfg = parse_config(DISK_CFG)
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
-
-    def test_round_trip_with_explicit_gammas(self):
-        cfg = parse_config(DISK_CFG.replace("auto", "6.17,7.17,8.17,9.17,10.17"))
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
-
     def test_defaults_match_benchmark(self):
         cfg = RunConfig()
         assert cfg.radius == 2.0 and cfg.lam == 6.61
@@ -123,9 +112,10 @@ class TestSynthesizeCommand:
         # conditioning advisory (exit 4) is the expected composite outcome
         from modalstab.cli import EXIT_SYNTHESIS_FAILURE
         mu1 = 5.1642035092633039
-        cfg = make_cfg(tmp_path, gammas=(mu1, 7.17, 8.17, 9.17, 10.17))
         path = tmp_path / "run.cfg"
-        path.write_text(serialize_config(cfg))
+        path.write_text(
+            DISK_CFG.replace("auto", f"{mu1!r},7.17,8.17,9.17,10.17")
+            + f"output_dir = {tmp_path / 'out'}\n")
         code = main(["synthesize", "--config", str(path)])
         err = capsys.readouterr().err
         assert "nudged" in err
@@ -316,6 +306,31 @@ class TestMain:
         # the set that simulate and verify refuse is never written
         self.run_resonant("synthesize", tmp_path, disk_modes)
         assert not (tmp_path / "synthesize" / "gains.json").exists()
+
+    @pytest.mark.parametrize("config, rows", [
+        ("lambda = 8\n", "n=1 and n=6 share the angular key (0, cos)"),
+        ("lambda = 8\ngammas = 6,7,8,9,10,11\n",
+         "n=1 and n=6 share the angular key (0, cos)"),
+        ("domain.shape = ball\nlambda = 10\n",
+         "n=1 and n=10 share the angular key (0, 0)"),
+    ], ids=["disk", "disk-six-gammas", "ball"])
+    def test_repeated_leading_key_is_synthesis_failure(self, tmp_path, capsys,
+                                                       config, rows):
+        # two leading modes on one angular key have collinear normal
+        # traces, so B is singular: every command says so in one line,
+        # ahead of the shift count check and the doubling search
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        for command in ("synthesize", "simulate", "verify"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--output",
+                         str(out)]) == EXIT_SYNTHESIS_FAILURE
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"synthesis failed: leading modes {rows}, so their normal "
+                "traces are collinear and B is singular\n")
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert not (out / "gains.json").exists()
 
     def test_grid_without_interior_point_is_bad_input(self, tmp_path,
                                                       capsys):

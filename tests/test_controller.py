@@ -75,7 +75,9 @@ class TestSynthesize:
 
     def test_gain_identity(self, disk_gains, ball_gains):
         for gs in (disk_gains, ball_gains):
-            identity = np.sum(gs.b_list, axis=0) @ gs.a_gain
+            # B_i = M_i B M_i, rebuilt from the rows of m_list
+            sum_b = sum(np.outer(m, m) * gs.gram for m in gs.m_list)
+            identity = sum_b @ gs.a_gain
             assert np.max(np.abs(identity - np.eye(gs.n_unstable))) < 1e-10
 
     def test_generator_difference_identity(self, disk_gains, ball_gains):
@@ -109,7 +111,7 @@ class TestSynthesize:
 
     def test_gamma_colliding_with_mu_rejected(self, disk_modes):
         modes, _ = disk_modes
-        bad = (modes[0].mu, 7.17, 8.17, 9.17, 10.17)
+        bad = (modes.mu[0], 7.17, 8.17, 9.17, 10.17)
         with pytest.raises(SynthesisError):
             synthesize(modes, bad)
 
@@ -224,7 +226,7 @@ class TestAutoScale:
 
     def test_margin_eventually_decreasing_in_scale(self, disk_modes):
         modes, _ = disk_modes
-        mu = np.array([m.mu for m in modes[:5]])
+        mu = modes.mu[:5]
         margins = []
         for scale in (2, 4, 8):
             gammas = nudge_gammas([scale * g for g in GAMMAS_DISK], mu)
@@ -233,8 +235,8 @@ class TestAutoScale:
 
     def test_nudge_restores_separation(self, disk_modes):
         modes, _ = disk_modes
-        mu = np.array([m.mu for m in modes[:5]])
-        nudged = nudge_gammas([modes[0].mu, 9.0], mu)
+        mu = modes.mu[:5]
+        nudged = nudge_gammas([modes.mu[0], 9.0], mu)
         assert min(abs(nudged[0] - m) for m in mu) > 1e-8
 
 
@@ -250,7 +252,7 @@ class TestBoundaryControlEval:
                                  point_angles(disk, [(2.0, 0.0)]))
         got = (control_map(gs) @ U) @ traces
         c = (1.0 / (3.0 - 1.0)) * gs.a_gain[0, 0] * 1.3
-        trace = mode[0].trace_amp / math.sqrt(2.0 * math.pi * 2.0)
+        trace = mode.trace_amp[0] / math.sqrt(2.0 * math.pi * 2.0)
         assert got[0] == pytest.approx(c * trace, rel=1e-14)
 
     def test_trace_projection_matches_matrix_product(self, disk, disk_gains,

@@ -64,7 +64,7 @@ class TestH2Surrogate:
     def test_full_variant_uses_kappa_weights(self, disk_modes,
                                              disk_evaluator):
         modes, _ = disk_modes
-        k1 = modes[0].kappa
+        k1 = modes.kappa[0]
         s = series_of(unit(0), modes, disk_evaluator)
         assert s.h2_full[0] == \
             pytest.approx(math.sqrt(1.0 + k1 + k1 * k1), rel=1e-14)
@@ -74,7 +74,7 @@ class TestLaplacian:
     def test_single_mode_no_control(self, disk_modes, disk_evaluator):
         modes, _ = disk_modes
         s = series_of(unit(7, value=-1.3), modes, disk_evaluator)
-        assert s.laplacian_l2[0] == pytest.approx(modes[7].kappa * 1.3,
+        assert s.laplacian_l2[0] == pytest.approx(modes.kappa[7] * 1.3,
                                                   rel=1e-14)
 
     def test_zero_state_zero_control(self, disk_modes, disk_evaluator):
@@ -319,8 +319,8 @@ class TestNormSeries:
         c = gains.m_list[:, None, :] * (traj.states[:, :n] @ gains.a_gain.T)
         lifted = lifting_coefficients(np.reshape(gains.gammas, (n, 1)), c,
                                       modes)
-        mu = np.array([m.mu for m in modes])
-        kappa = np.array([m.kappa for m in modes])
+        mu = modes.mu
+        kappa = modes.kappa
         xi = np.sqrt(np.square(lifted) @ (1.0 + mu * mu)).T
         lap = np.linalg.norm(-kappa * traj.states - traj.boundary_data
                              @ boundary_gram(modes, modes[:n]).T, axis=1)

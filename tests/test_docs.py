@@ -1,8 +1,11 @@
-"""The README's library example must run against the current API, so that
-a signature change cannot leave it stale."""
+"""The README's library example must run against the current API, and
+its default config block must be the defaults, so that neither a signature
+change nor a changed default can leave them stale."""
 
 import re
 from pathlib import Path
+
+from modalstab.cli import RunConfig, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,10 @@ def test_readme_library_example_runs():
     assert namespace["summary"].n_unstable == 5
     assert series.linf.shape == namespace["trajectory"].times.shape
     assert namespace["rate"] > 0.0
+
+
+def test_readme_config_block_is_the_defaults():
+    text = README.read_text()
+    section = text[text.index("Defaults reproduce the benchmark disk"):]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert parse_config(block) == RunConfig()

@@ -14,7 +14,7 @@ def dense_solve_oracle(gamma, c, modes):
     """Assemble the projected lifting operator as an explicit dense matrix
     and solve the linear system; independent of the closed-form path."""
     n_sim = len(modes)
-    mu = np.array([m.mu for m in modes])
+    mu = modes.mu
     n = int(np.sum(mu >= 0.0))
     # row n: (gamma -/+ mu_n) d_n = (beta c)_n, assembled densely
     a = np.zeros((n_sim, n_sim))
@@ -39,7 +39,7 @@ class TestLiftingCoefficients:
         c[0] = 1.0
         got = lifting_coefficients(gamma, c, modes)
         b11 = boundary_gram(modes[:1], modes[:1])[0, 0]
-        assert got[0] == pytest.approx(b11 / (gamma - modes[0].mu),
+        assert got[0] == pytest.approx(b11 / (gamma - modes.mu[0]),
                                          rel=1e-14)
 
     def test_zero_boundary_data(self, disk_modes):
@@ -61,11 +61,11 @@ class TestLiftingCoefficients:
     def test_resonance_with_leading_eigenvalue(self, disk_modes):
         modes, _ = disk_modes
         with pytest.raises(ResonanceError):
-            lifting_coefficients(modes[0].mu + 1e-9, np.ones(5), modes)
+            lifting_coefficients(modes.mu[0] + 1e-9, np.ones(5), modes)
 
     def test_resonance_with_tail_eigenvalue(self, disk_modes):
         modes, _ = disk_modes
-        gamma = -modes[5].mu + 1e-9    # mu_6 < 0, so -mu_6 > 0 resonates
+        gamma = -modes.mu[5] + 1e-9    # mu_6 < 0, so -mu_6 > 0 resonates
         with pytest.raises(ResonanceError) as err:
             lifting_coefficients(gamma, np.ones(5), modes)
         assert "n=6" in str(err.value)
@@ -74,7 +74,7 @@ class TestLiftingCoefficients:
         # a (G, 1) shift stack is checked as a whole: the error names the
         # resonating shift and mode, not the first shift of the stack
         modes, _ = disk_modes
-        gamma = -modes[5].mu + 1e-9
+        gamma = -modes.mu[5] + 1e-9
         with pytest.raises(ResonanceError) as err:
             lifting_coefficients(np.array([[9.0], [gamma]]),
                                  np.ones((2, 3, 5)), modes)
@@ -87,7 +87,7 @@ class TestLiftingCoefficients:
         c = np.zeros(5)
         c[0] = 1.0
         eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
-        d1 = [abs(lifting_coefficients(modes[0].mu + e, c, modes)[0])
+        d1 = [abs(lifting_coefficients(modes.mu[0] + e, c, modes)[0])
               for e in eps]
         slope = np.polyfit(np.log(eps), np.log(d1), 1)[0]
         assert abs(slope + 1.0) < 0.02
@@ -181,7 +181,7 @@ class TestSurrogates:
         sups = []
         for n_sim in (300, 600):
             modes, _ = enumerate_modes(disk, 6.61, n_sim)
-            weight = 1.0 + np.array([m.mu for m in modes]) ** 2
+            weight = 1.0 + modes.mu ** 2
             # the surrogate sqrt(sum (1 + mu_n^2) d_n^2) of each lifting
             sup = max(float(np.sqrt(np.sum(weight * lifting_coefficients(
                 9.0, c, modes) ** 2))) for c in draws)

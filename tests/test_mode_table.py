@@ -1,8 +1,8 @@
 """The mode table is one array per field, which every function takes: a
-sub-table keeps its rows' n, its arrays are read-only, and `modes[i]` is
-row i's EigenMode view; the step maps, which power F on the coupled tail
-rows only, give the blocks of the all-rows power; and no pipeline path
-builds an EigenMode."""
+sub-table keeps its rows' n, its arrays are read-only, and an int index
+raises TypeError; the step maps, which power F on the coupled tail rows
+only, give the blocks of the all-rows power; and no pipeline path indexes
+the table by an int."""
 
 import dataclasses
 
@@ -11,10 +11,9 @@ import pytest
 
 import modalstab.cli
 from _oracles import step_map_all_rows
-from modalstab.basis import Domain, EigenMode, enumerate_modes
-from modalstab.controller import auto_scale_gains, scaled_gain_set, synthesize
-from modalstab.simulator import (PolynomialSpec, assemble_closed_loop,
-                                 integrate, project_initial_condition)
+from modalstab.basis import Domain, ModeTable, enumerate_modes
+from modalstab.controller import scaled_gain_set
+from modalstab.simulator import assemble_closed_loop
 
 LAMBDA = 6.61
 GAMMAS = {"disk": (6.17, 7.17, 8.17, 9.17, 10.17),
@@ -40,10 +39,25 @@ class TestTable:
     def test_views_round_trip(self, table):
         _, modes = table
         sub = modes[SUB_ROWS]
-        assert [mode.n for mode in sub] == (SUB_ROWS + 1).tolist()
-        assert list(sub) == [modes[i] for i in SUB_ROWS]
+        assert sub.n.tolist() == (SUB_ROWS + 1).tolist()
+        for field in dataclasses.fields(ModeTable)[1:]:
+            assert np.array_equal(getattr(sub, field.name),
+                                  getattr(modes, field.name)[SUB_ROWS])
         assert modes[:][SUB_ROWS].same_as(sub)
         assert not sub.same_as(modes[SUB_ROWS[:-1]])
+
+    def test_int_index_raises(self, table):
+        _, modes = table
+        for index in (0, -1, np.int64(3), np.array(3)):
+            with pytest.raises(TypeError):
+                modes[index]
+        mask = np.zeros(len(modes), dtype=bool)
+        mask[SUB_ROWS] = True
+        for index, rows in ((slice(2, 9, 3), [2, 5, 8]),
+                            (mask, np.sort(SUB_ROWS)), (SUB_ROWS, SUB_ROWS)):
+            sub = modes[index]
+            assert isinstance(sub, ModeTable) and sub.shape == modes.shape
+            assert sub.n.tolist() == (np.asarray(rows) + 1).tolist()
 
     def test_arrays_read_only(self, table):
         _, modes = table
@@ -77,16 +91,19 @@ def test_coupled_row_step_map_matches_all_rows(shape, n_sim):
             assert_same_bits(block, oracle)
 
 
-def count_eigenmodes(monkeypatch):
-    """A list that grows by one for every EigenMode built from now on."""
-    built = []
-    init = EigenMode.__init__
+def count_row_reads(monkeypatch):
+    """A list that grows by one for every int index into a ModeTable from
+    now on: the row reads that built an EigenMode view before the view was
+    retired, and that raise TypeError now."""
+    reads = []
+    getitem = ModeTable.__getitem__
 
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(EigenMode, "__init__", counting)
-    return built
+    def counting(self, index):
+        if isinstance(index, (int, np.integer)):
+            reads.append(index)
+        return getitem(self, index)
+    monkeypatch.setattr(ModeTable, "__getitem__", counting)
+    return reads
 
 
 @pytest.mark.parametrize("shape", ["disk", "ball"])
@@ -94,20 +111,10 @@ def test_verify_builds_no_eigenmode(shape, tmp_path, monkeypatch):
     config = tmp_path / "run.cfg"
     config.write_text(f"domain.shape = {shape}\nn_sim = 40\ngrid = 12\n"
                       f"horizon = 1\noutput_dir = {tmp_path / 'out'}\n")
-    built = count_eigenmodes(monkeypatch)
+    reads = count_row_reads(monkeypatch)
     assert modalstab.cli.main(["verify", "--config", str(config)]) in (0, 1)
-    assert len(built) == 0
-
-
-def test_crosscheck_sequence_builds_no_eigenmode(monkeypatch):
-    # the library calls of the benchmark's crosscheck operation
-    built = count_eigenmodes(monkeypatch)
-    domain = Domain("disk", 2.0)
-    modes, _ = enumerate_modes(domain, LAMBDA, 800)
-    gammas = auto_scale_gains(modes, GAMMAS["disk"], -0.5)
-    system = assemble_closed_loop(modes, synthesize(modes, gammas), domain)
-    u0 = project_initial_condition(domain, modes, PolynomialSpec(), 1)
-    integrate(system, u0, 0.05, 4.0)
-    integrate(system, u0, 0.05, 4.0, method="rk4")
-    assert len(built) == 0
-    assert modes[0].n == 1 and len(built) == 1     # the count is live
+    assert len(reads) == 0
+    modes, _ = enumerate_modes(Domain(shape, 2.0), LAMBDA, 1)
+    with pytest.raises(TypeError):
+        modes[0]
+    assert len(reads) == 1     # the count is live

@@ -77,11 +77,11 @@ class TestAssemble:
 
     def test_tail_rows_follow_angular_sparsity(self, disk_system, disk_modes):
         modes, _ = disk_modes
-        heads = {m.angular for m in modes[:5]}
+        heads = set(modes.code[:5].tolist())
         K = disk_system.split.K
         for n in range(5, 300):
             row_active = np.any(K[n] != 0.0)
-            assert row_active == (modes[n].angular in heads)
+            assert row_active == (modes.code[n] in heads)
 
     @pytest.mark.parametrize("shape", ["disk", "ball"])
     def test_assembled_split_bit_identical_to_dense_formula(self, shape,
@@ -164,8 +164,8 @@ class TestAssemble:
         domain = request.getfixturevalue(shape)
         modes, _ = request.getfixturevalue(f"{shape}_modes")
         gains = request.getfixturevalue(f"{shape}_gains")
-        heads = {m.angular for m in modes[:gains.n_unstable]}
-        row = max(i for i, mode in enumerate(modes) if mode.angular in heads)
+        in_heads = np.isin(modes.code, modes.code[:gains.n_unstable])
+        row = int(np.flatnonzero(in_heads)[-1])
         col = int(np.flatnonzero(gains.beta[row])[0])
         beta = gains.beta.copy()
         beta[row] = 0.0
@@ -179,9 +179,8 @@ class TestAssemble:
         domain = request.getfixturevalue(shape)
         modes, _ = request.getfixturevalue(f"{shape}_modes")
         gains = request.getfixturevalue(f"{shape}_gains")
-        heads = {m.angular for m in modes[:gains.n_unstable]}
-        row = max(i for i, mode in enumerate(modes)
-                  if mode.angular not in heads)
+        in_heads = np.isin(modes.code, modes.code[:gains.n_unstable])
+        row = int(np.flatnonzero(~in_heads)[-1])
         beta = gains.beta.copy()
         beta[row, 1] = 1e-3
         with pytest.raises(ConsistencyError,
@@ -325,8 +324,7 @@ class TestIntegrate:
         domain = request.getfixturevalue(shape)
         modes, summary = request.getfixturevalue(f"{shape}_modes")
         system = request.getfixturevalue(f"{shape}_system")
-        leading = {mode.angular for mode in modes[:summary.n_unstable]}
-        coupled = np.array([mode.angular in leading for mode in modes])
+        coupled = np.isin(modes.code, modes.code[:summary.n_unstable])
         for seed, degree in itertools.product((0, 1, 5), range(4)):
             u0 = project_initial_condition(
                 domain, modes, PolynomialSpec(degree=degree), seed)
@@ -596,8 +594,8 @@ class TestInitialCondition:
         modes, _ = disk_modes
         spec = PolynomialSpec(degree=0, coefficients=(1.0,))
         coeffs = project_initial_condition(disk, modes, spec, seed=1)
-        for mode, c in zip(modes, coeffs):
-            if mode.angular[0] >= 1:
+        for order, c in zip(modes.order, coeffs):
+            if order >= 1:
                 assert abs(c) < 1e-12
 
     def test_constant_polynomial_self_convergence(self, disk, disk_modes,
@@ -627,7 +625,7 @@ class TestInitialCondition:
         # for seeded and explicit coefficients
         for n_sim in (300, 800):
             domain, modes = mode_table(shape, n_sim)
-            dropped = np.array([mode.angular[0] > degree for mode in modes])
+            dropped = modes.order > degree
             explicit = PolynomialSpec(degree, tuple(np.linspace(
                 -1.0, 1.5, math.comb(degree + domain.dim, degree))))
             for spec, seed in [(PolynomialSpec(degree=degree), seed)
