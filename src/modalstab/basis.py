@@ -5,11 +5,11 @@ tie-breaking, L2-normalized with the radial factor positive near the origin,
 and carry closed-form normal-trace amplitudes so that boundary Gram entries
 reduce to products of per-mode constants.
 
-The Bessel work is batched: enumeration takes every order's zeros from one
-zero-finder call and every normalization constant from one recurrence with
-one lane per candidate, and the radial factor, which depends only on
-(order, k), is evaluated once per distinct pair at the distinct radii,
-then gathered per mode (`_radial_values`, shared by the grid values and
+The Bessel work is batched: enumeration takes every order's zeros, and
+their slopes f_m'(alpha) = -f_{m+1}(alpha), which give the normalization
+constants, from one zero-finder call, and the radial factor, which depends
+only on (order, k), is evaluated once per distinct pair at the distinct
+radii, then gathered per mode (`_radial_values`, shared by the grid values and
 the quadrature projection).  Each (order, k) x radius is a lane of one
 backward recurrence that keeps only the lane's own order; the lanes go
 through it in cache-sized blocks.
@@ -139,22 +139,24 @@ class SpectrumSummary:
 
 
 def _zeros_below(zeros_fn, cut: float, need: str):
-    """Every order's zeros up to `cut`, from one zero-finder call whose
-    scan ends at the cut.
+    """Every order's zeros up to `cut` as flat arrays (order, zero,
+    slope), ascending in order and then in zero, from one zero-finder
+    call whose scan ends at the cut.
 
     Zeros of order m lie above m, so only orders below the cut have any.
     Zeros grow with the order, so a zero of the top supported order below
     the cut means higher orders would be needed as well.
     """
     orders = np.arange(min(math.ceil(cut), MAX_ORDER + 1))
-    zeros = zeros_fn(orders, below=cut)
-    if orders[-1] == MAX_ORDER and zeros[-1].size:
+    order, zeros, slope = zeros_fn(orders, below=cut, slopes=True)
+    if order.size and order[-1] == MAX_ORDER:
         raise CapacityError(f"{need} beyond {MAX_ORDER}")
-    return zeros
+    return order, zeros, slope
 
 
 def _candidates(domain: Domain, n_sim: int):
-    """Arrays (alpha, order, slot, k) of the n_sim smallest alpha, from one
+    """Arrays (alpha, order, slot, k, slope) of the n_sim smallest alpha,
+    slope the radial factor's derivative at alpha, from one
     lexsort by alpha, order, slot, then k: as equal alphas occur only
     within one order, the order of the (alpha, key, k) tuples themselves.
 
@@ -172,20 +174,20 @@ def _candidates(domain: Domain, n_sim: int):
         key_count = lambda l: 2 * l + 1
     need = f"n_sim={n_sim} requires {needed}"
     while True:
-        zeros = _zeros_below(zeros_fn, cut, need)
-        order = np.repeat(np.arange(len(zeros)), [z.size for z in zeros])
+        order, zeros, slope = _zeros_below(zeros_fn, cut, need)
         counts = key_count(order)
         if counts.sum() >= n_sim:
             break
         cut *= 1.25
-    k = np.concatenate([np.arange(1, z.size + 1) for z in zeros])
+    # each zero's rank within its order
+    k = np.arange(order.size) + 1 - np.searchsorted(order, order)
     # every zero once per key of its order
-    alpha, order, k = (np.repeat(a, counts)
-                       for a in (np.concatenate(zeros), order, k))
+    alpha, order, k, slope = (np.repeat(a, counts)
+                              for a in (zeros, order, k, slope))
     slot = np.arange(alpha.size) - np.repeat(np.cumsum(counts) - counts,
                                              counts)
     pick = np.lexsort((k, slot, order, alpha))[:n_sim]
-    return alpha[pick], order[pick], slot[pick], k[pick]
+    return alpha[pick], order[pick], slot[pick], k[pick], slope[pick]
 
 
 def enumerate_modes(domain: Domain, lam: float, n_sim: int):
@@ -201,11 +203,11 @@ def enumerate_modes(domain: Domain, lam: float, n_sim: int):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     R = domain.radius
-    alpha, order, slot, k = _candidates(domain, n_sim)
+    alpha, order, slot, k, slope = _candidates(domain, n_sim)
 
     trace_scale = math.sqrt(2.0 / R**3)
-    lane_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
-    j_next = np.abs(lane_fn(order + 1, alpha))
+    # |f_{m+1}(alpha)| = |f_m'(alpha)| at a zero of f_m
+    j_next = np.abs(slope)
     # C pow, as Python's ** is; numpy's ** 2 squares, off in the last bit
     kappa = np.float_power(alpha / R, 2)
     mu = lam - kappa

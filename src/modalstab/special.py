@@ -12,10 +12,17 @@ family and sum (2l+1) j_l^2 = 1 for the spherical family.  One loop
 order up to it (a table), and an order array gives each lane (one order at
 one point) only its own order, kept from the contiguous slice of lanes of
 that order as the loop passes it, so callers stack many (order, argument)
-lanes into one call with no table of lower orders.  Zeros of any set of
-orders come from one path: one sign-change scan of all the orders on a
-shared grid that ends at the cut, then Halley steps from each bracket's
-secant, every bracket at once, with a bracketed bisection as the guard.
+lanes into one call with no table of lower orders.
+
+Zeros of any set of orders come from one path and one recurrence: one
+sign-change scan of all the orders on a shared grid that ends at the cut.
+Its table gives f and f' at an end of each bracket, which start a Taylor
+series of the Bessel equation about that end (DLMF 10.2, 10.6, 10.51);
+Halley steps on the series, every bracket at once from its secant, with a
+bracketed bisection as the guard, find the zero, and the same series
+gives the slope f_n'(alpha) = -f_{n+1}(alpha) there, from which the
+eigenfunction norms follow.  A zero and its slope depend only on (family,
+order, k).
 
 Real spherical harmonics of any set of (l, m) keys come from one
 normalized Legendre table and one trig factor per order m
@@ -31,8 +38,11 @@ import numpy as np
 # Orders above this cap are outside the validated range of the recurrences.
 MAX_ORDER = 60
 
-_RESCALE = 1e-140
+# a power of two, so that a rescale is exact (about 1e-140)
+_RESCALE = 2.0 ** -465
 _SCAN_STEP = 0.5
+# terms of the Taylor series that refines the zeros (see _lane_series)
+_TAYLOR_TERMS = 15
 
 
 class UnsupportedOrderError(ValueError):
@@ -80,7 +90,8 @@ def _series(shift: int, order, x):
         * (1.0 - x * x / (4.0 * order + 4 + 2 * shift))
 
 
-def _miller(shift: int, order, x: np.ndarray) -> np.ndarray:
+def _miller(shift: int, order, x: np.ndarray, scan: bool = False
+            ) -> np.ndarray:
     """Backward (Miller) recurrence f_{n-1} = ((2n + shift)/x) f_n - f_{n+1}
     for J (shift 0) or j (shift 1) at x >= 1e-6, normalized on the fly by
     the Neumann sum J_0 + 2 sum J_{2k} = 1 or the quadratic sum
@@ -91,11 +102,27 @@ def _miller(shift: int, order, x: np.ndarray) -> np.ndarray:
     order, copied from the contiguous slice of lanes of that order as the
     loop passes it; shape (x.size,).  The loop runs in place on a few
     lane-sized work arrays.
+
+    The loop starts at depth ceil(t) + 20 + floor(0.6 t), with t the
+    larger of the top order and the largest x.  A `scan` table instead
+    starts each lane at the depth of its own point, t = x, so that a value
+    depends only on its order and point, not on the top order or the other
+    points; orders above that depth read 0 there, where they have no zero.
+    Rescales are by a power of two, so they are exact and leave no trace
+    of when they happened.
     """
     lanes = np.ndim(order) > 0
     m_top = int(order[-1]) if lanes else order
-    top = max(m_top, float(x.max()))
-    n_start = int(math.ceil(top)) + 20 + int(0.6 * top)
+    # the lanes that start at each depth
+    if scan:
+        depth = np.ceil(x).astype(int) + 20 + (0.6 * x).astype(int)
+        by_depth = np.argsort(depth, kind="stable")
+        depths, first = np.unique(depth[by_depth], return_index=True)
+        starts = dict(zip(depths.tolist(), np.split(by_depth, first[1:])))
+    else:
+        top = max(m_top, float(x.max()))
+        starts = {int(math.ceil(top)) + 20 + int(0.6 * top): slice(None)}
+    n_start = max(starts)
     # the quadratic normalization sum leaves less headroom
     check_every = _overflow_check_interval(n_start, float(x.min()),
                                            12.0 if shift else 160.0)
@@ -108,11 +135,13 @@ def _miller(shift: int, order, x: np.ndarray) -> np.ndarray:
         vals = np.zeros((m_top + 1, x.size))
         keep = [(row, slice(None)) for row in vals]
     jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
+    jc = np.zeros_like(x)
     jm = np.empty_like(x)
     term = np.empty_like(x)
     norm = np.zeros_like(x)
     for n in range(n_start, 0, -1):
+        if n in starts:
+            jc[starts[n]] = 1e-30
         np.divide(2.0 * n + shift, x, out=jm)
         jm *= jc
         jm -= jp
@@ -140,8 +169,8 @@ def _miller(shift: int, order, x: np.ndarray) -> np.ndarray:
             np.multiply(jc, 2.0, out=term)
             norm += term
     # the quadratic sum fixes only the scale's magnitude; its sign is +,
-    # since the loop starts above x, where every j_n(x) > 0, and every
-    # rescale is positive
+    # since each lane starts above its x, where every j_n(x) > 0, and
+    # every rescale is positive
     vals /= np.sqrt(norm) if shift else norm
     return vals
 
@@ -160,6 +189,8 @@ def _bessel_family(shift: int, order, x) -> np.ndarray:
         order, flat = order.ravel()[perm], flat[perm]
         if order.size and order[0] < 0:
             raise ValueError("order must be nonnegative")
+    if not np.isfinite(flat).all():
+        raise ValueError("argument x must be finite")
     if (flat < 0).any():
         raise ValueError("argument must be nonnegative")
     big = flat >= 1e-6
@@ -211,22 +242,51 @@ def spherical_bessel_j(degree: int, x):
     return spherical_j_all(degree, x)[degree]
 
 
-def _lane_derivatives(shift: int, orders: np.ndarray, x: np.ndarray):
-    """Value, first and second derivative of each lane's own order at its
-    point.
+def _lane_series(shift: int, orders: np.ndarray, x0: np.ndarray,
+                 f0: np.ndarray, below: np.ndarray):
+    """Evaluator x -> (f, f', f'') of each lane's own order n near its
+    point x0, from a Taylor series about x0.
 
-    One all-orders recurrence covers every lane; the derivative follows
-    from the recurrence f_n' = f_{n-1} - ((n + shift)/x) f_n (shift 0 for
-    J_n, 1 for j_n), with f_0' = -f_1, and the second derivative from the
-    Bessel equation f'' = -(1 + shift) f'/x - (1 - n(n + shift)/x^2) f.
+    f0 = f_n(x0) and below = f_{|n-1|}(x0) give f_n'(x0) = f_{n-1} -
+    ((n + shift)/x0) f_n, or -f_1 at n = 0 (DLMF 10.6.2, 10.51.2).  The
+    Bessel equation x^2 f'' + (1 + shift) x f' + (x^2 - n(n + shift)) f = 0
+    fixes the other coefficients by its recurrence in c_k = f^(k)(x0)/k!:
+
+        x0^2 (k+2)(k+1) c_{k+2} = -[x0 (k+1)(2k+1+shift) c_{k+1}
+            + (k(k+shift) + x0^2 - n(n+shift)) c_k + 2 x0 c_{k-1} + c_{k-2}].
+
+    Since |f^(k)| <= 1, _TAYLOR_TERMS terms reach rounding level within
+    half a unit of x0 (0.5^15/15! ~ 2e-17).  The series of f, f' and f''
+    are summed by one Horner loop over elementwise operations, so each
+    lane's values depend on that lane alone.
     """
-    vals = _bessel_family(shift, int(orders.max(initial=1)), x)
-    lane = np.arange(x.size)
-    f = vals[orders, lane]
-    below = vals[np.abs(orders - 1), lane]
-    df = np.where(orders == 0, -below, below - ((orders + shift) / x) * f)
-    ddf = -(1 + shift) * df / x - (1.0 - orders * (orders + shift) / x**2) * f
-    return f, df, ddf
+    c = np.zeros((_TAYLOR_TERMS + 2, x0.size))   # c_{-2}, c_{-1} = 0
+    c[2] = f0
+    c[3] = np.where(orders == 0, -below, below - ((orders + shift) / x0) * f0)
+    q = x0 * x0 - orders * (orders + shift)
+    scale = -1.0 / (x0 * x0)
+    for k in range(_TAYLOR_TERMS - 2):
+        c[k + 4] = ((k + 1) * (2 * k + 1 + shift) * x0 * c[k + 3]
+                    + (k * (k + shift) + q) * c[k + 2]
+                    + 2.0 * x0 * c[k + 1] + c[k]) \
+            * (scale / ((k + 2) * (k + 1)))
+    c = c[2:]
+    k = np.arange(_TAYLOR_TERMS)[:, None]
+    # row k holds the k-th coefficients of f, f' and f''
+    poly = np.zeros((_TAYLOR_TERMS, 3, x0.size))
+    poly[:, 0] = c
+    poly[:-1, 1] = k[1:] * c[1:]
+    poly[:-2, 2] = (k[2:] * (k[2:] - 1)) * c[2:]
+
+    def evaluate(x):
+        h = x - x0
+        acc = poly[-1].copy()
+        for row in poly[-2::-1]:
+            acc *= h
+            acc += row
+        return acc[0], acc[1], acc[2]
+
+    return evaluate
 
 
 def _refine_zeros(derivatives, lo: np.ndarray, hi: np.ndarray,
@@ -237,20 +297,23 @@ def _refine_zeros(derivatives, lo: np.ndarray, hi: np.ndarray,
     Each lane starts at the secant of its bracket, well inside the basin
     of these simple oscillatory zeros, and Halley steps (`derivatives`
     gives f, f', f'' of every lane) converge cubically: three passes reach
-    rounding level.  Iterates are held in their brackets; a bracketed
-    bisection guards the rare lane that has not converged when the steps
-    end.  It bisects every lane, since `derivatives` evaluates each lane's
-    own function.
+    rounding level.  Iterates are held in their brackets, and a lane whose
+    step has converged stays where it is, so its zero does not depend on
+    the other lanes.  A bracketed bisection guards the rare lane that has
+    not converged when the steps end.  It bisects every lane, since
+    `derivatives` evaluates each lane's own function.
     """
     x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    live = np.ones(x.shape, dtype=bool)
     for _ in range(10):
         f, df, ddf = derivatives(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = f / df
             step = newton / (1.0 - 0.5 * newton * ddf / df)
+        step[~live] = 0.0
         x = np.clip(x - step, lo, hi)
-        done = np.abs(step) <= 1e-15 * np.maximum(1.0, x)
-        if done.all():
+        live &= ~(np.abs(step) <= 1e-15 * np.maximum(1.0, x))
+        if not live.any():
             return x
     a, b = lo.copy(), hi.copy()
     for _ in range(60):
@@ -258,23 +321,34 @@ def _refine_zeros(derivatives, lo: np.ndarray, hi: np.ndarray,
         same_side = derivatives(mid)[0] * f_lo > 0
         a = np.where(same_side, mid, a)
         b = np.where(same_side, b, mid)
-    x[~done] = 0.5 * (a[~done] + b[~done])
+    x[live] = 0.5 * (a[live] + b[live])
     return x
 
 
-def _zeros(shift: int, order, count, below):
+def _zeros(shift: int, order, count, below, slopes):
     """Positive zeros of each order of one Bessel family (J for shift 0,
     j for shift 1): the first `count`, or every zero <= `below`.
 
     Every order is scanned at once: one all-orders evaluation on a uniform
     grid from _SCAN_STEP to the first point at or above the cut (no zero
     of either family lies below 2.4, and zeros are more than 3 apart, so
-    each grid cell holds at most one); then one refinement over all
-    brackets.  The count form cuts at (k + m/2 + 1/4) pi, above the k-th
+    each grid cell holds at most one).  That one table seeds the rest:
+    at the end of each sign-change bracket nearer its secant (the end with
+    the smaller |f|), f and f' (from the order below) start the lane's
+    Taylor series (`_lane_series`), on which Halley steps refine every
+    bracket at once; f' at the zero is f_n'(alpha) = -f_{n+1}(alpha).
+    Each table value depends only on its order and point, and each lane
+    only on its own bracket, so a zero and its slope depend only on
+    (family, order, k), whatever the cut, the other orders or the form of
+    the call.  The count form cuts at (k + m/2 + 1/4) pi, above the k-th
     zero of every order m: j_{nu,k} < (k + nu/2 - 1/4) pi for nu >= 1/2,
-    and J_0's zeros lie below J_{1/2}'s, k pi.  An int `order` gives one
-    array; a 1-D array of orders (with an int or a matching array of
-    counts) gives a list of arrays, one per order.
+    and J_0's zeros lie below J_{1/2}'s, k pi.
+
+    An int `order` gives one array; a 1-D array of orders (with an int or
+    a matching array of counts) gives a list of arrays, one per order.
+    With `slopes`, the result is instead three flat arrays: each zero's
+    order, the zeros (by order as given, ascending within one), and the
+    derivative of its function at each zero.
     """
     orders = np.atleast_1d(np.asarray(order)).astype(int)
     if orders.ndim > 1 or orders.size == 0:
@@ -285,35 +359,48 @@ def _zeros(shift: int, order, count, below):
         raise ValueError("give exactly one of count and below")
     cut = below
     if count is not None:
-        counts = np.broadcast_to(np.asarray(count), orders.shape).astype(int)
+        counts = np.broadcast_to(np.asarray(count), orders.shape)
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"count must be an integer, got {count}")
         if counts.min() < 1:
             raise ValueError("count must be >= 1")
         cut = float(np.max(np.pi * (counts + orders / 2 + 0.25)))
+    elif not math.isfinite(below):
+        raise ValueError(f"below must be finite, got {below}")
     grid = _SCAN_STEP * np.arange(1, max(1, math.ceil(cut / _SCAN_STEP)) + 1)
-    f = _bessel_family(shift, int(orders.max()), grid)[orders]
+    table = _miller(shift, max(int(orders.max()), 1), grid, scan=True)
+    f = table[orders]
     change = f[:, :-1] * f[:, 1:] < 0
     if count is not None:
         change &= np.cumsum(change, axis=1) <= counts[:, None]
     row, col = np.nonzero(change)
-    zeros = _refine_zeros(lambda x: _lane_derivatives(shift, orders[row], x),
-                          grid[col], grid[col + 1], f[row, col],
-                          f[row, col + 1])
-    if below is not None:
-        row, zeros = row[zeros <= below], zeros[zeros <= below]
+    lane_order = orders[row]
+    f_lo, f_hi = f[row, col], f[row, col + 1]
+    near = col + (np.abs(f_hi) < np.abs(f_lo))
+    series = _lane_series(shift, lane_order, grid[near],
+                          table[lane_order, near],
+                          table[np.abs(lane_order - 1), near])
+    zeros = _refine_zeros(series, grid[col], grid[col + 1], f_lo, f_hi)
+    keep = zeros <= below if below is not None else slice(None)
+    if slopes:
+        return lane_order[keep], zeros[keep], series(zeros)[1][keep]
+    row, zeros = row[keep], zeros[keep]
     sizes = np.bincount(row, minlength=orders.size)
     parts = np.split(zeros, np.cumsum(sizes)[:-1])
     return parts[0] if np.ndim(order) == 0 else parts
 
 
-def bessel_j_zeros(order, count=None, *, below=None):
+def bessel_j_zeros(order, count=None, *, below=None, slopes=False):
     """Positive zeros of J_order, strictly increasing: the first `count`,
     or every zero <= `below`.
 
     `order` may be a 1-D array of orders (and `count` an int or a matching
     array); the result is then a list with one array per order, empty for
-    an order with no zero below the cut.
+    an order with no zero below the cut.  With `slopes=True` it is three
+    flat arrays instead: the order of each zero, the zeros, and
+    J_order'(zero) = -J_{order+1}(zero) at each.
     """
-    return _zeros(0, order, count, below)
+    return _zeros(0, order, count, below, slopes)
 
 
 def bessel_j_zero(order: int, k: int) -> float:
@@ -321,13 +408,14 @@ def bessel_j_zero(order: int, k: int) -> float:
     return float(bessel_j_zeros(order, k)[k - 1])
 
 
-def spherical_bessel_zeros(degree, count=None, *, below=None):
+def spherical_bessel_zeros(degree, count=None, *, below=None, slopes=False):
     """Positive zeros of j_degree, strictly increasing: the first `count`,
     or every zero <= `below`.
 
-    Accepts arrays of degrees (and counts) like `bessel_j_zeros`.
+    Accepts arrays of degrees (and counts) and `slopes` like
+    `bessel_j_zeros`; a slope is j_degree'(zero) = -j_{degree+1}(zero).
     """
-    return _zeros(1, degree, count, below)
+    return _zeros(1, degree, count, below, slopes)
 
 
 def spherical_bessel_zero(degree: int, k: int) -> float:

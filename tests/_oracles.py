@@ -12,10 +12,10 @@ replaced, with their explicit sort keys; they share the package's zero
 finder, since they pin the order, not the zeros.  mode_table_loop is the
 per-mode constant loop that enumerate_modes replaced, and step_loop the
 per-step loop over a step map's blocks that integrate replaced; both pin
-the arithmetic bit for bit, so they share the package's Bessel lanes and
-step maps.  step_map_all_rows powers F on every tail row, zero rows of
-G[s:, :s] included, which CoupledSplit.step_map skips; the two must agree
-bit for bit.
+the arithmetic bit for bit, so they share the package's zero slopes (from
+a count-form call of their own) and step maps.  step_map_all_rows powers
+F on every tail row, zero rows of G[s:, :s] included, which
+CoupledSplit.step_map skips; the two must agree bit for bit.
 """
 
 import math
@@ -25,9 +25,9 @@ import mpmath as mp
 import numpy as np
 
 from modalstab.basis import _zeros_below, mode_values
-from modalstab.special import (bessel_j_all, bessel_j_zeros, quadrature_rule,
+from modalstab.special import (bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
-                               spherical_bessel_zeros, spherical_j_all)
+                               spherical_bessel_zeros)
 
 mp.mp.dps = 30
 
@@ -71,6 +71,16 @@ def oracle_zero_bisection(order, k, spherical=False):
         x, f_prev = x_next, f_next
 
 
+def _ranked_zeros(zeros_fn, cut, need):
+    """(order, k, zero) for every zero below the cut, k its rank within
+    its order."""
+    order, zeros, _ = _zeros_below(zeros_fn, cut, need)
+    rank = {}
+    for m, z in zip(order.tolist(), zeros.tolist()):
+        rank[m] = rank.get(m, 0) + 1
+        yield m, rank[m], z
+
+
 def disk_candidates(n_sim):
     """All (alpha, angular, k) with the n_sim smallest alpha, order (alpha,
     m, cos before sin, k)."""
@@ -78,13 +88,12 @@ def disk_candidates(n_sim):
     need = f"n_sim={n_sim} requires Bessel orders"
     while True:
         entries = []
-        for m, zeros in enumerate(_zeros_below(bessel_j_zeros, cut, need)):
-            for k, z in enumerate(zeros, start=1):
-                if m == 0:
-                    entries.append((float(z), (0, "cos"), k))
-                else:
-                    entries.append((float(z), (m, "cos"), k))
-                    entries.append((float(z), (m, "sin"), k))
+        for m, k, z in _ranked_zeros(bessel_j_zeros, cut, need):
+            if m == 0:
+                entries.append((z, (0, "cos"), k))
+            else:
+                entries.append((z, (m, "cos"), k))
+                entries.append((z, (m, "sin"), k))
         if len(entries) >= n_sim:
             entries.sort(key=lambda e: (e[0], e[1][0],
                                         0 if e[1][1] == "cos" else 1, e[2]))
@@ -98,11 +107,9 @@ def ball_candidates(n_sim):
     need = f"n_sim={n_sim} requires spherical degrees"
     while True:
         entries = []
-        for l, zeros in enumerate(_zeros_below(spherical_bessel_zeros, cut,
-                                               need)):
-            for k, z in enumerate(zeros, start=1):
-                for m in range(-l, l + 1):
-                    entries.append((float(z), (l, m), k))
+        for l, k, z in _ranked_zeros(spherical_bessel_zeros, cut, need):
+            for m in range(-l, l + 1):
+                entries.append((z, (l, m), k))
         if len(entries) >= n_sim:
             entries.sort(key=lambda e: (e[0], e[1][0], e[1][1], e[2]))
             return entries[:n_sim]
@@ -116,13 +123,22 @@ def mode_table_loop(domain, lam, n_sim):
     disk = domain.shape == "disk"
     cands = (disk_candidates if disk else ball_candidates)(n_sim)
     trace_scale = math.sqrt(2.0 / R**3)
-    alphas = np.array([alpha for alpha, _, _ in cands])
-    orders = np.array([angular[0] for _, angular, _ in cands])
-    lane_fn = bessel_j_all if disk else spherical_j_all
-    j_next = np.abs(lane_fn(orders + 1, alphas))
+    # |f_{m+1}(alpha)| = |f_m'(alpha)|, the slope of the k-th zero from a
+    # count-form call for each order's deepest k
+    k_max = {}
+    for _, (m, _), k in cands:
+        k_max[m] = max(k_max.get(m, 0), k)
+    orders = sorted(k_max)
+    zeros_fn = bessel_j_zeros if disk else spherical_bessel_zeros
+    order, _, slope = zeros_fn(np.array(orders),
+                               np.array([k_max[m] for m in orders]),
+                               slopes=True)
+    rank = np.arange(order.size) + 1 - np.searchsorted(order, order)
+    j_next = dict(zip(zip(order.tolist(), rank.tolist()),
+                      np.abs(slope).tolist()))
     modes = []
-    for n, ((alpha, angular, k), j) in enumerate(zip(cands, j_next.tolist()),
-                                                 start=1):
+    for n, (alpha, angular, k) in enumerate(cands, start=1):
+        j = j_next[angular[0], k]
         kappa = (alpha / R) ** 2
         if disk:
             scale = 1.0 if angular[0] == 0 else math.sqrt(2.0)

@@ -131,13 +131,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("shape", ["disk", "ball"])
     @pytest.mark.parametrize("n_sim", [300, 800])
     def test_recurrence_passes(self, monkeypatch, shape, n_sim):
-        # one zero scan, three Halley steps and the normalization pass
+        # the zero scan's one table seeds the Halley steps and the slopes
+        # that give the normalization constants
         calls = []
         miller = special._miller
-        monkeypatch.setattr(special, "_miller",
-                            lambda *args: calls.append(1) or miller(*args))
+        monkeypatch.setattr(special, "_miller", lambda *args, **kwargs:
+                            calls.append(1) or miller(*args, **kwargs))
         enumerate_modes(Domain(shape, 2.0), LAMBDA, n_sim)
-        assert len(calls) <= 5
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("radius, lam", [(1.3, 3.0), (2.0, LAMBDA),
                                              (0.5, 0.0)])
@@ -165,6 +166,38 @@ class TestEnumeration:
         modes, summary = enumerate_modes(domain, LAMBDA, n_sim)
         assert _bits(modes) == _bits(mode_table_loop(domain, LAMBDA, n_sim))
         assert summary.n_unstable == count_unstable(modes)
+
+    @pytest.mark.parametrize("shape, n_sim", [("disk", 946), ("ball", 2000)])
+    def test_norm_constants_against_mpmath(self, shape, n_sim):
+        # the first, second and last zero of each order of the largest
+        # tables; the constants come from the zero finder's slopes
+        domain = Domain(shape, 2.0)
+        modes, _ = enumerate_modes(domain, LAMBDA, n_sim)
+        R = domain.radius
+        checked = set()
+        for m in np.unique(modes.order).tolist():
+            ks = modes.k[modes.order == m]
+            for k in {1, 2, int(ks.max())} & set(ks.tolist()):
+                i = np.flatnonzero((modes.order == m) & (modes.k == k))[0]
+                j_next = abs(oracle_bessel(m + 1, modes.alpha[i],
+                                           spherical=shape == "ball"))
+                if shape == "disk":
+                    want = (1.0 if m == 0 else math.sqrt(2.0)) / (
+                        math.sqrt(math.pi) * R * j_next)
+                else:
+                    want = math.sqrt(2.0 / R**3) / j_next
+                assert abs(modes.norm_const[i] - want) <= 1e-14 * want
+                checked.add((m, k))
+        assert len(checked) > 2 * np.unique(modes.order).size
+
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_table_is_a_prefix_of_a_deeper_one(self, shape):
+        # each zero and slope depends only on (order, k), so a deeper table
+        # starts with the shallower one, bit for bit in every field
+        domain = Domain(shape, 2.0)
+        modes, _ = enumerate_modes(domain, LAMBDA, 300)
+        deeper, _ = enumerate_modes(domain, LAMBDA, 800)
+        assert modes.same_as(deeper[:300])
 
     @pytest.mark.parametrize("shape, n_sim, oracle", [
         ("disk", 947, disk_candidates), ("ball", 20000, ball_candidates)])

@@ -44,7 +44,7 @@ def test_traced_verify_batches_bessel_work(tmp_path):
     # one lane block each for the normalization constants and the grid
     # (each fits one block at this size), one scan for all zeros; the
     # projection of u0 evaluates no Bessel function
-    assert calls["special.radial_calls"] == 2
+    assert calls["special.radial_calls"] == 1
     # the grid table holds only the modes the closed loop moves
     rows = calls["diagnostics.grid_values_mb"] * 1e6 / (
         8 * calls["basis.grid_points"])

@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import oracle_bessel
 from modalstab.special import (MAX_ORDER, UnsupportedOrderError,
-                               _lane_derivatives, _refine_zeros,
+                               _lane_series, _miller, _refine_zeros,
                                bessel_j, bessel_j_all, bessel_j_zero,
                                bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
@@ -90,6 +90,14 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
 
+    @pytest.mark.parametrize("fn", [bessel_j_all, spherical_j_all])
+    def test_non_finite_argument_rejected(self, fn):
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="argument x"):
+                fn(3, bad)
+            with pytest.raises(ValueError, match="argument x"):
+                fn(np.array([0, 3]), np.array([1.0, bad]))
+
 
 class TestBesselZeros:
     def test_first_zeros_frozen(self):
@@ -163,6 +171,54 @@ class TestZerosBelow:
             assert got.size == k - 1
             assert np.all(np.abs(got - z[:-1]) <= 1e-15 * z[:-1])
 
+    @pytest.mark.parametrize("zeros_fn", FINDERS)
+    def test_zeros_depend_only_on_order_and_rank(self, zeros_fn):
+        # every cut, order subset and the count form give each zero the
+        # same bits, and the slopes likewise
+        orders = np.arange(40)
+        full = zeros_fn(orders, below=75.0)
+        order, zeros, slope = zeros_fn(orders, below=75.0, slopes=True)
+        assert np.array_equal(zeros, np.concatenate(full))
+        # a zero's bits name it, once they are shown to be the same
+        slopes = dict(zip(zip(order.tolist(), zeros.tolist()), slope.tolist()))
+        calls = [(orders, {"below": cut}) for cut in (30.0, 45.0, 60.0)]
+        calls += [(sub, {"below": 60.0}) for sub in (
+            orders[::3], orders[5:17], orders[39:])]
+        calls += [(orders, {"count": 6}), (orders[::-7], {"count": 3})]
+        for sub, form in calls:
+            got = zeros_fn(sub, **form)
+            for m, z in zip(sub, got):
+                assert np.array_equal(z, full[m][:z.size]), (m, form)
+            order, zeros, slope = zeros_fn(sub, **form, slopes=True)
+            assert np.array_equal(zeros, np.concatenate(got))
+            assert [slopes[key] for key in zip(order.tolist(),
+                                               zeros.tolist())] \
+                == slope.tolist(), form
+        # one order alone, as an int
+        for m in (0, 11, 39):
+            assert np.array_equal(zeros_fn(m, 3), full[m][:3])
+
+    @pytest.mark.parametrize("zeros_fn, spherical", [
+        (bessel_j_zeros, False), (spherical_bessel_zeros, True)])
+    def test_slopes_are_minus_the_next_order(self, zeros_fn, spherical):
+        # f_n'(z) = -f_{n+1}(z) at a zero z of f_n
+        order, zeros, slope = zeros_fn(np.array([0, 1, 7, 30]), 4,
+                                       slopes=True)
+        assert order.tolist() == [0] * 4 + [1] * 4 + [7] * 4 + [30] * 4
+        for m, z, d in zip(order, zeros, slope):
+            ref = -oracle_bessel(m + 1, z, spherical)
+            assert abs(d - ref) <= 1e-14 * abs(ref)
+
+    def test_bad_cut_or_count_rejected(self):
+        for below in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="below"):
+                bessel_j_zeros(2, below=below)
+            with pytest.raises(ValueError, match="below"):
+                spherical_bessel_zeros(np.arange(3), below=below)
+        for count in (math.inf, math.nan, 2.5, np.array([2.0, 3.0])):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                bessel_j_zeros(np.array([1, 2]), count)
+
     def test_orders_without_zeros_give_empty_arrays(self):
         # the first zeros of j_27, j_28 and j_30 are about 33.44, 34.506
         # (in the last scan cell above the cut 34.5) and 36.63; those of
@@ -214,13 +270,20 @@ class TestRefineGuard:
         zeros = [bessel_j_zeros(m, k)[-1] for m, k in zip(orders, (3, 2, 1))]
         lo = 0.5 * np.floor(np.array(zeros) / 0.5)
         hi = lo + 0.5
-        f_lo = bessel_j_all(orders, lo)
-        f_hi = bessel_j_all(orders, hi)
+        # the finder's scan values and series, about the bracket end with
+        # the smaller |f|
+        ends = np.concatenate([lo, hi])
+        table = _miller(0, 13, ends, scan=True)
+        lane = np.arange(3)
+        f_lo, f_hi = table[orders, lane], table[orders, lane + 3]
+        near = lane + 3 * (np.abs(f_hi) < np.abs(f_lo))
+        series = _lane_series(0, orders, ends[near], table[orders, near],
+                              table[np.abs(orders - 1), near])
         points = []
 
         def wrong_derivatives(x):
             points.append(x.copy())
-            f, df, ddf = _lane_derivatives(0, orders, x)
+            f, df, ddf = series(x)
             df[1], ddf[1] = -0.01 * df[1], 0.0
             df[2] = 0.0
             return f, df, ddf
