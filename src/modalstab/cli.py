@@ -192,13 +192,13 @@ def _resolve_gains(cfg: RunConfig, modes):
     The configured shifts are nudged off the leading eigenvalues (the
     adjustment is logged); `gammas = auto` takes the doubling search's set
     instead.  When that set is not Hurwitz on the direct generator, the
-    search's set comes back as `scaled`: synthesize suggests it, simulate
-    and verify run with it.  Returns (gain_set, scaled, info), with `info`
-    describing the gains a run uses; each command validates only the set
-    it writes or runs."""
+    search starts from it, and `scaled` is the set it accepts (synthesize
+    suggests it, simulate and verify run with it) or its GainScalingError.
+    Returns (gain_set, scaled, info), with `info` describing the gains a
+    run uses; each command validates only the set it writes or runs."""
     from .basis import count_unstable
-    from .controller import (hurwitz_margin, nudge_gammas, scaled_gain_set,
-                             synthesize)
+    from .controller import (GainScalingError, _doubling_search, nudge_gammas,
+                             scaled_gain_set, synthesize)
     gammas0 = cfg.resolved_gammas()
     nudged = nudge_gammas(gammas0, modes.mu[:count_unstable(modes)])
     info = {"gammas_config": list(gammas0), "gains_source": "config",
@@ -212,9 +212,13 @@ def _resolve_gains(cfg: RunConfig, modes):
     else:
         gain_set = synthesize(modes, nudged)
     scaled = None
-    if not hurwitz_margin(gain_set.a_direct) < 0.0:
-        scaled = scaled_gain_set(modes, nudged, cfg.target_margin)
-    used = (scaled or gain_set).gammas
+    if not gain_set.margin_direct < 0.0:
+        try:
+            scaled = _doubling_search(modes, nudged, cfg.target_margin,
+                                      gain_set)
+        except GainScalingError as exc:
+            scaled = exc
+    used = getattr(scaled, "gammas", gain_set.gammas)
     info["gammas_used"] = list(used)
     if used != nudged:
         info.update(gains_source="auto_scaled", scale=used[0] / nudged[0])
@@ -223,9 +227,9 @@ def _resolve_gains(cfg: RunConfig, modes):
 
 def cmd_synthesize(cfg: RunConfig) -> int:
     """Write the gain-set JSON; exit 3 when the gains are not Hurwitz on the
-    direct generator (the auto-scaled set is then included as
-    `suggested_gammas`)."""
-    from .controller import gain_set_to_json, validate_gains
+    direct generator (with the search's set as `suggested_gammas`, or its
+    failure printed as a note)."""
+    from .controller import GainScalingError, gain_set_to_json, validate_gains
     outdir = _ensure_outdir(cfg)
     _, modes, _ = _spectrum(cfg)
     gain_set, scaled, info = _resolve_gains(cfg, modes)
@@ -234,7 +238,9 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     payload["gammas_config"] = info["gammas_config"]
     if "nudged" in info:
         payload["nudged_gammas"] = info["nudged"]
-    if scaled is not None:
+    if isinstance(scaled, GainScalingError):
+        print(f"note: {scaled}", file=sys.stderr)
+    elif scaled is not None:
         payload["suggested_gammas"] = list(scaled.gammas)
     _write(os.path.join(outdir, "gains.json"), json.dumps(payload, indent=2))
     print(f"margin_direct = {report.margin_direct:.6f}, "
@@ -247,7 +253,7 @@ def _run_simulation(cfg: RunConfig):
     integration, norm series (grid on the modes the trajectory moves);
     returns (gain_set, report, info, trajectory, series, diverged)."""
     import numpy as np
-    from .controller import validate_gains
+    from .controller import GainScalingError, validate_gains
     from .diagnostics import GridEvaluator, compute_norm_series
     from .simulator import (PolynomialSpec, assemble_closed_loop, integrate,
                             open_loop, project_initial_condition)
@@ -259,6 +265,8 @@ def _run_simulation(cfg: RunConfig):
                                    cfg.seed)
     if cfg.mode == "closed_loop":
         gain_set, scaled, info = _resolve_gains(cfg, modes)
+        if isinstance(scaled, GainScalingError):
+            raise scaled
         gain_set = scaled or gain_set
         report = validate_gains(gain_set)
         system = assemble_closed_loop(modes, gain_set, domain)

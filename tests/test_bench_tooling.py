@@ -52,13 +52,14 @@ def test_traced_verify_batches_bessel_work(tmp_path):
     assert calls["special.zero_calls"] <= 2
     # verify_claims reuses the series the simulation already computed
     assert calls["diagnostics.norm_series_calls"] == 1
-    # the configured shifts, then the doubling search's scales 1 and 2
-    assert calls["controller.synthesize_calls"] == 3
+    # the configured shifts, then the doubling search's scale 2: its scale
+    # 1 is the configured set, not synthesized again
+    assert calls["controller.synthesize_calls"] == 2
     # one stacked lift for all gains in the commutation check; one head Gram
     # per synthesis, and one extended Gram for the accepted gain set, which
     # assembly, the norm series and the commutation check share
     assert calls["lifting.xi_calls"] == 1
-    assert calls["basis.boundary_gram_calls"] == 4
+    assert calls["basis.boundary_gram_calls"] == 3
 
 
 def test_auto_verify_synthesizes_only_in_the_search(tmp_path, monkeypatch):

@@ -125,6 +125,31 @@ class TestSynthesizeCommand:
             assert "gammas" in err
 
 
+    def test_unreachable_target_writes_the_configured_set(self, tmp_path,
+                                                          capsys):
+        # the configured shifts synthesize but are not Hurwitz, and no
+        # doubling reaches the target: synthesize still writes them, with
+        # the search's message as a note and no suggestion, and exits 3;
+        # simulate and verify have no set to run and exit 4
+        path = tmp_path / "run.cfg"
+        path.write_text("gammas = 0,1,2,3,4\nn_sim = 40\ngrid = 12\n")
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(path), "--output",
+                     str(out)]) == EXIT_GAINS_NOT_VALIDATED
+        err = capsys.readouterr().err
+        assert err.startswith("note: no scaling up to 2^10 reached margin "
+                              "-0.5; observed margins [(1.0, ")
+        payload = json.loads((out / "gains.json").read_text())
+        assert [float(g) for g in payload["gammas"]] == [0, 1, 2, 3, 4]
+        assert payload["hurwitz_direct"] is False
+        assert "suggested_gammas" not in payload
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(path), "--output",
+                         str(tmp_path / command)]) == EXIT_SYNTHESIS_FAILURE
+            assert capsys.readouterr().err == err.replace(
+                "note: ", "synthesis failed: ")
+
+
 class TestSimulateCommand:
     def test_closed_loop_decays(self, tmp_path):
         cfg = make_cfg(tmp_path)
@@ -387,15 +412,29 @@ class TestMain:
                                                  shape):
         # the configured shifts are not Hurwitz at the defaults: verify
         # validates only the scaled set it runs, synthesize only the
-        # configured set it writes
+        # configured set it writes.  verify synthesizes the configured set
+        # and scale 2 of the search, which starts from that set, and solves
+        # for eigenvalues once per set and once for -S
         validated = []
-        validate_gains = modalstab.controller.validate_gains
+        calls = {"synthesize": 0, "hurwitz_margin": 0}
+        controller = modalstab.controller
+        validate_gains = controller.validate_gains
 
         def counted(gain_set):
             validated.append(list(gain_set.gammas))
             return validate_gains(gain_set)
 
-        monkeypatch.setattr(modalstab.controller, "validate_gains", counted)
+        def counting(name):
+            function = getattr(controller, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(controller, "validate_gains", counted)
+        for name in calls:
+            monkeypatch.setattr(controller, name, counting(name))
         path = tmp_path / "run.cfg"
         path.write_text(f"domain.shape = {shape}\n")
         out = tmp_path / "out"
@@ -403,6 +442,7 @@ class TestMain:
                      "--output", str(out)]) in (EXIT_OK, EXIT_VERIFY_FAILED)
         gains = json.loads((out / "claims_report.json").read_text())["gains"]
         assert validated == [gains["gammas_used"]]
+        assert calls == {"synthesize": 2, "hurwitz_margin": 3}
         assert gains["gains_source"] == "auto_scaled"
         validated.clear()
         assert main(["synthesize", "--config", str(path), "--output",

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modalstab.basis import (ModeTable, boundary_gram, boundary_traces,
+from modalstab.basis import (Domain, ModeTable, boundary_gram,
+                             boundary_traces, count_unstable, enumerate_modes,
                              point_angles)
 from modalstab.controller import (GainScalingError, ResonanceError,
                                   SynthesisError, auto_scale_gains,
                                   control_map, gain_set_to_json,
                                   hurwitz_margin, nudge_gammas,
-                                  propagator_norms, scaled_gain_set,
-                                  synthesize, validate_gains)
+                                  scaled_gain_set, synthesize,
+                                  validate_gains)
 from modalstab.special import quadrature_rule
 
 GAMMAS_DISK = (6.17, 7.17, 8.17, 9.17, 10.17)
@@ -129,6 +130,26 @@ class TestSynthesize:
             synthesize(modes, (6.17, 7.17))
 
 
+class TestDiagonalStructure:
+    """With distinct leading angular keys, B, A, S and A_direct are
+    diagonal, and each table mode meets at most one leading trace."""
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    @pytest.mark.parametrize("shape, lam_r2, n_unstable", [
+        ("disk", 10.0, 1), ("disk", 20.0, 3), ("disk", 28.0, 5),
+        ("ball", 15.0, 1), ("ball", 26.44, 4), ("ball", 36.0, 9)])
+    def test_gain_matrices_exactly_diagonal(self, shape, lam_r2, n_unstable,
+                                            radius):
+        modes, _ = enumerate_modes(Domain(shape, radius), lam_r2 / radius**2,
+                                   60)
+        assert count_unstable(modes) == n_unstable
+        top = float(np.max(modes.mu[:n_unstable]))
+        gs = synthesize(modes, [top + i for i in range(1, n_unstable + 1)])
+        for matrix in (gs.gram, gs.a_gain, gs.s_total, gs.a_direct):
+            assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+        assert np.count_nonzero(gs.beta, axis=1).max() <= 1
+
+
 class TestHurwitzMargin:
     def test_diagonal(self):
         assert hurwitz_margin(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
@@ -165,25 +186,23 @@ class TestValidateGains:
                                       "disk_unscaled"])
     def test_propagator_norms_match_expm_oracle(self, case, request,
                                                 disk_modes):
+        # ||exp(A_direct t)||_2 = exp(margin_direct t), and c1_hat is its
+        # sup over the 81 sample times weighted by e^{sigma_hat t}
         if case == "disk_unscaled":
             # the documented disk shifts: A_direct is not Hurwitz
             gs = synthesize(disk_modes[0], GAMMAS_DISK)
             assert hurwitz_margin(gs.a_direct) > 0.0
         else:
             gs = request.getfixturevalue(case)
+        report = validate_gains(gs)
         times = np.linspace(0.0, 4.0, 81)
-        oracle = np.linalg.norm(
+        norms = np.linalg.norm(
             scipy.linalg.expm(gs.a_direct * times[:, None, None]), 2,
             axis=(1, 2))
-        got = propagator_norms(gs.a_direct, 0.05, 81)
-        assert np.max(np.abs(got - oracle) / oracle) <= 1e-13
-
-    def test_propagator_norms_of_decoupled_generator(self):
-        # no off-diagonal entry: the lead block of the step map is diagonal
-        rates = np.array([-1.0, 0.5])
-        got = propagator_norms(np.diag(rates), 0.25, 5)
-        expected = np.exp(0.25 * np.arange(5) * rates.max())
-        assert np.max(np.abs(got - expected) / expected) <= 1e-15
+        closed = np.exp(report.margin_direct * times)
+        assert np.max(np.abs(norms - closed) / norms) <= 1e-13
+        oracle = np.max(norms * np.exp(report.sigma_hat * times))
+        assert abs(report.c1_hat - oracle) <= 1e-13 * oracle
 
     def test_transient_constant_for_scaled_disk(self, disk_gains):
         report = validate_gains(disk_gains)
