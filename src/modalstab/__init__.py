@@ -24,8 +24,7 @@ _apply_thread_cap()
 from .basis import (Domain, ModeTable, SpectrumSummary, enumerate_modes,
                     project_function)
 from .controller import (GainSet, StabilityReport, auto_scale_gains,
-                         hurwitz_margin, scaled_gain_set, synthesize,
-                         validate_gains)
+                         scaled_gain_set, synthesize, validate_gains)
 from .diagnostics import (GridEvaluator, NormSeries, compute_norm_series,
                           decay_rate_fit, gn_exponents, gn_ratio,
                           verify_claims)

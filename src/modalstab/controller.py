@@ -5,17 +5,19 @@ gamma_1 < ... < gamma_N, the synthesis builds M_i = diag(1/(gamma_i - mu_n)),
 B_i = M_i B M_i, the gain matrix A = (sum B_i)^{-1}, and two reduced
 closed-loop generator candidates:
 
-  * s_total = sum gamma_i B_i A, whose negative is the generator obtained
-    after the algebraic simplification used in the gain design;
-  * a_direct = A_o - B (sum M_i A), the generator obtained by projecting the
+  * S = sum gamma_i B_i A, whose negative is the generator obtained after
+    the algebraic simplification used in the gain design;
+  * A_direct = A_o - B (sum M_i A), the generator obtained by projecting the
     controlled PDE directly through Green's identity.
 
-They satisfy a_direct = 2 A_o - s_total exactly.  The simulator integrates
-the direct (physical) generator; stability validation gates on its margin
+They satisfy A_direct = 2 A_o - S exactly.  The simulator integrates the
+direct (physical) generator; stability validation gates on its margin
 while both are reported.
 
 All of these matrices are diagonal: B pairs only equal angular keys
-(boundary_gram), and synthesis rejects two leading modes on one key.
+(boundary_gram), and synthesis rejects two leading modes on one key.  So a
+GainSet holds each as its diagonal, an N-vector: products and inverses are
+elementwise, and a margin is the largest entry.
 """
 
 import functools
@@ -47,12 +49,11 @@ class GainScalingError(ValueError):
 @dataclass(frozen=True)
 class GainSet:
     gammas: tuple
-    mu: np.ndarray            # leading eigenvalues mu_1..mu_N
-    gram: np.ndarray          # B, boundary Gram of the leading traces
+    a_o: np.ndarray           # leading eigenvalues mu_1..mu_N, diagonal of A_o
+    gram: np.ndarray          # diagonal of B, the Gram of the leading traces
     m_list: np.ndarray        # (N, N): row i is the diagonal of M_{gamma_i}
-    a_gain: np.ndarray        # A = (sum B_i)^{-1}
-    s_total: np.ndarray       # sum gamma_i B_i A
-    a_o: np.ndarray           # diag(mu)
+    a_gain: np.ndarray        # diagonal of A = (sum B_i)^{-1}
+    s_total: np.ndarray       # diagonal of S = sum gamma_i B_i A
     cond_sum_b: float
     modes: ModeTable          # the table the synthesis was built on
 
@@ -67,31 +68,23 @@ class GainSet:
 
     @property
     def a_direct(self) -> np.ndarray:
-        """A_o - B sum(M_i A)."""
-        return self.a_o - self.gram @ control_map(self)
+        """Diagonal of A_o - B sum(M_i A)."""
+        return self.a_o - self.gram * control_map(self)
 
     @functools.cached_property
     def margin_direct(self) -> float:
-        """Hurwitz margin of a_direct, computed once on first use."""
-        return hurwitz_margin(self.a_direct)
+        """Largest entry of a_direct (< 0 is Hurwitz), computed once."""
+        return float(np.max(self.a_direct))
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    margin_s: float           # max real part of eig(-s_total)
-    margin_direct: float      # max real part of eig(a_direct)
+    margin_s: float           # largest entry of -S (its diagonal)
+    margin_direct: float      # largest entry of A_direct (its diagonal)
     hurwitz_s: bool
     hurwitz_direct: bool
     c1_hat: float             # transient constant of the direct loop
     sigma_hat: float          # decay rate used for c1_hat (0.95 * |margin|)
-
-
-def hurwitz_margin(matrix) -> float:
-    """Largest real part over the eigenvalues (dense solve); < 0 is Hurwitz."""
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.max(np.linalg.eigvals(matrix).real))
 
 
 def shift_denominators(gammas, modes) -> np.ndarray:
@@ -111,8 +104,8 @@ def shift_denominators(gammas, modes) -> np.ndarray:
 
 
 def synthesize(modes, gammas) -> GainSet:
-    """Build all gain-set matrices over the leading modes of the table;
-    two of them on one angular key (collinear traces) raise SynthesisError."""
+    """The gain set (diagonals) over the leading modes of the table; two of
+    them on one angular key (collinear traces) raise SynthesisError."""
     gammas = tuple(float(g) for g in gammas)
     n = len(gammas)
     if n < 1:
@@ -135,33 +128,32 @@ def synthesize(modes, gammas) -> GainSet:
         raise SynthesisError("gammas must be strictly increasing")
     head = modes[:n]
     m_list = 1.0 / shift_denominators(np.array(gammas), modes)[:, :n]
-    gram = boundary_gram(head, head)
-    b_stack = m_list[:, :, None] * m_list[:, None, :] * gram
-    sum_b = np.sum(b_stack, axis=0)
-    cond = float(np.linalg.cond(sum_b))
+    gram = np.diag(boundary_gram(head, head))
+    b_list = m_list**2 * gram            # row i: the diagonal of B_i
+    sum_b = np.sum(b_list, axis=0)
+    cond = float(np.max(np.abs(sum_b)) / np.min(np.abs(sum_b)))
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise SynthesisError(
             f"sum of B_i numerically singular (cond={cond:.3e}); "
             "choose larger or better separated gammas")
-    a_gain = np.linalg.solve(sum_b, np.eye(n))
-    s_total = np.sum(np.reshape(gammas, (n, 1, 1)) * (b_stack @ a_gain),
-                     axis=0)
-    return GainSet(gammas=gammas, mu=head.mu, gram=gram, m_list=m_list,
-                   a_gain=a_gain, s_total=s_total, a_o=np.diag(head.mu),
-                   cond_sum_b=cond, modes=modes)
+    a_gain = 1.0 / sum_b
+    s_total = np.sum(np.reshape(gammas, (n, 1)) * (b_list * a_gain), axis=0)
+    return GainSet(gammas=gammas, a_o=head.mu, gram=gram, m_list=m_list,
+                   a_gain=a_gain, s_total=s_total, cond_sum_b=cond,
+                   modes=modes)
 
 
 def control_map(gain_set: GainSet) -> np.ndarray:
-    """sum_i M_i A: maps the leading coefficient vector U to the trace-family
-    coefficients of the boundary input."""
-    return np.sum(gain_set.m_list[:, :, None] * gain_set.a_gain, axis=0)
+    """Diagonal of sum_i M_i A, the map from the leading coefficient vector
+    U to the trace-family coefficients of the boundary input."""
+    return np.sum(gain_set.m_list * gain_set.a_gain, axis=0)
 
 
 def validate_gains(gain_set: GainSet) -> StabilityReport:
-    """Hurwitz margins of both candidates plus the transient constant
-    c1_hat = sup ||exp(a_direct t)||_2 e^{sigma_hat t} over 81 equispaced
-    times in [0, 4]; a_direct is diagonal, so the sup is at t = 0 or 4."""
-    margin_s = hurwitz_margin(-gain_set.s_total)
+    """Hurwitz margins (largest diagonal entries) of -S and A_direct, and
+    c1_hat = sup ||exp(A_direct t)||_2 e^{sigma_hat t} over 81 equispaced
+    times in [0, 4]; A_direct is diagonal, so the sup is at t = 0 or 4."""
+    margin_s = float(np.max(-gain_set.s_total))
     margin_direct = gain_set.margin_direct
     sigma_hat = -margin_direct * 0.95
     c1 = max(1.0, math.exp((margin_direct + sigma_hat) * 4.0))
@@ -223,18 +215,18 @@ def auto_scale_gains(modes, gammas0, target_margin: float) -> tuple:
     return scaled_gain_set(modes, gammas0, target_margin).gammas
 
 
-def _matrix_strings(matrix) -> list:
-    return [[format(v, ".17g") for v in row] for row in np.asarray(matrix)]
+def _diagonal_strings(diagonal) -> list:
+    return [[format(v, ".17g") for v in row] for row in np.diag(diagonal)]
 
 
 def gain_set_to_json(gain_set: GainSet, report: StabilityReport) -> str:
     """Serialize gammas, B, A, margins, and conditioning as JSON with
-    17-significant-digit decimal strings, row-major matrices."""
+    17-significant-digit decimal strings, B and A as diagonal matrices."""
     payload = {
         "gammas": [format(g, ".17g") for g in gain_set.gammas],
-        "mu": [format(v, ".17g") for v in gain_set.mu],
-        "B": _matrix_strings(gain_set.gram),
-        "A": _matrix_strings(gain_set.a_gain),
+        "mu": [format(v, ".17g") for v in gain_set.a_o],
+        "B": _diagonal_strings(gain_set.gram),
+        "A": _diagonal_strings(gain_set.a_gain),
         "margin_direct": format(report.margin_direct, ".17g"),
         "margin_reduced_s": format(report.margin_s, ".17g"),
         "hurwitz_direct": report.hurwitz_direct,

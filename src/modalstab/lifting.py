@@ -64,7 +64,7 @@ def xi_coefficients(gain_set, U) -> np.ndarray:
     is (N, n_sim) or (N, K, n_sim), the gain index first."""
     U = np.asarray(U, dtype=float)
     stack_axes = tuple(range(1, U.ndim))
-    c = np.expand_dims(gain_set.m_list, stack_axes) * (U @ gain_set.a_gain.T)
+    c = np.expand_dims(gain_set.m_list, stack_axes) * (U * gain_set.a_gain)
     return _lift(np.expand_dims(gain_set.gammas, stack_axes), c,
                  gain_set.modes, gain_set.beta)
 

@@ -240,8 +240,8 @@ def assemble_closed_loop(modes, gain_set: GainSet,
                                "mode table")
     beta = gain_set.beta
     gram_deviation = _check_gram_block(modes, domain, beta)
-    coupling = control_map(gain_set)
-    product = beta @ coupling
+    coupling = np.diag(control_map(gain_set))
+    product = beta * coupling.diagonal()     # beta C, C diagonal
     d = mu.copy()
     d[:n] -= product.diagonal()
     # 0 - product, not -product: an exact zero stays +0.0, so K holds the
@@ -438,8 +438,9 @@ def reduced_dynamics_fit(trajectory: Trajectory,
         _, svals, vt = np.linalg.svd(mids, full_matrices=False)
         rank = int(np.sum(svals > svals[0] * 1e-10))
         basis = vt[:rank].T                      # excited subspace
-        dist_direct = float(np.linalg.norm((g - gain_set.a_direct) @ basis, 2))
-        dist_minus_s = float(np.linalg.norm((g + gain_set.s_total) @ basis, 2))
+        dist_direct, dist_minus_s = (
+            float(np.linalg.norm((g - np.diag(target)) @ basis, 2))
+            for target in (gain_set.a_direct, -gain_set.s_total))
     return ReducedFit(matrix=g, residual=residual, dist_direct=dist_direct,
                       dist_minus_s=dist_minus_s)
 

@@ -16,6 +16,11 @@ the arithmetic bit for bit, so they share the package's zero slopes (from
 a count-form call of their own) and step maps.  step_map_all_rows powers
 F on every tail row, zero rows of G[s:, :s] included, which
 CoupledSplit.step_map skips; the two must agree bit for bit.
+dense_synthesis is the gain synthesis on full N x N matrices (an (N, N, N)
+stack of B_i, an SVD condition number, an LU solve for A and dense
+eigenvalue margins); it shares the package's Gram and denominators, since
+it pins the algebra on them, and controller.synthesize's diagonals must
+equal its diagonals bit for bit.
 """
 
 import math
@@ -24,12 +29,17 @@ from collections import namedtuple
 import mpmath as mp
 import numpy as np
 
-from modalstab.basis import _zeros_below, mode_values
+from modalstab.basis import _zeros_below, boundary_gram, mode_values
+from modalstab.controller import shift_denominators
 from modalstab.special import (bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
                                spherical_bessel_zeros)
 
 mp.mp.dps = 30
+
+DenseGains = namedtuple(
+    "DenseGains", "gram a_gain s_total a_direct cond_sum_b margin_direct "
+    "margin_s")
 
 # one mode of mode_table_loop; angular is (m, "cos" / "sin") on the disk and
 # (l, m) on the ball, as the candidate orderings write it
@@ -301,3 +311,27 @@ def dense_linf(states, modes, domain, resolution, mirrored=True):
     pts = np.column_stack([g.ravel() for g in grids])
     pts = pts[np.linalg.norm(pts, axis=1) <= R]
     return np.max(np.abs(states @ mode_values(modes, domain, pts)), axis=1)
+
+
+def dense_synthesis(modes, gammas):
+    """The gain set over the table's leading len(gammas) modes as dense
+    matrices: B_i = M_i B M_i stacked, cond(sum B_i) from its singular
+    values, A = (sum B_i)^{-1} by an LU solve, S = sum gamma_i B_i A,
+    A_direct = A_o - B sum(M_i A), and each margin the largest real part
+    of an eigenvalue solve (of A_direct and of -S)."""
+    gammas = np.array(gammas, dtype=float)
+    n = gammas.size
+    head = modes[:n]
+    m_list = 1.0 / shift_denominators(gammas, modes)[:, :n]
+    gram = boundary_gram(head, head)
+    b_stack = m_list[:, :, None] * m_list[:, None, :] * gram
+    sum_b = np.sum(b_stack, axis=0)
+    a_gain = np.linalg.solve(sum_b, np.eye(n))
+    s_total = np.sum(gammas[:, None, None] * (b_stack @ a_gain), axis=0)
+    control = np.sum(m_list[:, :, None] * a_gain, axis=0)
+    a_direct = np.diag(head.mu) - gram @ control
+    return DenseGains(
+        gram=gram, a_gain=a_gain, s_total=s_total, a_direct=a_direct,
+        cond_sum_b=float(np.linalg.cond(sum_b)),
+        margin_direct=float(np.max(np.linalg.eigvals(a_direct).real)),
+        margin_s=float(np.max(np.linalg.eigvals(-s_total).real)))

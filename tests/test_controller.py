@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from _oracles import dense_synthesis
 from modalstab.basis import (Domain, ModeTable, boundary_gram,
                              boundary_traces, count_unstable, enumerate_modes,
                              point_angles)
 from modalstab.controller import (GainScalingError, ResonanceError,
                                   SynthesisError, auto_scale_gains,
                                   control_map, gain_set_to_json,
-                                  hurwitz_margin, nudge_gammas,
-                                  scaled_gain_set, synthesize,
+                                  nudge_gammas, scaled_gain_set, synthesize,
                                   validate_gains)
 from modalstab.special import quadrature_rule
 
@@ -76,10 +76,10 @@ class TestSynthesize:
 
     def test_gain_identity(self, disk_gains, ball_gains):
         for gs in (disk_gains, ball_gains):
-            # B_i = M_i B M_i, rebuilt from the rows of m_list
-            sum_b = sum(np.outer(m, m) * gs.gram for m in gs.m_list)
-            identity = sum_b @ gs.a_gain
-            assert np.max(np.abs(identity - np.eye(gs.n_unstable))) < 1e-10
+            # the diagonal of B_i = M_i B M_i, rebuilt from the rows of m_list
+            sum_b = sum(m * m * gs.gram for m in gs.m_list)
+            identity = sum_b * gs.a_gain
+            assert np.max(np.abs(identity - 1.0)) < 1e-10
 
     def test_generator_difference_identity(self, disk_gains, ball_gains):
         # the two reduced candidates differ by exactly twice diag(mu)
@@ -88,22 +88,21 @@ class TestSynthesize:
                 < 1e-10
 
     def test_simplification_identity(self, disk_gains):
-        # A_o - sum (A_o + gamma_i I) M_i B M_i A collapses to -s_total
+        # A_o - sum (A_o + gamma_i I) M_i B M_i A collapses to -s_total,
+        # on the diagonals
         gs = disk_gains
-        n = gs.n_unstable
-        acc = np.zeros((n, n))
+        acc = np.zeros(gs.n_unstable)
         for g, m in zip(gs.gammas, gs.m_list):
-            factor = gs.a_o + g * np.eye(n)
-            acc += factor @ (np.outer(m, m) * gs.gram) @ gs.a_gain
+            acc += (gs.a_o + g) * (m * m * gs.gram) * gs.a_gain
         assert np.max(np.abs((gs.a_o - acc) - (-gs.s_total))) < 1e-10
 
     def test_single_mode_closed_forms(self):
         mode = make_synthetic_mode(mu=1.0, amp=1.0)
         gs = synthesize(mode, (3.0,))
         g, mu1, b = 3.0, 1.0, 1.0
-        assert gs.a_gain[0, 0] == pytest.approx((g - mu1) ** 2 / b, rel=1e-14)
-        assert gs.s_total[0, 0] == pytest.approx(g, rel=1e-14)
-        assert gs.a_direct[0, 0] == pytest.approx(mu1 - (g - mu1), rel=1e-13)
+        assert gs.a_gain[0] == pytest.approx((g - mu1) ** 2 / b, rel=1e-14)
+        assert gs.s_total[0] == pytest.approx(g, rel=1e-14)
+        assert gs.a_direct[0] == pytest.approx(mu1 - (g - mu1), rel=1e-13)
 
     def test_nonincreasing_gammas_rejected(self, disk_modes):
         modes, _ = disk_modes
@@ -130,9 +129,29 @@ class TestSynthesize:
             synthesize(modes, (6.17, 7.17))
 
 
+def assert_matches_dense_oracle(modes, gammas):
+    """Every diagonal of the gain set equals the dense synthesis's diagonal
+    bit for bit, the dense matrices have exact zeros off the diagonal, and
+    cond(sum B_i) and both margins equal the SVD and eigenvalue results
+    bit for bit; each table mode meets at most one leading trace."""
+    gs, dense = synthesize(modes, gammas), dense_synthesis(modes, gammas)
+    report = validate_gains(gs)
+    for vector, matrix in ((gs.gram, dense.gram), (gs.a_gain, dense.a_gain),
+                           (gs.s_total, dense.s_total),
+                           (gs.a_direct, dense.a_direct)):
+        assert np.array_equal(matrix, np.diag(np.diag(matrix)))
+        assert np.array_equal(vector, np.diag(matrix))
+    assert gs.cond_sum_b == dense.cond_sum_b
+    assert report.margin_direct == dense.margin_direct
+    assert report.margin_s == dense.margin_s
+    assert np.count_nonzero(gs.beta, axis=1).max() <= 1
+
+
 class TestDiagonalStructure:
     """With distinct leading angular keys, B, A, S and A_direct are
-    diagonal, and each table mode meets at most one leading trace."""
+    diagonal, and each table mode meets at most one leading trace; the
+    gain set's vectors are the dense synthesis's diagonals, at shift
+    scales 1 and 2."""
 
     @pytest.mark.parametrize("radius", [1.0, 2.0])
     @pytest.mark.parametrize("shape, lam_r2, n_unstable", [
@@ -144,28 +163,54 @@ class TestDiagonalStructure:
                                    60)
         assert count_unstable(modes) == n_unstable
         top = float(np.max(modes.mu[:n_unstable]))
-        gs = synthesize(modes, [top + i for i in range(1, n_unstable + 1)])
-        for matrix in (gs.gram, gs.a_gain, gs.s_total, gs.a_direct):
-            assert np.array_equal(matrix, np.diag(np.diag(matrix)))
-        assert np.count_nonzero(gs.beta, axis=1).max() <= 1
+        for scale in (1, 2):
+            assert_matches_dense_oracle(
+                modes, [scale * (top + i) for i in range(1, n_unstable + 1)])
+
+    @pytest.mark.parametrize("case, gammas", [("disk_modes", GAMMAS_DISK),
+                                              ("ball_modes", GAMMAS_BALL)])
+    def test_default_configs_match_dense_oracle(self, case, gammas, request):
+        modes, _ = request.getfixturevalue(case)
+        for scale in (1, 2):
+            assert_matches_dense_oracle(modes, [scale * g for g in gammas])
+
+
+class TestScaleInvariance:
+    """The gain set at (R, lambda, gamma) is that at (1, lambda R^2,
+    gamma R^2) with every rate divided by R^2; cond(sum B_i) is scale-free.
+    (c1_hat is not compared: its time window [0, 4] is not scaled.)"""
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("shape, lam_r2", [
+        ("disk", 26.44), ("disk", 10.0), ("ball", 26.44), ("ball", 36.0)])
+    def test_rates_scale_as_inverse_radius_squared(self, shape, lam_r2,
+                                                   radius):
+        unit, _ = enumerate_modes(Domain(shape, 1.0), lam_r2, 60)
+        modes, _ = enumerate_modes(Domain(shape, radius), lam_r2 / radius**2,
+                                   60)
+        n = count_unstable(unit)
+        top = float(np.max(unit.mu[:n]))
+        gammas = [top + i for i in range(1, n + 1)]
+        ref = synthesize(unit, gammas)
+        gs = synthesize(modes, [g / radius**2 for g in gammas])
+        ref_report, report = validate_gains(ref), validate_gains(gs)
+        r2 = radius**2
+        for got, want in (
+                (r2 * gs.a_o, ref.a_o), (r2 * gs.a_direct, ref.a_direct),
+                (r2 * gs.s_total, ref.s_total),
+                (r2 * report.margin_direct, ref_report.margin_direct),
+                (r2 * report.margin_s, ref_report.margin_s),
+                (gs.cond_sum_b, ref.cond_sum_b)):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 class TestHurwitzMargin:
-    def test_diagonal(self):
-        assert hurwitz_margin(np.diag([-1.0, -2.0])) == pytest.approx(-1.0)
-
-    def test_rotation_is_marginal(self):
-        assert hurwitz_margin(np.array([[0.0, 1.0], [-1.0, 0.0]])) == \
-            pytest.approx(0.0, abs=1e-14)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            hurwitz_margin(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    """The margins validate_gains reports, as largest diagonal entries."""
 
     def test_disk_simplified_candidate_negative(self, disk_modes):
         modes, _ = disk_modes
         gs = synthesize(modes, GAMMAS_DISK)
-        assert hurwitz_margin(-gs.s_total) < 0.0
+        assert validate_gains(gs).margin_s < 0.0
 
 
 class TestValidateGains:
@@ -191,13 +236,13 @@ class TestValidateGains:
         if case == "disk_unscaled":
             # the documented disk shifts: A_direct is not Hurwitz
             gs = synthesize(disk_modes[0], GAMMAS_DISK)
-            assert hurwitz_margin(gs.a_direct) > 0.0
+            assert gs.margin_direct > 0.0
         else:
             gs = request.getfixturevalue(case)
         report = validate_gains(gs)
         times = np.linspace(0.0, 4.0, 81)
         norms = np.linalg.norm(
-            scipy.linalg.expm(gs.a_direct * times[:, None, None]), 2,
+            scipy.linalg.expm(np.diag(gs.a_direct) * times[:, None, None]), 2,
             axis=(1, 2))
         closed = np.exp(report.margin_direct * times)
         assert np.max(np.abs(norms - closed) / norms) <= 1e-13
@@ -223,7 +268,7 @@ class TestAutoScale:
         gammas = auto_scale_gains(mode, (1.5,), -0.5)
         assert gammas == (3.0,)
         gs = synthesize(mode, gammas)
-        assert hurwitz_margin(gs.a_direct) == pytest.approx(-1.0, rel=1e-12)
+        assert gs.margin_direct == pytest.approx(-1.0, rel=1e-12)
 
     def test_disk_benchmark_scales_once(self, disk_modes):
         modes, _ = disk_modes
@@ -249,7 +294,7 @@ class TestAutoScale:
         margins = []
         for scale in (2, 4, 8):
             gammas = nudge_gammas([scale * g for g in GAMMAS_DISK], mu)
-            margins.append(hurwitz_margin(synthesize(modes, gammas).a_direct))
+            margins.append(synthesize(modes, gammas).margin_direct)
         assert margins[1] < margins[0] and margins[2] < margins[1]
 
     def test_nudge_restores_separation(self, disk_modes):
@@ -261,7 +306,7 @@ class TestAutoScale:
 
 class TestBoundaryControlEval:
     """The boundary input v = sum_j c_j T_n(phi_j) with c = (sum_i M_i A) U,
-    formed as (control_map(gs) @ U) @ boundary_traces(head, ...)."""
+    formed as (control_map(gs) * U) @ boundary_traces(head, ...)."""
 
     def test_single_mode_hand_expansion(self, disk):
         mode = make_synthetic_mode(mu=1.0, amp=1.0)
@@ -269,14 +314,15 @@ class TestBoundaryControlEval:
         U = np.array([1.3])
         traces = boundary_traces(gs.modes, disk,
                                  point_angles(disk, [(2.0, 0.0)]))
-        got = (control_map(gs) @ U) @ traces
-        c = (1.0 / (3.0 - 1.0)) * gs.a_gain[0, 0] * 1.3
+        got = (control_map(gs) * U) @ traces
+        c = (1.0 / (3.0 - 1.0)) * gs.a_gain[0] * 1.3
         trace = mode.trace_amp[0] / math.sqrt(2.0 * math.pi * 2.0)
         assert got[0] == pytest.approx(c * trace, rel=1e-14)
 
     def test_trace_projection_matches_matrix_product(self, disk, disk_gains,
                                                      disk_modes):
-        # <v, T_n(phi_n)> by boundary quadrature equals (B sum(M_i A) U)_n
+        # <v, T_n(phi_n)> by boundary quadrature equals (B sum(M_i A) U)_n,
+        # each factor diagonal
         modes, _ = disk_modes
         gs = disk_gains
         rng = np.random.default_rng(2)
@@ -284,10 +330,10 @@ class TestBoundaryControlEval:
         rule = quadrature_rule("periodic_trapezoid", 128, (0.0, 2.0 * math.pi))
         pts = 2.0 * np.column_stack([np.cos(rule.nodes), np.sin(rule.nodes)])
         traces = boundary_traces(modes[:5], disk, point_angles(disk, pts))
-        c = control_map(gs) @ U
+        c = control_map(gs) * U
         v_vals = c @ traces
         quad = (traces * v_vals) @ rule.weights * 2.0
-        expected = gs.gram @ c
+        expected = gs.gram * c
         assert np.max(np.abs(quad - expected)) < 1e-9
 
 
@@ -298,6 +344,6 @@ class TestExport:
         assert [float(g) for g in payload["gammas"]] == \
             list(disk_gains.gammas)
         gram = np.array([[float(v) for v in row] for row in payload["B"]])
-        assert np.array_equal(gram, disk_gains.gram)
+        assert np.array_equal(gram, np.diag(disk_gains.gram))
         assert float(payload["margin_direct"]) == report.margin_direct
         assert payload["hurwitz_direct"] is True

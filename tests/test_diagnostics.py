@@ -316,7 +316,7 @@ class TestNormSeries:
         n = gains.n_unstable
         assert built == [(len(modes), n)]
 
-        c = gains.m_list[:, None, :] * (traj.states[:, :n] @ gains.a_gain.T)
+        c = gains.m_list[:, None, :] * (traj.states[:, :n] * gains.a_gain)
         lifted = lifting_coefficients(np.reshape(gains.gammas, (n, 1)), c,
                                       modes)
         mu = modes.mu

@@ -106,8 +106,8 @@ class TestXiCoefficients:
         U = rng.standard_normal(5)
         got = xi_coefficients(gs, U)
         for i in range(5):
-            expected = gs.gram @ (gs.m_list[i] * (gs.a_gain @ U))
-            lead = (gs.gammas[i] - gs.mu) * got[i, :5]
+            expected = gs.gram * (gs.m_list[i] * (gs.a_gain * U))
+            lead = (gs.gammas[i] - gs.a_o) * got[i, :5]
             assert np.max(np.abs(lead - expected)) < 1e-12 * max(
                 1.0, np.max(np.abs(expected)))
 
@@ -133,7 +133,7 @@ class TestXiCoefficients:
         U = rng.standard_normal((7, gs.n_unstable))
         stacked = xi_coefficients(gs, U)
         for i, gamma in enumerate(gs.gammas):
-            c = gs.m_list[i] * (U @ gs.a_gain.T)
+            c = gs.m_list[i] * (U * gs.a_gain)
             single = lifting_coefficients(gamma, c, gs.modes)
             assert np.array_equal(stacked[i], single)
 
@@ -141,8 +141,8 @@ class TestXiCoefficients:
         gs = synthetic_gain_set
         U = np.array([2.0])
         got = xi_coefficients(gs, U)
-        g, mu1, b = gs.gammas[0], gs.mu[0], gs.gram[0, 0]
-        expected = b * (1.0 / (g - mu1)) * (gs.a_gain[0, 0] * 2.0) / (g - mu1)
+        g, mu1, b = gs.gammas[0], gs.a_o[0], gs.gram[0]
+        expected = b * (1.0 / (g - mu1)) * (gs.a_gain[0] * 2.0) / (g - mu1)
         assert got[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
