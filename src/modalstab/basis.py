@@ -383,8 +383,7 @@ def mode_values(modes, domain: Domain, points: np.ndarray) -> np.ndarray:
     keys, rows = angular_keys(modes)
     angular = angular_values(keys, domain, point_angles(domain, pts))
     values = _radial_values(modes, domain, np.linalg.norm(pts, axis=1))
-    for value, row in zip(values, rows):
-        value *= angular[row]
+    values *= angular[rows]
     return values
 
 

@@ -66,6 +66,12 @@ class GainSet:
         """n_sim x N extended boundary Gram, built once on first use."""
         return boundary_gram(self.modes, self.modes[:self.n_unstable])
 
+    @functools.cached_property
+    def coupled_rows(self) -> np.ndarray:
+        """Table rows where beta is nonzero, ascending (the N leading rows
+        first): the only rows the feedback and every lift reach."""
+        return np.flatnonzero(self.beta.any(axis=1))
+
     @property
     def a_direct(self) -> np.ndarray:
         """Diagonal of A_o - B sum(M_i A)."""

@@ -111,7 +111,9 @@ def decay_rate_fit(times, values, window):
     """Least-squares line on (t, log v) inside the window.
 
     Returns (amplitude, rate, residual): v ~ amplitude * exp(-rate t), with
-    residual the RMS of the log deviations.
+    residual the RMS of the log deviations.  A (K, M) stack of M series
+    is fitted column by column in one least-squares solve, and gives three
+    (M,) arrays.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -123,9 +125,13 @@ def decay_rate_fit(times, values, window):
         raise ValueError("values must be positive on the fit window")
     t = times[mask]
     logv = np.log(values[mask])
-    slope, intercept = np.polyfit(t, logv, 1)
-    residual = float(np.sqrt(np.mean((logv - (slope * t + intercept)) ** 2)))
-    return float(np.exp(intercept)), float(-slope), residual
+    design = np.stack([t, np.ones_like(t)], axis=1)
+    (slope, intercept), *_ = np.linalg.lstsq(design, logv)
+    deviation = logv - (np.multiply.outer(t, slope) + intercept)
+    residual = np.sqrt(np.mean(deviation * deviation, axis=0))
+    if values.ndim == 1:
+        return float(np.exp(intercept)), float(-slope), float(residual)
+    return np.exp(intercept), -slope, residual
 
 
 def _central_diff_norms(states, dt: float) -> np.ndarray:
@@ -168,7 +174,8 @@ def compute_norm_series(trajectory: Trajectory, gain_set, modes,
     if gain_set is not None and n:
         lap_modal -= trajectory.boundary_data @ gain_set.beta.T
         lifted = xi_coefficients(gain_set, states[:, :n])
-        xi = np.sqrt(np.square(lifted, out=lifted) @ w_h2).T
+        xi = np.sqrt(np.square(lifted, out=lifted)
+                     @ w_h2[gain_set.coupled_rows]).T
     lap = np.linalg.norm(lap_modal, axis=1)
     dt = float(times[1] - times[0]) if times.size > 1 else 1.0
     dudt = _central_diff_norms(states, dt)
@@ -196,42 +203,40 @@ def gn_ratio(series: NormSeries, p: float, q: float) -> float:
 _FIT_WINDOW = (0.5, 3.5)
 
 
-def _fit_metric(times, values) -> MetricFit:
-    window = _FIT_WINDOW
-    values = np.asarray(values, dtype=float)
-    if np.max(values) < 1e-300:
-        return MetricFit(gamma_hat=math.nan, sigma_hat=math.nan,
-                         residual=0.0, passed=True, degenerate=True)
-    try:
-        amp, rate, residual = decay_rate_fit(times, values, window)
-    except ValueError:
-        return MetricFit(gamma_hat=math.nan, sigma_hat=math.nan,
-                         residual=math.inf, passed=False)
-    mask = (np.asarray(times) >= window[0]) & (np.asarray(times) <= window[1])
-    bound = amp * np.exp(-rate * np.asarray(times)[mask]) * 1.05
-    bounded = bool(np.all(values[mask] <= bound))
-    initial = float(values[0]) if values[0] > 0 else 1.0
-    return MetricFit(gamma_hat=amp / initial, sigma_hat=rate,
-                     residual=residual, passed=(rate > 0.0) and bounded)
-
-
 def verify_claims(series: NormSeries) -> dict:
     """Fit decay constants for every norm series and flag each metric.
 
     A metric passes when its fitted rate is positive and the series stays
     below the fitted envelope (5 percent slack) on the window
-    0.5 <= t <= 3.5; identically zero series count as degenerate passes.
-    `series` comes from compute_norm_series and is returned in the report.
+    0.5 <= t <= 3.5; identically zero series count as degenerate passes,
+    and one with under 5 samples or a value not positive and finite in the
+    window fails unfitted.  The rest are fitted by one decay_rate_fit call
+    on their column stack.  `series` comes from compute_norm_series and is
+    returned in the report.
     """
-    metrics = {
-        "u_norm": _fit_metric(series.times, series.u_norm),
-        "h2_surrogate": _fit_metric(series.times, series.h2_surrogate),
-        "linf": _fit_metric(series.times, series.linf),
-        "laplacian_l2": _fit_metric(series.times, series.laplacian_l2),
-        "dudt_l2": _fit_metric(series.times, series.dudt_l2),
-    }
-    for i in range(series.xi.shape[1]):
-        metrics[f"xi_{i + 1}"] = _fit_metric(series.times, series.xi[:, i])
+    names = ["u_norm", "h2_surrogate", "linf", "laplacian_l2", "dudt_l2"]
+    columns = np.column_stack([getattr(series, name) for name in names]
+                              + [series.xi])
+    names += [f"xi_{i + 1}" for i in range(series.xi.shape[1])]
+    times = np.asarray(series.times)
+    inside = (times >= _FIT_WINDOW[0]) & (times <= _FIT_WINDOW[1])
+    window = columns[inside]
+    degenerate = np.max(columns, axis=0) < 1e-300
+    fitted = (~degenerate & (window.shape[0] >= 5)
+              & np.all((window > 0.0) & (window < math.inf), axis=0))
+    fit = np.full((3, len(names)), math.nan)
+    fit[2] = np.where(degenerate, 0.0, math.inf)
+    if fitted.any():
+        fit[:, fitted] = decay_rate_fit(times, columns[:, fitted], _FIT_WINDOW)
+    amp, rate, residual = fit
+    bounded = np.all(window <= amp * np.exp(-np.multiply.outer(
+        times[inside], rate)) * 1.05, axis=0)
+    initial = np.where(columns[0] > 0, columns[0], 1.0)
+    passed = degenerate | (fitted & (rate > 0.0) & bounded)
+    metrics = {name: MetricFit(
+        gamma_hat=float(amp[j] / initial[j]), sigma_hat=float(rate[j]),
+        residual=float(residual[j]), passed=bool(passed[j]),
+        degenerate=bool(degenerate[j])) for j, name in enumerate(names)}
     all_pass = all(m.passed for m in metrics.values())
     return {"metrics": metrics, "series": series, "all_pass": all_pass,
             "window": _FIT_WINDOW}

@@ -13,9 +13,10 @@ right-hand sides reduce to rows of the extended boundary Gram matrix.
 
 The lift is linear and acts on stacks: trace coefficients and states carry
 their mode index on the last axis and the shifts broadcast against the
-leading axes, so every gain of a gain set and a whole trajectory of K
-samples are lifted as one (N, K, n_sim) array, through the gain set's own
-extended Gram (GainSet.beta) and one table of denominators.
+leading axes.  A zero row of beta lifts to an exact 0, so every gain of a
+gain set and a whole trajectory of K samples are lifted as one (N, K, |L|)
+array on its |L| coupled rows (GainSet.coupled_rows), through those rows
+of its own extended Gram (GainSet.beta) and of one table of denominators.
 """
 
 import numpy as np
@@ -41,8 +42,8 @@ def lifting_coefficients(gammas, c, modes) -> np.ndarray:
                  boundary_gram(modes, modes[:c.shape[-1]]))
 
 
-def _lift(gammas, c, modes, beta) -> np.ndarray:
-    """c @ beta.T over the resonance-checked denominators
+def _lift(gammas, c, modes, beta, rows=slice(None)) -> np.ndarray:
+    """c @ beta[rows].T over the rows' resonance-checked denominators
     (shift_denominators), beta the extended Gram of the table against the
     traces of c."""
     n_trace, n_unstable = c.shape[-1], count_unstable(modes)
@@ -50,23 +51,24 @@ def _lift(gammas, c, modes, beta) -> np.ndarray:
         raise ValueError(
             f"boundary data has {n_trace} trace coefficients but only "
             f"{n_unstable} leading modes are available")
-    denom = shift_denominators(gammas, modes)
-    d = c @ beta.T
+    denom = shift_denominators(gammas, modes)[..., rows]
+    d = c @ beta[rows].T
     d /= denom
     return d
 
 
 def xi_coefficients(gain_set, U) -> np.ndarray:
-    """Lifting coefficients of every homogenization term xi_i for state U;
-    the boundary data of xi_i has trace coefficients M_{gamma_i} A U.
+    """Lifting coefficients of every homogenization term xi_i for state U,
+    whose boundary data has trace coefficients M_{gamma_i} A U.
 
     U is one leading-mode state (N,) or a stack of them (K, N); the result
-    is (N, n_sim) or (N, K, n_sim), the gain index first."""
+    is (N, |L|) or (N, K, |L|), the gain index first and column j the
+    coefficient of row gain_set.coupled_rows[j] (every other one is 0)."""
     U = np.asarray(U, dtype=float)
     stack_axes = tuple(range(1, U.ndim))
     c = np.expand_dims(gain_set.m_list, stack_axes) * (U * gain_set.a_gain)
     return _lift(np.expand_dims(gain_set.gammas, stack_axes), c,
-                 gain_set.modes, gain_set.beta)
+                 gain_set.modes, gain_set.beta, gain_set.coupled_rows)
 
 
 def commutation_check(gain_set, trajectory) -> np.ndarray:
@@ -77,7 +79,7 @@ def commutation_check(gain_set, trajectory) -> np.ndarray:
     The lift is linear, so the two agree exactly in exact arithmetic: this
     is a rounding-level consistency test of the lift, not a convergence
     measure.  The states and their central differences are lifted as one
-    stack for every gain, in one xi_coefficients call."""
+    stack for every gain, on the coupled rows, in one xi_coefficients call."""
     times = np.asarray(trajectory.times)
     if times.size < 3:
         raise InsufficientDataError("need at least 3 samples")

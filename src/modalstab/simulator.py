@@ -18,7 +18,8 @@ and count the number of substeps.  Each tail row t is a bordered block
 G[:N, :N], so every product in that power is one N x N product plus one
 row update on the tail rows whose G[t, :N] is nonzero (the others keep an
 exact zero row), and a trajectory fills one array in place from the map's
-blocks; no n_sim x n_sim array or product is formed.  Green's second
+blocks, propagating only the tail rows that F or u0 reach; no n_sim x
+n_sim array or product is formed.  Green's second
 identity projects the initial state exactly (project_initial_condition).
 Every per-mode number is read off the arrays of the run's ModeTable, and
 assembly rejects a gain set built over a table that differs in any field.
@@ -196,15 +197,16 @@ def project_initial_condition(domain, modes, polynomial_spec: PolynomialSpec,
     return coeffs
 
 
-def _check_gram_block(modes, domain, beta) -> float:
-    """Cross-check every entry of the coupled rows of beta (those of a head
-    key, chosen from the keys, and any with a nonzero entry) against
-    surface quadrature of the normal traces, by one rule at their highest
-    angular order; returns the max relative deviation.  Every other entry
-    is a zero between distinct keys."""
-    n = beta.shape[1]
-    rows = np.flatnonzero(np.isin(modes.code, modes.code[:n])
-                          | beta.any(axis=1))
+def _check_gram_block(modes, domain, gain_set) -> float:
+    """Cross-check every entry of the coupled rows of the gain set's beta
+    (those of a head key, chosen from the keys, and its coupled_rows, any
+    with a nonzero entry) against surface quadrature of the normal traces,
+    by one rule at their highest angular order; returns the max relative
+    deviation.  Every other entry is a zero between distinct keys."""
+    beta, n = gain_set.beta, gain_set.n_unstable
+    checked = np.isin(modes.code, modes.code[:n])
+    checked[gain_set.coupled_rows] = True
+    rows = np.flatnonzero(checked)
     order = int(modes.order[rows].max())
     angles, weights = angular_nodes(angular_rule(domain, order, 1))
     traces = boundary_traces(modes[rows], domain,
@@ -239,7 +241,7 @@ def assemble_closed_loop(modes, gain_set: GainSet,
         raise ConsistencyError("gain set was synthesized over a different "
                                "mode table")
     beta = gain_set.beta
-    gram_deviation = _check_gram_block(modes, domain, beta)
+    gram_deviation = _check_gram_block(modes, domain, gain_set)
     coupling = np.diag(control_map(gain_set))
     product = beta * coupling.diagonal()     # beta C, C diagonal
     d = mu.copy()
@@ -359,7 +361,9 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
     fourth-order step of a linear system (the degree-4 Taylor polynomial of
     h G) raised to the n_sub substeps sized to the spectral radius.  The
     samples fill one array: the lead columns by an N x N product per step,
-    the tail by one F product over all steps and t_(k+1) += decay t_k.
+    the tail by one F product over all steps and t_(k+1) += decay t_k on
+    the live rows (a nonzero F row or u0 entry, or a non-finite decay);
+    every other tail row stays exactly +0.0 past u0.
     The first sample past u0 that is not finite or exceeds 1e12 in
     magnitude truncates the trajectory (_finalize, shared with open_loop).
     """
@@ -379,7 +383,7 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
         args = (dt, 4, max(1, int(np.ceil(dt * radius_bound / 0.5))))
     else:
         raise ValueError(f"unknown method {method!r}")
-    states = np.empty((times.size, u0.size))
+    states = np.zeros((times.size, u0.size))
     states[0] = u0
     lead, tail = states[:, :split.K.shape[1]], states[:, split.K.shape[1]:]
     # the map and the samples past an overflow may turn inf or NaN; they
@@ -388,9 +392,15 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
         E, F, decay = split.step_map(*args)
         for k in range(times.size - 1):
             np.matmul(E, lead[k], out=lead[k + 1])
-        np.matmul(lead[:-1], F.T, out=tail[1:])
+        live = np.flatnonzero(F.any(axis=1) | (tail[0] != 0.0)
+                              | ~np.isfinite(decay))
+        F, decay = F[live], decay[live]
+        rows = np.empty((times.size, live.size))
+        rows[0] = tail[0, live]
+        np.matmul(lead[:-1], F.T, out=rows[1:])
         for k in range(times.size - 1):
-            tail[k + 1] += decay * tail[k]
+            rows[k + 1] += decay * rows[k]
+        tail[:, live] = rows
     return _finalize(times, states, system.coupling)
 
 

@@ -118,7 +118,9 @@ def _miller(shift: int, order, x: np.ndarray, scan: bool = False
         depth = np.ceil(x).astype(int) + 20 + (0.6 * x).astype(int)
         by_depth = np.argsort(depth, kind="stable")
         depths, first = np.unique(depth[by_depth], return_index=True)
-        starts = dict(zip(depths.tolist(), np.split(by_depth, first[1:])))
+        ends = np.append(first[1:], by_depth.size).tolist()
+        starts = {d: by_depth[a:b] for d, a, b
+                  in zip(depths.tolist(), first.tolist(), ends)}
     else:
         top = max(m_top, float(x.max()))
         starts = {int(math.ceil(top)) + 20 + int(0.6 * top): slice(None)}

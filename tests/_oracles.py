@@ -20,7 +20,12 @@ dense_synthesis is the gain synthesis on full N x N matrices (an (N, N, N)
 stack of B_i, an SVD condition number, an LU solve for A and dense
 eigenvalue margins); it shares the package's Gram and denominators, since
 it pins the algebra on them, and controller.synthesize's diagonals must
-equal its diagonals bit for bit.
+equal its diagonals bit for bit.  full_width_commutation is the
+commutation check on the standalone lift of every table row, which
+lifting.commutation_check restricts to the coupled rows; the two must
+agree bit for bit.  fit_metric_per_column is one claim fit per series, a
+decay_rate_fit call of its own each, which verify_claims batches into one
+solve.
 """
 
 import math
@@ -31,6 +36,8 @@ import numpy as np
 
 from modalstab.basis import _zeros_below, boundary_gram, mode_values
 from modalstab.controller import shift_denominators
+from modalstab.diagnostics import MetricFit, decay_rate_fit
+from modalstab.lifting import lifting_coefficients
 from modalstab.special import (bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
                                spherical_bessel_zeros)
@@ -335,3 +342,45 @@ def dense_synthesis(modes, gammas):
         cond_sum_b=float(np.linalg.cond(sum_b)),
         margin_direct=float(np.max(np.linalg.eigvals(a_direct).real)),
         margin_s=float(np.max(np.linalg.eigvals(-s_total).real)))
+
+
+def full_width_commutation(gain_set, trajectory):
+    """Per gain, the max deviation between the central difference of the
+    lifted coefficients and the lift of the central difference of the
+    boundary data, every table row lifted by lifting_coefficients."""
+    times = np.asarray(trajectory.times)
+    dt = float(times[1] - times[0])
+    n = gain_set.n_unstable
+    U = np.asarray(trajectory.states)[:, :n]
+    stack = np.vstack([U, (U[2:] - U[:-2]) / (2.0 * dt)])
+    c = gain_set.m_list[:, None, :] * (stack * gain_set.a_gain)
+    lifted = lifting_coefficients(np.reshape(gain_set.gammas, (n, 1)), c,
+                                  gain_set.modes)
+    d, rhs = lifted[:, :times.size], lifted[:, times.size:]
+    dev = d[:, 2:] - d[:, :-2]
+    dev /= 2.0 * dt
+    dev -= rhs
+    return np.max(np.abs(dev), axis=(1, 2))
+
+
+def fit_metric_per_column(times, values, window):
+    """The claim fit of one series by its own decay_rate_fit call: a
+    degenerate pass below 1e-300, a failure where the fit rejects the
+    window, else a pass when the rate is positive and the series stays
+    under 1.05 times the fitted envelope in the window."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if np.max(values) < 1e-300:
+        return MetricFit(gamma_hat=math.nan, sigma_hat=math.nan,
+                         residual=0.0, passed=True, degenerate=True)
+    try:
+        amp, rate, residual = decay_rate_fit(times, values, window)
+    except ValueError:
+        return MetricFit(gamma_hat=math.nan, sigma_hat=math.nan,
+                         residual=math.inf, passed=False)
+    mask = (times >= window[0]) & (times <= window[1])
+    bounded = bool(np.all(values[mask]
+                          <= amp * np.exp(-rate * times[mask]) * 1.05))
+    initial = float(values[0]) if values[0] > 0 else 1.0
+    return MetricFit(gamma_hat=amp / initial, sigma_hat=rate,
+                     residual=residual, passed=(rate > 0.0) and bounded)

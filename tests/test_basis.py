@@ -7,7 +7,8 @@ from _oracles import (ball_candidates, disk_candidates, mode_table_loop,
                       oracle_bessel, oracle_zero_bisection)
 from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, ModeTable,
                              _radial_values, angular_keys, angular_nodes,
-                             angular_parities, angular_rule, boundary_gram,
+                             angular_parities, angular_rule, angular_values,
+                             boundary_gram,
                              boundary_traces, count_unstable, enumerate_modes,
                              export_mode_table, interior_quadrature,
                              mode_values, point_angles, project_function)
@@ -343,6 +344,20 @@ class TestBatchedRadialFactors:
                                                     angles))
                             for i in range(len(sample))])
             assert np.max(np.abs(vals - ref)) <= 1e-13
+
+    def test_mode_values_are_the_per_row_products(self, disk, ball,
+                                                  disk_modes, ball_modes):
+        # the one broadcast multiply by each row's angular factor gives
+        # the per-row loop's products bit for bit
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            pts = _probe_points(domain)
+            keys, rows = angular_keys(modes)
+            angular = angular_values(keys, domain, point_angles(domain, pts))
+            want = _radial_values(modes, domain, np.linalg.norm(pts, axis=1))
+            for value, row in zip(want, rows):
+                value *= angular[row]
+            assert mode_values(modes, domain, pts).tobytes() \
+                == want.tobytes()
 
     def test_project_function_matches_per_mode_quadrature(
             self, disk, ball, disk_modes, ball_modes):

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from _oracles import dense_linf
+from _oracles import dense_linf, fit_metric_per_column
 from modalstab import controller, diagnostics, lifting, simulator
 from modalstab.basis import boundary_gram
 from modalstab.controller import synthesize
@@ -243,6 +244,29 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             decay_rate_fit(t, np.exp(-t), (0.0, 3.0))
 
+    def test_column_stack_matches_polyfit(self):
+        # each column of a stack is the least-squares line np.polyfit
+        # fits to it alone; a 1-D series still gives three floats
+        t = np.linspace(0.0, 4.0, 81)
+        rng = np.random.default_rng(21)
+        values = np.exp(np.outer(t, [-2.0, 0.3, -0.01])
+                        + 0.05 * rng.standard_normal((81, 3)))
+        amp, rate, res = decay_rate_fit(t, values, (0.5, 3.5))
+        assert amp.shape == rate.shape == res.shape == (3,)
+        inside = (t >= 0.5) & (t <= 3.5)
+        for j in range(3):
+            logv = np.log(values[inside, j])
+            slope, intercept = np.polyfit(t[inside], logv, 1)
+            rms = np.sqrt(np.mean((logv - (slope * t[inside] + intercept))
+                                  ** 2))
+            assert rate[j] == pytest.approx(-slope, rel=1e-13)
+            assert amp[j] == pytest.approx(np.exp(intercept), rel=1e-13)
+            assert res[j] == pytest.approx(rms, rel=1e-13)
+            single = decay_rate_fit(t, values[:, j], (0.5, 3.5))
+            assert all(type(v) is float for v in single)
+            assert single == pytest.approx((amp[j], rate[j], res[j]),
+                                           rel=1e-13)
+
 
 class TestNormSeries:
     def test_norm_ordering(self, disk_modes, disk_gains, disk_traj_seed1,
@@ -282,9 +306,10 @@ class TestNormSeries:
         s = compute_norm_series(disk_traj_seed1, disk_gains, modes,
                                 disk_evaluator)
         picks = [(k, i) for k in (0, 15, 40) for i in range(5)]
-        lifted = [xi_coefficients(disk_gains,
-                                  disk_traj_seed1.states[k, :5])[i]
-                  for k, i in picks]
+        lifted = np.zeros((len(picks), len(modes)))
+        for row, (k, i) in zip(lifted, picks):
+            row[disk_gains.coupled_rows] = xi_coefficients(
+                disk_gains, disk_traj_seed1.states[k, :5])[i]
         direct = series_of(lifted, modes, disk_evaluator).h2_surrogate
         for (k, i), want in zip(picks, direct):
             assert s.xi[k, i] == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -294,7 +319,9 @@ class TestNormSeries:
                                             monkeypatch):
         # assembly, the norm series' flux term and lift, and the commutation
         # check all read the gain set's one extended Gram, and the columns
-        # it feeds are bitwise those of the standalone lifting path
+        # it feeds are bitwise those of the standalone lifting path: its
+        # full lift is exactly 0 off the coupled rows, and xi is the
+        # weighted norm of its coupled columns
         domain = request.getfixturevalue(shape)
         modes, _ = request.getfixturevalue(f"{shape}_modes")
         evaluator = request.getfixturevalue(f"{shape}_evaluator")
@@ -321,7 +348,10 @@ class TestNormSeries:
                                       modes)
         mu = modes.mu
         kappa = modes.kappa
-        xi = np.sqrt(np.square(lifted) @ (1.0 + mu * mu)).T
+        rows = gains.coupled_rows
+        assert np.all(np.delete(lifted, rows, axis=-1) == 0.0)
+        coupled = np.ascontiguousarray(lifted[..., rows])
+        xi = np.sqrt(np.square(coupled) @ (1.0 + mu * mu)[rows]).T
         lap = np.linalg.norm(-kappa * traj.states - traj.boundary_data
                              @ boundary_gram(modes, modes[:n]).T, axis=1)
         assert np.array_equal(series.xi, xi)
@@ -405,6 +435,51 @@ class TestVerifyClaims:
         _, rate_l2, _ = decay_rate_fit(s.times, s.l2, (0.5, 3.5))
         _, rate_lap, _ = decay_rate_fit(s.times, s.laplacian_l2, (0.5, 3.5))
         assert rate_linf >= min(rate_l2, rate_lap) - 0.1
+
+    def test_one_solve_matches_per_column_fits(self, disk_modes, disk_gains,
+                                               disk_traj_seed1,
+                                               disk_evaluator, monkeypatch):
+        # every metric of the stack, a degenerate (all-zero) and an invalid
+        # (a zero in the window) column among them, is fitted as its own
+        # decay_rate_fit call fits it, from one least-squares solve
+        modes, _ = disk_modes
+        series = compute_norm_series(disk_traj_seed1, disk_gains, modes,
+                                     disk_evaluator)
+        invalid = series.xi[:, 1].copy()
+        invalid[30] = 0.0
+        series = dataclasses.replace(series, xi=np.column_stack(
+            [series.xi[:, 0], np.zeros(series.times.size), invalid,
+             series.xi[:, 2:]]))
+        solves = []
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        report = verify_claims(series)
+        assert len(solves) == 1
+        monkeypatch.undo()
+        metrics = report["metrics"]
+        assert metrics["xi_2"].degenerate and metrics["xi_2"].passed
+        assert not metrics["xi_3"].passed
+        columns = {name: getattr(series, name) for name in (
+            "u_norm", "h2_surrogate", "linf", "laplacian_l2", "dudt_l2")}
+        columns.update((f"xi_{i + 1}", series.xi[:, i])
+                       for i in range(series.xi.shape[1]))
+        assert list(metrics) == list(columns)
+        for name, values in columns.items():
+            want = fit_metric_per_column(series.times, values, (0.5, 3.5))
+            got = metrics[name]
+            assert (got.passed, got.degenerate) == (want.passed,
+                                                    want.degenerate), name
+            for field in ("sigma_hat", "gamma_hat"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (math.isnan(a) and math.isnan(b)) or abs(
+                    a - b) <= 1e-13 * abs(b), (name, field)
+            assert got.residual == want.residual or abs(
+                got.residual - want.residual) <= 1e-14, name
 
     def test_json_report_shape(self, disk_modes, disk_gains,
                                disk_traj_seed1, disk_evaluator):

@@ -9,6 +9,8 @@ from modalstab.lifting import (InsufficientDataError, commutation_check,
 from modalstab.simulator import (PolynomialSpec, Trajectory, integrate,
                                  project_initial_condition)
 
+from _oracles import full_width_commutation
+
 
 def dense_solve_oracle(gamma, c, modes):
     """Assemble the projected lifting operator as an explicit dense matrix
@@ -58,6 +60,26 @@ class TestLiftingCoefficients:
                + b * lifting_coefficients(9.3, g, modes))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
+    @pytest.mark.parametrize("gains", ["disk_gains", "ball_gains"])
+    def test_zero_off_the_coupled_rows(self, gains, request):
+        # a zero row of beta lifts to an exact zero for any shift and any
+        # trace coefficients; the coupled rows are those of a head angular
+        # key, the N leading rows first
+        gs = request.getfixturevalue(gains)
+        modes, n = gs.modes, gs.n_unstable
+        rows = gs.coupled_rows
+        assert np.array_equal(rows, np.flatnonzero(
+            np.isin(modes.code, modes.code[:n])))
+        assert np.array_equal(rows[:n], np.arange(n))
+        rng = np.random.default_rng(17)
+        c = rng.standard_normal((n, 9, n))
+        lifted = lifting_coefficients(np.reshape(gs.gammas, (n, 1)), c,
+                                      modes)
+        off = np.delete(lifted, rows, axis=-1)
+        assert off.shape[-1] == len(modes) - rows.size > 0
+        assert np.all(off == 0.0)
+        assert np.all(lifted[..., rows] != 0.0)
+
     def test_resonance_with_leading_eigenvalue(self, disk_modes):
         modes, _ = disk_modes
         with pytest.raises(ResonanceError):
@@ -96,7 +118,7 @@ class TestLiftingCoefficients:
 class TestXiCoefficients:
     def test_zero_state(self, disk_gains):
         got = xi_coefficients(disk_gains, np.zeros(5))
-        assert got.shape == (5, 300)
+        assert got.shape == (5, disk_gains.coupled_rows.size) == (5, 53)
         assert np.all(got == 0.0)
 
     def test_leading_consistency_identity(self, disk_gains):
@@ -127,15 +149,17 @@ class TestXiCoefficients:
     @pytest.mark.parametrize("gains", ["disk_gains", "ball_gains"])
     def test_gain_stack_matches_single_shift_lifts(self, gains, request):
         # the gain axis is a plain broadcast: each slice is bit for bit the
-        # single-shift lift of that gain's trace coefficients
+        # coupled columns of the single-shift lift of that gain's trace
+        # coefficients
         gs = request.getfixturevalue(gains)
         rng = np.random.default_rng(13)
         U = rng.standard_normal((7, gs.n_unstable))
         stacked = xi_coefficients(gs, U)
+        assert stacked.shape == (gs.n_unstable, 7, gs.coupled_rows.size)
         for i, gamma in enumerate(gs.gammas):
             c = gs.m_list[i] * (U * gs.a_gain)
             single = lifting_coefficients(gamma, c, gs.modes)
-            assert np.array_equal(stacked[i], single)
+            assert np.array_equal(stacked[i], single[:, gs.coupled_rows])
 
     def test_single_mode_synthetic(self, synthetic_gain_set):
         gs = synthetic_gain_set
@@ -223,6 +247,17 @@ class TestCommutation:
         for i in range(gs.n_unstable):
             ref, scale = per_sample_commutation(gs, trajectory, i)
             assert abs(got[i] - ref) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("gains, traj", [
+        ("disk_gains", "disk_traj_seed1"), ("ball_gains", "ball_traj_seed1")])
+    def test_bitwise_equal_to_full_width(self, gains, traj, request):
+        # the coupled-row lift gives the deviations of a lift of every row
+        gs = request.getfixturevalue(gains)
+        trajectory = request.getfixturevalue(traj)
+        got = commutation_check(gs, trajectory)
+        assert got.tobytes() == full_width_commutation(gs,
+                                                       trajectory).tobytes()
+        assert np.all(got > 0.0)
 
     def test_gram_built_once_per_gain_set(self, disk_gains, disk_traj_seed1,
                                           monkeypatch):

@@ -35,6 +35,8 @@ from _oracles import (dense_generator, dense_split, rk4_substep_loop,
 
 DISK_MU_1 = 5.1642035092633039
 LAMBDA = 6.61
+GAMMAS = {"disk": (6.17, 7.17, 8.17, 9.17, 10.17),
+          "ball": (5.147, 6.147, 7.147, 8.147)}
 
 
 def system_of(gen):
@@ -336,6 +338,29 @@ class TestIntegrate:
     def test_moved_mode_count_of_default_config(self, request, shape, count):
         states = request.getfixturevalue(f"{shape}_traj_seed1").states
         assert np.count_nonzero(np.any(states, axis=0)) == count
+
+    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
+    @pytest.mark.parametrize("shape, n_sim", [
+        ("disk", 300), ("disk", 800), ("ball", 300), ("ball", 800)])
+    def test_live_rows_equal_every_row_loop(self, shape, n_sim, method,
+                                            monkeypatch):
+        # only the tail rows with a nonzero F row or u0 entry are
+        # propagated; every other row is the +0.0 that a loop over every
+        # tail row gives, signed zeros included
+        domain, modes = mode_table(shape, n_sim)
+        gains = controller.scaled_gain_set(modes, GAMMAS[shape], -0.5)
+        system = assemble_closed_loop(modes, gains, domain)
+        u0 = project_initial_condition(domain, modes, PolynomialSpec(), 1)
+        blocks = record_step_maps(monkeypatch)
+        traj = integrate(system, u0, 0.05, 4.0, method=method)
+        states, truncated = step_loop(system.split, blocks[0], u0, 80)
+        assert not traj.truncated and not truncated
+        assert traj.states.tobytes() == states.tobytes()
+        n = gains.n_unstable
+        live = blocks[0][1].any(axis=1) | (u0[n:] != 0.0)
+        assert 0 < np.count_nonzero(live) < live.size / 4
+        rest = traj.states[1:, n:][:, ~live]
+        assert rest.tobytes() == np.zeros_like(rest).tobytes()
 
 
 def closed_loop_generator(shape):
