@@ -11,8 +11,8 @@ constants, from one zero-finder call, and the radial factor, which depends
 only on (order, k), is evaluated once per distinct pair at the distinct
 radii, then gathered per mode (`_radial_values`, shared by the grid values and
 the quadrature projection).  Each (order, k) x radius is a lane of one
-backward recurrence that keeps only the lane's own order; the lanes go
-through it in cache-sized blocks.
+Bessel call: its order's row of one recurrence table at the pairs' top
+order.
 
 The table is one `ModeTable` of per-mode arrays; every evaluator reads the
 arrays, and compares angular keys by one integer code per mode.
@@ -40,14 +40,6 @@ from .special import (
     spherical_bessel_zeros,
     spherical_j_all,
 )
-
-
-# Lanes per radial recurrence call.  A block's work arrays are 64 KB each,
-# so its recurrence runs in cache; 128 KB arrays (16k lanes) save under
-# 1 ms per disk verify but leave about 1.8 MB more behind in the
-# allocator, which lifted the peak RSS of disk and ball verify above that
-# of the per-order recurrences.
-_LANE_BLOCK = 1 << 13
 
 
 class CapacityError(ValueError):
@@ -350,9 +342,8 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
     """norm_const * (radial Bessel factor) for each mode at radii r.
 
     The factor depends only on (order, k): each distinct pair is evaluated
-    once, at the distinct radii only, and the table is gathered per mode.
-    Every pair x radius is one lane of the own-order recurrence; the lanes,
-    sorted by order, go through it in blocks of _LANE_BLOCK.
+    once, at the distinct radii only, by one lane call over every pair x
+    radius, and the table is gathered per mode.
     """
     R = domain.radius
     lane_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
@@ -361,17 +352,10 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
     _, first, rows = np.unique(modes.order * (modes.k.max(initial=0) + 1)
                                + modes.k, return_index=True,
                                return_inverse=True)
-    pair_alpha, pair_order = modes.alpha[first], modes.order[first]
-    table = np.empty(first.size * r_unique.size)
-    # lane = pair * radii + radius; a block's lanes are made only when it
-    # runs, so no lane-sized array outlives its block
-    for lo in range(0, table.size, _LANE_BLOCK):
-        p, i = np.divmod(np.arange(lo, min(lo + _LANE_BLOCK, table.size)),
-                         r_unique.size)
-        table[lo:lo + _LANE_BLOCK] = lane_fn(pair_order[p],
-                                             pair_alpha[p] * r_unique[i] / R)
+    x = np.outer(modes.alpha[first], r_unique) / R
+    table = lane_fn(np.broadcast_to(modes.order[first][:, None], x.shape), x)
     # gathered in place, so that no second modes x radii array is needed
-    out = table.reshape(first.size, r_unique.size)[rows[:, None], r_index]
+    out = table[rows[:, None], r_index]
     out *= modes.norm_const[:, None]
     return out
 

@@ -8,11 +8,10 @@ Bessel functions are computed by a short power series for very small
 arguments and otherwise by backward (Miller) recurrence with on-the-fly
 normalization: the Neumann sum J_0 + 2*sum J_{2k} = 1 for the cylindrical
 family and sum (2l+1) j_l^2 = 1 for the spherical family.  One loop
-(`_miller`) serves both families and two modes: an int order yields every
-order up to it (a table), and an order array gives each lane (one order at
-one point) only its own order, kept from the contiguous slice of lanes of
-that order as the loop passes it, so callers stack many (order, argument)
-lanes into one call with no table of lower orders.
+(`_miller`) serves both families and yields one table, every order up to
+the top one.  An order array (one order per point, a lane) is answered
+from the table at the lanes' top order: each lane is its own order's row,
+so its last bits depend on the call's top order and largest argument.
 
 Zeros of any set of orders come from one path and one recurrence: one
 sign-change scan of all the orders on a shared grid that ends at the cut.
@@ -90,30 +89,22 @@ def _series(shift: int, order, x):
         * (1.0 - x * x / (4.0 * order + 4 + 2 * shift))
 
 
-def _miller(shift: int, order, x: np.ndarray, scan: bool = False
+def _miller(shift: int, m_top: int, x: np.ndarray, scan: bool = False
             ) -> np.ndarray:
     """Backward (Miller) recurrence f_{n-1} = ((2n + shift)/x) f_n - f_{n+1}
     for J (shift 0) or j (shift 1) at x >= 1e-6, normalized on the fly by
     the Neumann sum J_0 + 2 sum J_{2k} = 1 or the quadratic sum
-    sum (2l+1) j_l^2 = 1.
-
-    An int `order` keeps every order 0..order, shape (order+1, x.size).  An
-    ascending int array, one order per lane, keeps only each lane's own
-    order, copied from the contiguous slice of lanes of that order as the
-    loop passes it; shape (x.size,).  The loop runs in place on a few
-    lane-sized work arrays.
+    sum (2l+1) j_l^2 = 1; every order 0..m_top, shape (m_top+1, x.size).
 
     The loop starts at depth ceil(t) + 20 + floor(0.6 t), with t the
-    larger of the top order and the largest x.  A `scan` table instead
-    starts each lane at the depth of its own point, t = x, so that a value
-    depends only on its order and point, not on the top order or the other
-    points; orders above that depth read 0 there, where they have no zero.
-    Rescales are by a power of two, so they are exact and leave no trace
-    of when they happened.
+    larger of m_top and the largest x.  A `scan` table instead starts each
+    point at the depth of its own x, t = x, so that a value depends only
+    on its order and point, not on m_top or the other points; orders above
+    that depth read 0 there, where they have no zero.  Rescales are by a
+    power of two, so they are exact and leave no trace of when they
+    happened.
     """
-    lanes = np.ndim(order) > 0
-    m_top = int(order[-1]) if lanes else order
-    # the lanes that start at each depth
+    # the points that start at each depth
     if scan:
         depth = np.ceil(x).astype(int) + 20 + (0.6 * x).astype(int)
         by_depth = np.argsort(depth, kind="stable")
@@ -128,14 +119,7 @@ def _miller(shift: int, order, x: np.ndarray, scan: bool = False
     # the quadratic normalization sum leaves less headroom
     check_every = _overflow_check_interval(n_start, float(x.min()),
                                            12.0 if shift else 160.0)
-    if lanes:
-        vals = np.zeros(x.size)
-        edges = np.searchsorted(order, np.arange(m_top + 2))
-        keep = [(vals[a:b], slice(a, b))
-                for a, b in zip(edges[:-1], edges[1:])]
-    else:
-        vals = np.zeros((m_top + 1, x.size))
-        keep = [(row, slice(None)) for row in vals]
+    vals = np.zeros((m_top + 1, x.size))
     jp = np.zeros_like(x)
     jc = np.zeros_like(x)
     jm = np.empty_like(x)
@@ -150,17 +134,16 @@ def _miller(shift: int, order, x: np.ndarray, scan: bool = False
         if n % check_every == 0:
             # the growth between checks can pass the 140 decades of one
             # rescale (a small and a large x in one call), so rescale until
-            # every finite lane is back under the threshold
+            # every finite point is back under the threshold
             while (overflow := np.isfinite(jm)
                    & (np.abs(jm) > 1.0 / _RESCALE)).any():
                 jm[overflow] *= _RESCALE
                 jc[overflow] *= _RESCALE
                 norm[overflow] *= _RESCALE ** (1 + shift)
-                vals[..., overflow] *= _RESCALE
+                vals[:, overflow] *= _RESCALE
         jp, jc, jm = jc, jm, jp
         if n - 1 <= m_top:
-            dest, own = keep[n - 1]
-            dest[...] = jc[own]
+            vals[n - 1] = jc
         if shift:
             np.multiply(jc, 2 * n - 1, out=term)
             term *= jc
@@ -171,7 +154,7 @@ def _miller(shift: int, order, x: np.ndarray, scan: bool = False
             np.multiply(jc, 2.0, out=term)
             norm += term
     # the quadratic sum fixes only the scale's magnitude; its sign is +,
-    # since each lane starts above its x, where every j_n(x) > 0, and
+    # since each point starts above its x, where every j_n(x) > 0, and
     # every rescale is positive
     vals /= np.sqrt(norm) if shift else norm
     return vals
@@ -183,14 +166,13 @@ def _bessel_family(shift: int, order, x) -> np.ndarray:
     lanes = np.ndim(order) > 0
     flat = x.ravel()
     if lanes:
-        order = np.asarray(order)
-        if order.shape != x.shape or order.dtype.kind not in "iu":
+        lane_order = np.asarray(order)
+        if lane_order.shape != x.shape or lane_order.dtype.kind not in "iu":
             raise ValueError("an order array must be integer and match x")
-        # lanes sorted by order: each order's lanes form one slice
-        perm = np.argsort(order.ravel(), kind="stable")
-        order, flat = order.ravel()[perm], flat[perm]
-        if order.size and order[0] < 0:
+        lane_order = lane_order.ravel()
+        if lane_order.size and lane_order.min() < 0:
             raise ValueError("order must be nonnegative")
+        order = int(lane_order.max(initial=0))
     if not np.isfinite(flat).all():
         raise ValueError("argument x must be finite")
     if (flat < 0).any():
@@ -199,18 +181,15 @@ def _bessel_family(shift: int, order, x) -> np.ndarray:
     if flat.size and big.all():
         out = _miller(shift, order, flat)
     else:
-        out = np.zeros((flat.size,) if lanes else (order + 1, flat.size))
+        out = np.zeros((order + 1, flat.size))
         tiny = ~big
         if tiny.any():
-            m = order[tiny] if lanes else np.arange(order + 1)[:, None]
-            out[..., tiny] = _series(shift, m, flat[tiny])
+            out[:, tiny] = _series(shift, np.arange(order + 1)[:, None],
+                                   flat[tiny])
         if big.any():
-            out[..., big] = _miller(shift, order[big] if lanes else order,
-                                    flat[big])
+            out[:, big] = _miller(shift, order, flat[big])
     if lanes:
-        lane_out = np.empty_like(out)
-        lane_out[perm] = out
-        return lane_out.reshape(x.shape)
+        return out[lane_order, np.arange(flat.size)].reshape(x.shape)
     return out.reshape((order + 1,) + x.shape)
 
 
@@ -219,8 +198,8 @@ def bessel_j_all(order, x) -> np.ndarray:
 
     An int `order` gives every order J_0(x) .. J_order(x), shape
     (order+1,) + shape of x.  An integer array of x's shape gives each
-    lane's own order, J_order[i](x[i]), shape of x, from the same one
-    recurrence without the table of lower orders.
+    lane's own order, J_order[i](x[i]), shape of x: its row of the table
+    at the array's top order, bit for bit.
     """
     return _bessel_family(0, order, x)
 

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import (ball_candidates, disk_candidates, mode_table_loop,
                       oracle_bessel, oracle_zero_bisection)
-from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, ModeTable,
+from modalstab.basis import (CapacityError, Domain, ModeTable,
                              _radial_values, angular_keys, angular_nodes,
                              angular_parities, angular_rule, angular_values,
                              boundary_gram,
@@ -13,8 +13,9 @@ from modalstab.basis import (_LANE_BLOCK, CapacityError, Domain, ModeTable,
                              export_mode_table, interior_quadrature,
                              mode_values, point_angles, project_function)
 from modalstab import special
-from modalstab.special import (MAX_ORDER, bessel_j, quadrature_rule,
-                               real_spherical_harmonic, spherical_bessel_j)
+from modalstab.special import (MAX_ORDER, bessel_j, bessel_j_all,
+                               quadrature_rule, real_spherical_harmonic,
+                               spherical_bessel_j, spherical_j_all)
 
 LAMBDA = 6.61
 
@@ -431,39 +432,65 @@ def _per_order_radial(modes, domain, r):
     return out * modes.norm_const[:, None]
 
 
+def _odd_grid_radii(domain, resolution=11):
+    """Radii of an odd Cartesian grid inside the closed domain; r = 0 is
+    one of them."""
+    R = domain.radius
+    axis = np.linspace(-R, R, resolution)
+    mesh = np.meshgrid(*[axis] * domain.dim, indexing="ij")
+    r = np.linalg.norm(np.column_stack([c.ravel() for c in mesh]), axis=1)
+    r = r[r <= R]
+    assert np.count_nonzero(r == 0.0) == 1
+    return r
+
+
 class TestRadialLanes:
     def test_odd_grid_with_centre_matches_single_order_evaluators(
             self, disk, ball, disk_modes, ball_modes):
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
-            R = domain.radius
-            axis = np.linspace(-R, R, 11)
-            mesh = np.meshgrid(*[axis] * domain.dim, indexing="ij")
-            r = np.linalg.norm(np.column_stack([c.ravel() for c in mesh]),
-                               axis=1)
-            r = r[r <= R]
-            assert np.count_nonzero(r == 0.0) == 1
+            r = _odd_grid_radii(domain)
             vals = _radial_values(modes, domain, r)
             ref = _per_order_radial(modes, domain, r)
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
 
-    def test_lanes_straddling_a_block_boundary(self, disk, ball, disk_modes,
-                                               ball_modes):
+    def test_rows_of_one_table_call(self, disk, ball, disk_modes,
+                                    ball_modes):
+        # r = 0 puts the small-argument series and the recurrence in one
+        # call; each mode's values are its order's row of the table at the
+        # top order, bit for bit
+        for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
+            table_fn = bessel_j_all if domain.shape == "disk" \
+                else spherical_j_all
+            r = _odd_grid_radii(domain)
+            r_unique, r_index = np.unique(r, return_inverse=True)
+            _, pair = np.unique(np.column_stack([modes.order, modes.k]),
+                                axis=0, return_inverse=True)
+            pair = pair.ravel()
+            alpha = np.zeros(pair.max() + 1)
+            alpha[pair] = modes.alpha
+            table = table_fn(int(modes.order.max()),
+                             np.outer(alpha, r_unique) / domain.radius)
+            want = table[modes.order[:, None], pair[:, None], r_index] \
+                * modes.norm_const[:, None]
+            got = _radial_values(modes, domain, r)
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_call_over_many_lanes(self, disk, ball, disk_modes,
+                                      ball_modes):
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
             R = domain.radius
             row_pairs = list(zip(modes.order.tolist(), modes.k.tolist()))
             pairs = sorted(set(row_pairs))
-            n_r = _LANE_BLOCK // len(pairs) + 3
-            # lanes run pair by pair over the radii: this pair's lanes sit
-            # on both sides of the first block boundary
-            straddling = pairs[_LANE_BLOCK // n_r]
-            assert len(pairs) * n_r > _LANE_BLOCK and _LANE_BLOCK % n_r
+            n_r = 8192 // len(pairs) + 3
+            assert len(pairs) * n_r > 8192
             r = np.linspace(0.0, R, n_r)
             vals = _radial_values(modes, domain, r)
             ref = _per_order_radial(modes, domain, r)
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
-            n = row_pairs.index(straddling)
+            # the top pair: its order sets the depth of the whole call
+            n = row_pairs.index(pairs[-1])
             exact = modes.norm_const[n] * np.array(
                 [oracle_bessel(modes.order[n], modes.alpha[n] * rk / R,
                                domain.shape == "ball") for rk in r])

@@ -41,9 +41,9 @@ def test_traced_verify_batches_bessel_work(tmp_path):
         tracer.uninstall()
     assert code in (0, 1)
     calls = tracing.layer_values(tracer, 0)
-    # one lane block for the grid (it fits one block at this size) and one
-    # scan for all zeros, whose slopes give the normalization constants;
-    # the projection of u0 evaluates no Bessel function
+    # one lane call for the grid and one scan for all zeros, whose slopes
+    # give the normalization constants; the projection of u0 evaluates no
+    # Bessel function
     assert calls["special.radial_calls"] == 1
     # the grid table holds only the modes the closed loop moves
     rows = calls["diagnostics.grid_values_mb"] * 1e6 / (

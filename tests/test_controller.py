@@ -14,6 +14,7 @@ from modalstab.controller import (GainScalingError, ResonanceError,
                                   control_map, gain_set_to_json,
                                   nudge_gammas, scaled_gain_set, synthesize,
                                   validate_gains)
+from modalstab.simulator import assemble_closed_loop, integrate
 from modalstab.special import quadrature_rule
 
 GAMMAS_DISK = (6.17, 7.17, 8.17, 9.17, 10.17)
@@ -202,6 +203,36 @@ class TestScaleInvariance:
                 (r2 * report.margin_s, ref_report.margin_s),
                 (gs.cond_sum_b, ref.cond_sum_b)):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_generator_and_trajectory_scale(self, shape, radius):
+        # (R, lambda, gamma, dt, T) against (1, lambda R^2, gamma R^2,
+        # dt / R^2, T / R^2): G scales as 1 / R^2, and the states from one
+        # modal u0 agree sample for sample, each coordinate to 1e-13 of its
+        # largest magnitude, as some pass through 0
+        r2 = radius**2
+        unit_domain, domain = Domain(shape, 1.0), Domain(shape, radius)
+        unit, _ = enumerate_modes(unit_domain, 26.44, 60)
+        modes, _ = enumerate_modes(domain, 26.44 / r2, 60)
+        n = count_unstable(unit)
+        gammas = [float(np.max(unit.mu[:n])) + i for i in range(1, n + 1)]
+        u0 = np.cos(np.arange(60)) / np.arange(1, 61)
+        # the same unit-radius times for every R
+        dt, horizon = 0.01 * r2, 0.5 * r2
+        ref = assemble_closed_loop(unit, synthesize(unit, gammas),
+                                   unit_domain)
+        system = assemble_closed_loop(
+            modes, synthesize(modes, [g / r2 for g in gammas]), domain)
+        ref_run = integrate(ref, u0, dt / r2, horizon / r2)
+        run = integrate(system, u0, dt, horizon)
+        for got, want in ((r2 * system.split.d, ref.split.d),
+                          (r2 * system.split.K, ref.split.K),
+                          (run.times, r2 * ref_run.times)):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert run.states.shape == ref_run.states.shape == (51, 60)
+        assert np.all(np.abs(run.states - ref_run.states)
+                      <= 1e-13 * np.max(np.abs(ref_run.states), axis=0))
 
 
 class TestHurwitzMargin:

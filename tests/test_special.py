@@ -3,6 +3,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _oracles import oracle_bessel
 from modalstab.special import (MAX_ORDER, UnsupportedOrderError,
@@ -359,8 +362,15 @@ class TestSphericalBessel:
                               np.sign(lane_ref))
 
 
+# each order's largest |J_n| and |j_n| on [0, 90], the scale of its values
+_PEAK_GRID = np.linspace(0.0, 90.0, 901)
+_PEAKS = [np.max(np.abs(fn(np.arange(MAX_ORDER + 1)[:, None], _PEAK_GRID)),
+                 axis=1)
+          for fn in (scipy.special.jv, scipy.special.spherical_jn)]
+
+
 class TestLaneMode:
-    """An order array gives each lane its own order from one recurrence."""
+    """An order array gives each lane its own order's row of one table."""
 
     @staticmethod
     def _lanes():
@@ -397,7 +407,34 @@ class TestLaneMode:
             table = lane_fn(MAX_ORDER, xs)[orders, np.arange(xs.size)]
             got = lane_fn(orders.reshape(-1, 9), xs.reshape(-1, 9))
             assert got.shape == (xs.size // 9, 9)
-            assert np.max(np.abs(got.ravel() - table)) <= 1e-14
+            assert got.ravel().tobytes() == table.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_random_lanes_are_table_rows_and_match_scipy(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3,
+                                           min_side=0, max_side=5))
+        orders = data.draw(hnp.arrays(np.int64, shape,
+                                      elements=st.integers(0, MAX_ORDER)))
+        # no subnormal x: scipy's spherical_jn returns NaN there
+        xs = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.just(0.0), st.floats(0.0, 1e-6, exclude_max=True,
+                                    allow_subnormal=False),
+            st.floats(1e-6, 90.0))))
+        lanes = np.arange(xs.size)
+        for lane_fn, ref_fn, peak in (
+                (bessel_j_all, scipy.special.jv, _PEAKS[0]),
+                (spherical_j_all, scipy.special.spherical_jn, _PEAKS[1])):
+            got = lane_fn(orders, xs)
+            assert got.shape == shape
+            if not xs.size:
+                continue
+            table = lane_fn(int(orders.max()), xs.ravel())
+            assert got.ravel().tobytes() == table[orders.ravel(),
+                                                  lanes].tobytes()
+            assert np.all(np.abs(got - ref_fn(orders, xs))
+                          <= 1e-13 * peak[orders])
 
     def test_invalid_lanes_rejected(self):
         with pytest.raises(ValueError):
