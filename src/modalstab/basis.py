@@ -5,24 +5,24 @@ tie-breaking, L2-normalized with the radial factor positive near the origin,
 and carry closed-form normal-trace amplitudes so that boundary Gram entries
 reduce to products of per-mode constants.
 
-The Bessel work is batched: enumeration takes every order's zeros, and
-their slopes f_m'(alpha) = -f_{m+1}(alpha), which give the normalization
-constants, from one zero-finder call, and the radial factor, which depends
-only on (order, k), is evaluated once per distinct pair at the distinct
-radii, then gathered per mode (`_radial_values`, shared by the grid values and
-the quadrature projection).  Each (order, k) x radius is a lane of one
-Bessel call: its order's row of one recurrence table at the pairs' top
-order.
+The Bessel work is batched: enumeration takes every order's zeros below a
+cut, and their slopes f_m'(alpha) = -f_{m+1}(alpha), which give the
+normalization constants, from one zero-finder call, `zeros_fn(orders, cut)`,
+and the radial factor, which depends only on (order, k), is evaluated once
+per distinct pair at the distinct radii, then gathered per mode
+(`_radial_values`, shared by the grid values and the quadrature
+projection).  Each (order, k) x radius is a lane of one Bessel call: its
+order's row of one recurrence table at the pairs' top order.
 
 The table is one `ModeTable` of per-mode arrays; every evaluator reads the
 arrays, and compares angular keys by one integer code per mode.
 
 The angular factor exists once, in `angular_values`: 1, cos(m theta) or
-sin(m theta) on the disk and `special.real_spherical_harmonics` on the
-ball, evaluated once per distinct angular key (`angular_keys`).  Grid
-values, the quadrature projection and the normal traces (`boundary_traces`)
-all go through it.  Each mode's sign under the reflection of each
-Cartesian axis is read off its key (`angular_parities`).
+sin(m theta) on the disk and `special.real_spherical_harmonics` of the
+keys' (l, m) arrays on the ball, evaluated once per distinct angular key
+(`angular_keys`).  Grid values, the quadrature projection and the normal
+traces (`boundary_traces`) all go through it.  Each mode's sign under
+each axis reflection is read off its key (`angular_parities`).
 """
 
 import csv
@@ -140,7 +140,7 @@ def _zeros_below(zeros_fn, cut: float, need: str):
     the cut means higher orders would be needed as well.
     """
     orders = np.arange(min(math.ceil(cut), MAX_ORDER + 1))
-    order, zeros, slope = zeros_fn(orders, below=cut, slopes=True)
+    order, zeros, slope = zeros_fn(orders, cut)
     if order.size and order[-1] == MAX_ORDER:
         raise CapacityError(f"{need} beyond {MAX_ORDER}")
     return order, zeros, slope
@@ -252,8 +252,7 @@ def angular_values(keys, domain: Domain, angles) -> np.ndarray:
     angles (cos theta, sin theta, phi), which broadcast.
     """
     if domain.shape == "ball":
-        return real_spherical_harmonics(
-            zip(keys.order.tolist(), keys.second.tolist()), *angles)
+        return real_spherical_harmonics(keys.order, keys.second, *angles)
     theta = np.asarray(angles, dtype=float)
     m, sin = (a.reshape((-1,) + (1,) * theta.ndim)
               for a in (keys.order, keys.second))

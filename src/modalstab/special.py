@@ -1,7 +1,8 @@
 """Cylindrical and spherical Bessel functions, their zeros, real spherical
 harmonics, and quadrature rules.
 
-Evaluators accept scalars or 1-D numpy arrays and are pure functions with no
+Evaluators accept scalars or 1-D numpy arrays, with integer orders,
+degrees and ranks (ValueError otherwise), and are pure functions with no
 global mutable state, so they are safe for concurrent use.
 
 Bessel functions are computed by a short power series for very small
@@ -13,20 +14,20 @@ the top one.  An order array (one order per point, a lane) is answered
 from the table at the lanes' top order: each lane is its own order's row,
 so its last bits depend on the call's top order and largest argument.
 
-Zeros of any set of orders come from one path and one recurrence: one
-sign-change scan of all the orders on a shared grid that ends at the cut.
-Its table gives f and f' at an end of each bracket, which start a Taylor
-series of the Bessel equation about that end (DLMF 10.2, 10.6, 10.51);
-Halley steps on the series, every bracket at once from its secant, with a
-bracketed bisection as the guard, find the zero, and the same series
-gives the slope f_n'(alpha) = -f_{n+1}(alpha) there, from which the
-eigenfunction norms follow.  A zero and its slope depend only on (family,
-order, k).
+Zeros have one call form: every zero below a cut of each order in a 1-D
+integer array, as flat (order, zero, slope) arrays, from one sign-change
+scan of all the orders on a shared grid that ends at the cut.  Its table
+gives f and f' at an end of each bracket, which start a Taylor series of
+the Bessel equation about that end (DLMF 10.2, 10.6, 10.51); Halley steps
+on the series, every bracket at once from its secant, with a bracketed
+bisection as the guard, find the zero, and the same series gives the slope
+f_n'(alpha) = -f_{n+1}(alpha) there, from which the eigenfunction norms
+follow.  A zero and its slope depend only on (family, order, k).
 
-Real spherical harmonics of any set of (l, m) keys come from one
-normalized Legendre table and one trig factor per order m
-(`real_spherical_harmonics`); it is the ball's only angular evaluator, and
-`real_spherical_harmonic` is its one-key view.
+Real spherical harmonics of the key arrays (degree, order) come from one
+normalized Legendre table and one trig factor per distinct order, with no
+loop over keys (`real_spherical_harmonics`); it is the ball's only angular
+evaluator, and `real_spherical_harmonic` is its one-key view.
 """
 
 import math
@@ -59,12 +60,17 @@ class QuadratureRule:
         return float(np.dot(self.weights, np.asarray(values, dtype=float)))
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    if order > MAX_ORDER:
+def _check_order(order, name: str = "order") -> None:
+    """Reject an order (an int or an array of them) that is not an integer
+    in 0..MAX_ORDER; one above the cap raises UnsupportedOrderError."""
+    order = np.asarray(order)
+    if order.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer, got {order}")
+    if order.size and order.min() < 0:
+        raise ValueError(f"{name} must be nonnegative, got {order.min()}")
+    if order.size and order.max() > MAX_ORDER:
         raise UnsupportedOrderError(
-            f"order {order} exceeds the supported cap {MAX_ORDER}")
+            f"{name} {order.max()} exceeds the supported cap {MAX_ORDER}")
 
 
 def _overflow_check_interval(n_start: int, x_min: float, decades: float) -> int:
@@ -163,15 +169,13 @@ def _miller(shift: int, m_top: int, x: np.ndarray, scan: bool = False
 def _bessel_family(shift: int, order, x) -> np.ndarray:
     """Engine of bessel_j_all (shift 0) and spherical_j_all (shift 1)."""
     x = np.asarray(x, dtype=float)
+    _check_order(order, "degree" if shift else "order")
     lanes = np.ndim(order) > 0
     flat = x.ravel()
     if lanes:
-        lane_order = np.asarray(order)
-        if lane_order.shape != x.shape or lane_order.dtype.kind not in "iu":
-            raise ValueError("an order array must be integer and match x")
-        lane_order = lane_order.ravel()
-        if lane_order.size and lane_order.min() < 0:
-            raise ValueError("order must be nonnegative")
+        if np.shape(order) != x.shape:
+            raise ValueError("an order array must match x")
+        lane_order = np.ravel(order)
         order = int(lane_order.max(initial=0))
     if not np.isfinite(flat).all():
         raise ValueError("argument x must be finite")
@@ -206,7 +210,6 @@ def bessel_j_all(order, x) -> np.ndarray:
 
 def bessel_j(order: int, x):
     """Cylindrical Bessel function of the first kind J_order(x), x >= 0."""
-    _check_order(order)
     return bessel_j_all(order, x)[order]
 
 
@@ -219,7 +222,6 @@ def spherical_j_all(order, x) -> np.ndarray:
 
 def spherical_bessel_j(degree: int, x):
     """Spherical Bessel function j_degree(x); j_0(0) = 1 (removable limit)."""
-    _check_order(degree)
     return spherical_j_all(degree, x)[degree]
 
 
@@ -306,9 +308,11 @@ def _refine_zeros(derivatives, lo: np.ndarray, hi: np.ndarray,
     return x
 
 
-def _zeros(shift: int, order, count, below, slopes):
-    """Positive zeros of each order of one Bessel family (J for shift 0,
-    j for shift 1): the first `count`, or every zero <= `below`.
+def _zeros(shift: int, orders, below):
+    """Every positive zero <= `below` of each order in `orders` (a nonempty
+    1-D integer array) of one Bessel family (J for shift 0, j for shift 1),
+    as three flat arrays: each zero's order, the zeros (by order as given,
+    ascending within one), and the derivative of its function there.
 
     Every order is scanned at once: one all-orders evaluation on a uniform
     grid from _SCAN_STEP to the first point at or above the cut (no zero
@@ -320,41 +324,18 @@ def _zeros(shift: int, order, count, below, slopes):
     bracket at once; f' at the zero is f_n'(alpha) = -f_{n+1}(alpha).
     Each table value depends only on its order and point, and each lane
     only on its own bracket, so a zero and its slope depend only on
-    (family, order, k), whatever the cut, the other orders or the form of
-    the call.  The count form cuts at (k + m/2 + 1/4) pi, above the k-th
-    zero of every order m: j_{nu,k} < (k + nu/2 - 1/4) pi for nu >= 1/2,
-    and J_0's zeros lie below J_{1/2}'s, k pi.
-
-    An int `order` gives one array; a 1-D array of orders (with an int or
-    a matching array of counts) gives a list of arrays, one per order.
-    With `slopes`, the result is instead three flat arrays: each zero's
-    order, the zeros (by order as given, ascending within one), and the
-    derivative of its function at each zero.
+    (family, order, k), whatever the cut or the other orders.
     """
-    orders = np.atleast_1d(np.asarray(order)).astype(int)
-    if orders.ndim > 1 or orders.size == 0:
-        raise ValueError("order must be an int or a nonempty 1-D array")
-    _check_order(int(orders.min()))
-    _check_order(int(orders.max()))
-    if (count is None) == (below is None):
-        raise ValueError("give exactly one of count and below")
-    cut = below
-    if count is not None:
-        counts = np.broadcast_to(np.asarray(count), orders.shape)
-        if counts.dtype.kind not in "iu":
-            raise ValueError(f"count must be an integer, got {count}")
-        if counts.min() < 1:
-            raise ValueError("count must be >= 1")
-        cut = float(np.max(np.pi * (counts + orders / 2 + 0.25)))
-    elif not math.isfinite(below):
+    orders = np.asarray(orders)
+    if orders.ndim != 1 or orders.size == 0:
+        raise ValueError("orders must be a nonempty 1-D array")
+    _check_order(orders, "degree" if shift else "order")
+    if not math.isfinite(below):
         raise ValueError(f"below must be finite, got {below}")
-    grid = _SCAN_STEP * np.arange(1, max(1, math.ceil(cut / _SCAN_STEP)) + 1)
+    grid = _SCAN_STEP * np.arange(1, max(2, math.ceil(below / _SCAN_STEP) + 1))
     table = _miller(shift, max(int(orders.max()), 1), grid, scan=True)
     f = table[orders]
-    change = f[:, :-1] * f[:, 1:] < 0
-    if count is not None:
-        change &= np.cumsum(change, axis=1) <= counts[:, None]
-    row, col = np.nonzero(change)
+    row, col = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
     lane_order = orders[row]
     f_lo, f_hi = f[row, col], f[row, col + 1]
     near = col + (np.abs(f_hi) < np.abs(f_lo))
@@ -362,46 +343,40 @@ def _zeros(shift: int, order, count, below, slopes):
                           table[lane_order, near],
                           table[np.abs(lane_order - 1), near])
     zeros = _refine_zeros(series, grid[col], grid[col + 1], f_lo, f_hi)
-    keep = zeros <= below if below is not None else slice(None)
-    if slopes:
-        return lane_order[keep], zeros[keep], series(zeros)[1][keep]
-    row, zeros = row[keep], zeros[keep]
-    sizes = np.bincount(row, minlength=orders.size)
-    parts = np.split(zeros, np.cumsum(sizes)[:-1])
-    return parts[0] if np.ndim(order) == 0 else parts
+    keep = zeros <= below
+    return lane_order[keep], zeros[keep], series(zeros)[1][keep]
 
 
-def bessel_j_zeros(order, count=None, *, below=None, slopes=False):
-    """Positive zeros of J_order, strictly increasing: the first `count`,
-    or every zero <= `below`.
+def _zero(shift: int, order: int, k: int) -> float:
+    """k-th positive zero of order m, from one flat call cut above it at
+    (k + m/2 + 1/4) pi: j_{nu,k} < (k + nu/2 - 1/4) pi for nu >= 1/2, and
+    J_0's zeros lie below J_{1/2}'s, k pi."""
+    if np.asarray(k).dtype.kind not in "iu" or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k}")
+    cut = math.pi * (k + order / 2 + 0.25)
+    return float(_zeros(shift, np.array([order]), cut)[1][k - 1])
 
-    `order` may be a 1-D array of orders (and `count` an int or a matching
-    array); the result is then a list with one array per order, empty for
-    an order with no zero below the cut.  With `slopes=True` it is three
-    flat arrays instead: the order of each zero, the zeros, and
-    J_order'(zero) = -J_{order+1}(zero) at each.
-    """
-    return _zeros(0, order, count, below, slopes)
+
+def bessel_j_zeros(orders, below):
+    """Every positive zero <= `below` of J_m, m in `orders`, flat as from
+    `_zeros`; a slope is J_m'(zero) = -J_{m+1}(zero)."""
+    return _zeros(0, orders, below)
 
 
 def bessel_j_zero(order: int, k: int) -> float:
     """k-th positive zero of J_order (k >= 1)."""
-    return float(bessel_j_zeros(order, k)[k - 1])
+    return _zero(0, order, k)
 
 
-def spherical_bessel_zeros(degree, count=None, *, below=None, slopes=False):
-    """Positive zeros of j_degree, strictly increasing: the first `count`,
-    or every zero <= `below`.
-
-    Accepts arrays of degrees (and counts) and `slopes` like
-    `bessel_j_zeros`; a slope is j_degree'(zero) = -j_{degree+1}(zero).
-    """
-    return _zeros(1, degree, count, below, slopes)
+def spherical_bessel_zeros(degrees, below):
+    """Every positive zero <= `below` of j_l, l in `degrees`, flat as from
+    `_zeros`; a slope is j_l'(zero) = -j_{l+1}(zero)."""
+    return _zeros(1, degrees, below)
 
 
 def spherical_bessel_zero(degree: int, k: int) -> float:
     """k-th positive zero of j_degree (k >= 1)."""
-    return float(spherical_bessel_zeros(degree, k)[k - 1])
+    return _zero(1, degree, k)
 
 
 def normalized_legendre_table(l_max: int, cos_theta, sin_theta) -> np.ndarray:
@@ -427,46 +402,48 @@ def normalized_legendre_table(l_max: int, cos_theta, sin_theta) -> np.ndarray:
     return p
 
 
-def real_spherical_harmonics(keys, cos_theta, sin_theta, phi) -> np.ndarray:
-    """Real spherical harmonics Y_{l,m} for each (l, m) in keys, orthonormal
-    on the unit sphere, Condon-Shortley-free; shape (len(keys),) + the
-    broadcast shape of the polar and azimuthal arguments.
+def real_spherical_harmonics(degree, order, cos_theta, sin_theta,
+                             phi) -> np.ndarray:
+    """Real spherical harmonics Y_{l,m} of the keys (degree[i], order[i]),
+    1-D integer arrays with |m| <= l, orthonormal on the unit sphere,
+    Condon-Shortley-free; shape (keys,) + the broadcast shape of the polar
+    and azimuthal arguments.
 
     m > 0 pairs with sqrt(2) cos(m phi), m < 0 with sqrt(2) sin(|m| phi),
-    m = 0 is zonal.  One Legendre table serves every key and each trig
-    factor is computed once, so a tensor grid passes a column of polar
-    values against a row of azimuths.
+    m = 0 is zonal.  One Legendre table serves every key, so a tensor grid
+    passes a column of polar values against a row of azimuths.
     """
-    keys = list(keys)
-    ct = np.asarray(cos_theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    l_max = max((l for l, _ in keys), default=0)
-    _check_order(l_max)
-    for l, m in keys:
-        if abs(m) > l:
-            raise ValueError(f"|order| = {abs(m)} exceeds degree {l}")
+    degree, m = np.asarray(degree), np.abs(order)
+    _check_order(degree, "degree")
+    _check_order(m, "order")
+    if (m > degree).any():
+        i = np.argmax(m > degree)
+        raise ValueError(f"|order| = {m[i]} exceeds degree {degree[i]}")
+    ct, phi = (np.asarray(a, dtype=float) for a in (cos_theta, phi))
+    # both arguments at their broadcast rank, behind one axis of keys
+    rank = len(np.broadcast_shapes(ct.shape, phi.shape))
+    ct, phi = (a.reshape((1,) * (rank - a.ndim) + a.shape) for a in (ct, phi))
+    l_max = int(degree.max(initial=0))
     table = normalized_legendre_table(
         l_max, ct.ravel(), np.ravel(sin_theta)).reshape(
             (l_max + 1, l_max + 1) + ct.shape)
-    out = np.empty((len(keys),) + np.broadcast_shapes(ct.shape, phi.shape))
-    sqrt2 = math.sqrt(2.0)
-    trig = {}
-    for i, (l, m) in enumerate(keys):
-        if m == 0:
-            out[i] = table[l, 0]
-            continue
-        if m not in trig:
-            trig[m] = np.cos(m * phi) if m > 0 else np.sin(-m * phi)
-        out[i] = sqrt2 * table[l, abs(m)] * trig[m]
-    return out
+    key_axis = (-1,) + (1,) * rank
+    scale = np.where(m == 0, 1.0, math.sqrt(2.0)).reshape(key_axis)
+    # one trig factor per distinct order: sin(|m| phi) for the negative
+    # orders, which np.unique sorts first, then cos(m phi)
+    signed, row = np.unique(order, return_inverse=True)
+    m_phi = np.abs(signed).reshape(key_axis) * phi
+    trig = np.concatenate([np.sin(m_phi[signed < 0]),
+                           np.cos(m_phi[signed >= 0])])
+    return (scale * table[degree, m]) * trig[row]
 
 
 def real_spherical_harmonic(degree: int, order: int, theta, phi):
     """Real spherical harmonic Y_{l,m}(theta, phi): the one-key view of
     real_spherical_harmonics, a float for scalar arguments."""
     theta = np.asarray(theta, dtype=float)
-    val = real_spherical_harmonics([(degree, order)], np.cos(theta),
-                                   np.sin(theta), phi)[0]
+    val = real_spherical_harmonics(np.array([degree]), np.array([order]),
+                                   np.cos(theta), np.sin(theta), phi)[0]
     return float(val) if val.ndim == 0 else val
 
 

@@ -13,7 +13,7 @@ finder, since they pin the order, not the zeros.  mode_table_loop is the
 per-mode constant loop that enumerate_modes replaced, and step_loop the
 per-step loop over a step map's blocks that integrate replaced; both pin
 the arithmetic bit for bit, so they share the package's zero slopes (from
-a count-form call of their own) and step maps.  step_map_all_rows powers
+a call of their own, cut where the k-th zero view cuts) and step maps.  step_map_all_rows powers
 F on every tail row, zero rows of G[s:, :s] included, which
 CoupledSplit.step_map skips; the two must agree bit for bit.
 dense_synthesis is the gain synthesis on full N x N matrices (an (N, N, N)
@@ -25,7 +25,9 @@ commutation check on the standalone lift of every table row, which
 lifting.commutation_check restricts to the coupled rows; the two must
 agree bit for bit.  fit_metric_per_column is one claim fit per series, a
 decay_rate_fit call of its own each, which verify_claims batches into one
-solve.
+solve.  harmonics_loop is the per-key loop that real_spherical_harmonics'
+array expression replaced; it shares the package's Legendre table, since
+it pins the keys' arithmetic, and must agree bit for bit.
 """
 
 import math
@@ -38,8 +40,8 @@ from modalstab.basis import _zeros_below, boundary_gram, mode_values
 from modalstab.controller import shift_denominators
 from modalstab.diagnostics import MetricFit, decay_rate_fit
 from modalstab.lifting import lifting_coefficients
-from modalstab.special import (bessel_j_zeros, quadrature_rule,
-                               real_spherical_harmonic,
+from modalstab.special import (bessel_j_zeros, normalized_legendre_table,
+                               quadrature_rule, real_spherical_harmonic,
                                spherical_bessel_zeros)
 
 mp.mp.dps = 30
@@ -98,6 +100,26 @@ def _ranked_zeros(zeros_fn, cut, need):
         yield m, rank[m], z
 
 
+def harmonics_loop(keys, cos_theta, sin_theta, phi):
+    """Real spherical harmonics of a list of (l, m) keys, one key at a
+    time: the normalized Legendre value, times sqrt(2) cos(m phi) for
+    m > 0 and sqrt(2) sin(|m| phi) for m < 0; shape (len(keys),) + the
+    broadcast shape of the polar and azimuthal arguments."""
+    ct, phi = np.asarray(cos_theta, dtype=float), np.asarray(phi, dtype=float)
+    l_max = max(l for l, _ in keys)
+    table = normalized_legendre_table(
+        l_max, ct.ravel(), np.ravel(sin_theta)).reshape(
+            (l_max + 1, l_max + 1) + ct.shape)
+    out = np.empty((len(keys),) + np.broadcast_shapes(ct.shape, phi.shape))
+    for i, (l, m) in enumerate(keys):
+        if m == 0:
+            out[i] = table[l, 0]
+        else:
+            trig = np.cos(m * phi) if m > 0 else np.sin(-m * phi)
+            out[i] = math.sqrt(2.0) * table[l, abs(m)] * trig
+    return out
+
+
 def disk_candidates(n_sim):
     """All (alpha, angular, k) with the n_sim smallest alpha, order (alpha,
     m, cos before sin, k)."""
@@ -140,16 +162,16 @@ def mode_table_loop(domain, lam, n_sim):
     disk = domain.shape == "disk"
     cands = (disk_candidates if disk else ball_candidates)(n_sim)
     trace_scale = math.sqrt(2.0 / R**3)
-    # |f_{m+1}(alpha)| = |f_m'(alpha)|, the slope of the k-th zero from a
-    # count-form call for each order's deepest k
+    # |f_{m+1}(alpha)| = |f_m'(alpha)|, the slope of the k-th zero, from
+    # one call cut above each order's deepest k, where the k-th zero view
+    # cuts (not the candidates' growing cut)
     k_max = {}
     for _, (m, _), k in cands:
         k_max[m] = max(k_max.get(m, 0), k)
     orders = sorted(k_max)
     zeros_fn = bessel_j_zeros if disk else spherical_bessel_zeros
-    order, _, slope = zeros_fn(np.array(orders),
-                               np.array([k_max[m] for m in orders]),
-                               slopes=True)
+    cut = max(math.pi * (k_max[m] + m / 2 + 0.25) for m in orders)
+    order, _, slope = zeros_fn(np.array(orders), cut)
     rank = np.arange(order.size) + 1 - np.searchsorted(order, order)
     j_next = dict(zip(zip(order.tolist(), rank.tolist()),
                       np.abs(slope).tolist()))

@@ -12,7 +12,7 @@ from modalstab.basis import (CapacityError, Domain, ModeTable,
                              boundary_traces, count_unstable, enumerate_modes,
                              export_mode_table, interior_quadrature,
                              mode_values, point_angles, project_function)
-from modalstab import special
+from modalstab import basis, special
 from modalstab.special import (MAX_ORDER, bessel_j, bessel_j_all,
                                quadrature_rule, real_spherical_harmonic,
                                spherical_bessel_j, spherical_j_all)
@@ -141,6 +141,23 @@ class TestEnumeration:
                             calls.append(1) or miller(*args, **kwargs))
         enumerate_modes(Domain(shape, 2.0), LAMBDA, n_sim)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape, sizes", [
+        ("disk", (1, 5, 20, 40, 100, 300, 800, 946)),
+        ("ball", (1, 5, 20, 40, 100, 300, 800, 2000))])
+    def test_one_zero_call_per_enumeration(self, monkeypatch, shape, sizes):
+        # the starting candidate cut holds n_sim zeros-times-keys from the
+        # smallest table to the largest, so the cut never grows
+        name = "bessel_j_zeros" if shape == "disk" else \
+            "spherical_bessel_zeros"
+        calls = []
+        finder = getattr(basis, name)
+        monkeypatch.setattr(basis, name, lambda *args: calls.append(args)
+                            or finder(*args))
+        for n_sim in sizes:
+            calls.clear()
+            enumerate_modes(Domain(shape, 2.0), LAMBDA, n_sim)
+            assert len(calls) == 1, n_sim
 
     @pytest.mark.parametrize("radius, lam", [(1.3, 3.0), (2.0, LAMBDA),
                                              (0.5, 0.0)])

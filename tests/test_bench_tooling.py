@@ -49,7 +49,7 @@ def test_traced_verify_batches_bessel_work(tmp_path):
     rows = calls["diagnostics.grid_values_mb"] * 1e6 / (
         8 * calls["basis.grid_points"])
     assert round(rows) < calls["basis.n_sim"] == 40
-    assert calls["special.zero_calls"] <= 2
+    assert calls["special.zero_calls"] == 1
     # verify_claims reuses the series the simulation already computed
     assert calls["diagnostics.norm_series_calls"] == 1
     # the configured shifts, then the doubling search's scale 2: its scale

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -7,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import oracle_bessel
+from _oracles import harmonics_loop, oracle_bessel
 from modalstab.special import (MAX_ORDER, UnsupportedOrderError,
                                _lane_series, _miller, _refine_zeros,
                                bessel_j, bessel_j_all, bessel_j_zero,
@@ -102,6 +103,21 @@ class TestBesselJ:
                 fn(np.array([0, 3]), np.array([1.0, bad]))
 
 
+def of_order(flat, m):
+    """The zeros of order m in a zero finder's flat (order, zero, slope)."""
+    order, zeros, _ = flat
+    return zeros[order == m]
+
+
+def by_rank(order, zeros, slope):
+    """{(order, k): (zero, slope)} of a flat zero-finder result."""
+    out, rank = {}, {}
+    for m, z, d in zip(order.tolist(), zeros.tolist(), slope.tolist()):
+        rank[m] = rank.get(m, 0) + 1
+        out[m, rank[m]] = (z, d)
+    return out
+
+
 class TestBesselZeros:
     def test_first_zeros_frozen(self):
         assert abs(bessel_j_zero(0, 1) - J0_ZERO_1) < 1e-12
@@ -117,49 +133,123 @@ class TestBesselZeros:
                 assert abs(z - oracle) < 1e-12
 
     def test_increasing_in_k(self):
-        zs = bessel_j_zeros(4, 8)
-        assert np.all(np.diff(zs) > 0)
+        zs = of_order(bessel_j_zeros(np.array([4]), 35.0), 4)
+        assert zs.size >= 8 and np.all(np.diff(zs) > 0)
 
     def test_interlacing(self):
         # j_{m,k} < j_{m+1,k} < j_{m,k+1}
-        table = {m: bessel_j_zeros(m, 11) for m in range(12)}
+        flat = bessel_j_zeros(np.arange(12), 60.0)
+        table = {m: of_order(flat, m) for m in range(12)}
         for m in range(11):
             for k in range(10):
                 assert table[m][k] < table[m + 1][k] < table[m][k + 1]
 
     def test_residual_at_zeros(self):
-        for m in range(11):
-            for k, z in enumerate(bessel_j_zeros(m, 10), start=1):
-                assert abs(bessel_j(m, z)) < 1e-11
+        order, zeros, _ = bessel_j_zeros(np.arange(11), 50.0)
+        assert np.all(np.bincount(order) >= 10)
+        for m, z in zip(order, zeros):
+            assert abs(bessel_j(m, z)) < 1e-11
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             bessel_j_zero(0, 0)
 
 
+# every special entry point, with `bad` in the place of one order, degree
+# or zero rank k, and the name its ValueError gives that argument
+ENTRY_POINTS = {
+    "bessel_j": ("order", lambda bad: bessel_j(bad, 1.0)),
+    "bessel_j_all": ("order", lambda bad: bessel_j_all(bad, 1.0)),
+    "bessel_j_all-lanes": ("order", lambda bad: bessel_j_all(
+        np.array([0, bad]), np.array([1.0, 2.0]))),
+    "spherical_bessel_j": ("degree", lambda bad: spherical_bessel_j(bad, 1.0)),
+    "spherical_j_all": ("degree", lambda bad: spherical_j_all(bad, 1.0)),
+    "spherical_j_all-lanes": ("degree", lambda bad: spherical_j_all(
+        np.array([0, bad]), np.array([1.0, 2.0]))),
+    "bessel_j_zeros": ("order", lambda bad: bessel_j_zeros(
+        np.array([0.9, bad]), 10.0)),
+    "spherical_bessel_zeros": ("degree", lambda bad: spherical_bessel_zeros(
+        np.array([bad]), 10.0)),
+    "bessel_j_zero-order": ("order", lambda bad: bessel_j_zero(bad, 1)),
+    "bessel_j_zero-k": ("k", lambda bad: bessel_j_zero(1, bad)),
+    "spherical_bessel_zero-degree": (
+        "degree", lambda bad: spherical_bessel_zero(bad, 1)),
+    "spherical_bessel_zero-k": (
+        "k", lambda bad: spherical_bessel_zero(1, bad)),
+    "real_spherical_harmonic-degree": (
+        "degree", lambda bad: real_spherical_harmonic(bad, 0, 0.1, 0.2)),
+    "real_spherical_harmonic-order": (
+        "order", lambda bad: real_spherical_harmonic(3, bad, 0.1, 0.2)),
+    "real_spherical_harmonics-degree": (
+        "degree", lambda bad: real_spherical_harmonics(
+            np.array([1, bad]), np.array([0, 0]), 0.5, 0.8, 0.2)),
+    "real_spherical_harmonics-order": (
+        "order", lambda bad: real_spherical_harmonics(
+            np.array([3, 3]), np.array([0, bad]), 0.5, 0.8, 0.2)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [1.7, 2.5, 2.0, math.nan])
+def test_non_integer_order_rejected(entry, bad):
+    # a float is rejected even when it holds an integer, as numpy would
+    # otherwise truncate it to one, or fail without naming it
+    name, call = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(bad)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_zeros(zeros_fn):
+    """Every zero and slope of every order below a cut deeper than any the
+    property test draws, by (order, k)."""
+    return by_rank(*zeros_fn(np.arange(MAX_ORDER + 1), 90.0))
+
+
+@pytest.mark.parametrize("zeros_fn, zero_fn", [
+    (bessel_j_zeros, bessel_j_zero),
+    (spherical_bessel_zeros, spherical_bessel_zero)])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_flat_zeros_match_a_deeper_call(zeros_fn, zero_fn, data):
+    # any order subset and cut gives each (order, k) zero and slope the
+    # bits of one call at a deeper cut, and nothing else; the k-th zero
+    # view gives that entry too
+    ref = _reference_zeros(zeros_fn)
+    orders = np.array(data.draw(st.lists(
+        st.integers(0, MAX_ORDER), min_size=1, max_size=12, unique=True)))
+    cut = data.draw(st.floats(2.5, 80.0))
+    got = by_rank(*zeros_fn(orders, cut))
+    assert got == {(m, k): v for (m, k), v in ref.items()
+                   if m in orders and v[0] <= cut}
+    if got:
+        m, k = data.draw(st.sampled_from(sorted(got)))
+        assert zero_fn(m, k) == got[m, k][0]
+
+
 class TestZerosBelow:
-    """The below= form: every zero <= the cut, from a scan that ends at it."""
+    """The flat form: every zero <= the cut, from a scan that ends at it."""
 
     FINDERS = [bessel_j_zeros, spherical_bessel_zeros]
 
     @pytest.mark.parametrize("zeros_fn", FINDERS)
-    def test_matches_count_form(self, zeros_fn):
+    def test_matches_kth_zero_view(self, zeros_fn):
+        zero_fn = bessel_j_zero if zeros_fn is bessel_j_zeros \
+            else spherical_bessel_zero
         orders = np.arange(21)
-        full = zeros_fn(orders, 16)
         for cut in (2.0, 9.0, 25.3, 47.0):
-            got = zeros_fn(orders, below=cut)
-            assert len(got) == orders.size
-            for z, ref in zip(got, full):
-                want = ref[ref <= cut]
-                assert z.shape == want.shape
-                assert np.all(np.abs(z - want) <= 1e-15 * want)
+            got = zeros_fn(orders, cut)
+            for m in orders.tolist():
+                z = of_order(got, m)
+                want = [zero_fn(m, k) for k in range(1, z.size + 2)]
+                assert z.tolist() == want[:-1] and want[-1] > cut
 
     @pytest.mark.parametrize("zeros_fn", FINDERS)
     def test_cut_at_a_zero_keeps_it(self, zeros_fn):
         orders = np.arange(12)
         for m, k in ((0, 3), (4, 2), (11, 1)):
-            cut = zeros_fn(m, k)[-1]
-            got = zeros_fn(orders, below=cut)[m]
+            cut = of_order(zeros_fn(np.array([m]), 40.0), m)[k - 1]
+            got = of_order(zeros_fn(orders, cut), m)
             assert got.size == k and got[-1] == cut
 
     @pytest.mark.parametrize("zeros_fn", FINDERS)
@@ -168,77 +258,65 @@ class TestZerosBelow:
         # so that cell is refined and its zero filtered out
         orders = np.arange(12)
         for m, k in ((0, 3), (4, 2), (11, 1)):
-            z = zeros_fn(m, k)
+            z = of_order(zeros_fn(np.array([m]), 40.0), m)[:k]
             cut = 0.5 * (z[-1] + 0.5 * math.floor(z[-1] / 0.5))
-            got = zeros_fn(orders, below=cut)[m]
+            got = of_order(zeros_fn(orders, cut), m)
             assert got.size == k - 1
             assert np.all(np.abs(got - z[:-1]) <= 1e-15 * z[:-1])
 
     @pytest.mark.parametrize("zeros_fn", FINDERS)
     def test_zeros_depend_only_on_order_and_rank(self, zeros_fn):
-        # every cut, order subset and the count form give each zero the
-        # same bits, and the slopes likewise
+        # every cut and order subset gives each zero and its slope the
+        # same bits, and only the zeros below its cut
         orders = np.arange(40)
-        full = zeros_fn(orders, below=75.0)
-        order, zeros, slope = zeros_fn(orders, below=75.0, slopes=True)
-        assert np.array_equal(zeros, np.concatenate(full))
-        # a zero's bits name it, once they are shown to be the same
-        slopes = dict(zip(zip(order.tolist(), zeros.tolist()), slope.tolist()))
-        calls = [(orders, {"below": cut}) for cut in (30.0, 45.0, 60.0)]
-        calls += [(sub, {"below": 60.0}) for sub in (
-            orders[::3], orders[5:17], orders[39:])]
-        calls += [(orders, {"count": 6}), (orders[::-7], {"count": 3})]
-        for sub, form in calls:
-            got = zeros_fn(sub, **form)
-            for m, z in zip(sub, got):
-                assert np.array_equal(z, full[m][:z.size]), (m, form)
-            order, zeros, slope = zeros_fn(sub, **form, slopes=True)
-            assert np.array_equal(zeros, np.concatenate(got))
-            assert [slopes[key] for key in zip(order.tolist(),
-                                               zeros.tolist())] \
-                == slope.tolist(), form
-        # one order alone, as an int
-        for m in (0, 11, 39):
-            assert np.array_equal(zeros_fn(m, 3), full[m][:3])
+        full = by_rank(*zeros_fn(orders, 75.0))
+        calls = [(orders, cut) for cut in (30.0, 45.0, 60.0)]
+        calls += [(sub, 60.0) for sub in (
+            orders[::3], orders[5:17], orders[39:], orders[::-7])]
+        for sub, cut in calls:
+            order, zeros, _ = flat = zeros_fn(sub, cut)
+            # by order as given, ascending within one
+            assert [m for m in dict.fromkeys(order.tolist())] \
+                == [m for m in sub.tolist() if m in order]
+            assert by_rank(*flat) == {
+                (m, k): v for (m, k), v in full.items()
+                if m in sub and v[0] <= cut}, (sub, cut)
 
     @pytest.mark.parametrize("zeros_fn, spherical", [
         (bessel_j_zeros, False), (spherical_bessel_zeros, True)])
     def test_slopes_are_minus_the_next_order(self, zeros_fn, spherical):
         # f_n'(z) = -f_{n+1}(z) at a zero z of f_n
-        order, zeros, slope = zeros_fn(np.array([0, 1, 7, 30]), 4,
-                                       slopes=True)
-        assert order.tolist() == [0] * 4 + [1] * 4 + [7] * 4 + [30] * 4
+        order, zeros, slope = zeros_fn(np.array([0, 1, 7, 30]), 48.0)
+        assert set(order.tolist()) == {0, 1, 7, 30}
         for m, z, d in zip(order, zeros, slope):
             ref = -oracle_bessel(m + 1, z, spherical)
             assert abs(d - ref) <= 1e-14 * abs(ref)
 
-    def test_bad_cut_or_count_rejected(self):
+    def test_bad_cut_rejected(self):
         for below in (math.inf, math.nan):
             with pytest.raises(ValueError, match="below"):
-                bessel_j_zeros(2, below=below)
+                bessel_j_zeros(np.array([2]), below)
             with pytest.raises(ValueError, match="below"):
                 spherical_bessel_zeros(np.arange(3), below=below)
-        for count in (math.inf, math.nan, 2.5, np.array([2.0, 3.0])):
-            with pytest.raises(ValueError, match="count must be an integer"):
-                bessel_j_zeros(np.array([1, 2]), count)
 
     def test_orders_without_zeros_give_empty_arrays(self):
         # the first zeros of j_27, j_28 and j_30 are about 33.44, 34.506
         # (in the last scan cell above the cut 34.5) and 36.63; those of
         # J_5 and J_6 about 8.77 and 9.94
-        for got in (spherical_bessel_zeros(30, below=34.5),
-                    bessel_j_zeros(5, below=0.25)):
-            assert isinstance(got, np.ndarray) and got.shape == (0,)
-        mixed = spherical_bessel_zeros(np.array([0, 27, 28, 30]), below=34.5)
-        assert [z.size for z in mixed] == [10, 1, 0, 0]
-        none = bessel_j_zeros(np.array([5, 6]), below=8.0)
-        assert [z.shape for z in none] == [(0,), (0,)]
+        for got in (spherical_bessel_zeros(np.array([30]), 34.5),
+                    bessel_j_zeros(np.array([5]), 0.25),
+                    bessel_j_zeros(np.array([5, 6]), 8.0)):
+            assert [a.shape for a in got] == [(0,)] * 3
+        order, _, _ = spherical_bessel_zeros(np.array([0, 27, 28, 30]), 34.5)
+        assert order.tolist() == [0] * 10 + [27]
 
-    def test_exactly_one_of_count_and_below(self):
-        with pytest.raises(ValueError):
-            bessel_j_zeros(3)
-        with pytest.raises(ValueError):
-            spherical_bessel_zeros(3, 2, below=10.0)
+    def test_one_form_of_call(self):
+        # a 1-D order array and a cut, nothing else
+        for orders in (3, np.array([]), np.arange(4).reshape(2, 2)):
+            with pytest.raises(ValueError, match="nonempty 1-D"):
+                bessel_j_zeros(orders, 10.0)
+        with pytest.raises(TypeError):
+            spherical_bessel_zeros(np.array([3]))
 
     @pytest.mark.parametrize("zeros_fn, spherical, orders, cut", [
         # the disk and ball candidate cuts at n_sim 946 and 2000
@@ -248,8 +326,9 @@ class TestZerosBelow:
          (4.5 * math.pi * 2000) ** (1.0 / 3.0) + 4.0)], ids=["disk", "ball"])
     def test_high_orders_against_mpmath(self, zeros_fn, spherical, orders,
                                         cut):
-        got = zeros_fn(np.array(orders), below=cut)
-        for m, zeros in zip(orders, got):
+        got = zeros_fn(np.array(orders), cut)
+        for m in orders:
+            zeros = of_order(got, m)
             nu = m + mp.mpf(1) / 2 if spherical else m
             # the first, second and last zero below the cut
             for k in sorted({1, 2, zeros.size} - {0}):
@@ -270,7 +349,8 @@ class TestRefineGuard:
         # steps run away from the root and out of the bracket, and the
         # third a zero derivative, so its step is not finite
         orders = np.array([0, 5, 12])
-        zeros = [bessel_j_zeros(m, k)[-1] for m, k in zip(orders, (3, 2, 1))]
+        zeros = [bessel_j_zero(m, k)
+                 for m, k in zip(orders.tolist(), (3, 2, 1))]
         lo = 0.5 * np.floor(np.array(zeros) / 0.5)
         hi = lo + 0.5
         # the finder's scan values and series, about the bracket end with
@@ -340,9 +420,10 @@ class TestSphericalBessel:
                     assert abs(v - ref) <= 1e-12
 
     def test_zero_residuals(self):
-        for l in range(8):
-            for z in spherical_bessel_zeros(l, 6):
-                assert abs(spherical_bessel_j(l, z)) < 1e-11
+        order, zeros, _ = spherical_bessel_zeros(np.arange(8), 30.0)
+        assert np.all(np.bincount(order) >= 6)
+        for l, z in zip(order, zeros):
+            assert abs(spherical_bessel_j(l, z)) < 1e-11
 
     def test_signs_match_mpmath(self):
         # the quadratic normalization fixes only |scale|; the sign comes
@@ -467,7 +548,7 @@ class TestRealSphericalHarmonic:
         ct = np.concatenate([[1.0, -1.0], np.cos(general)])
         st = np.concatenate([[0.0, 0.0], np.sin(general)])
         keys = [(l, m) for l in range(18) for m in range(-l, l + 1)]
-        got = real_spherical_harmonics(keys, ct, st, phi)
+        got = real_spherical_harmonics(*np.array(keys).T, ct, st, phi)
         assert got.shape == (len(keys), phi.size)
         for row, (l, m) in zip(got, keys):
             for value, t, p in zip(row, theta, phi):
@@ -481,6 +562,15 @@ class TestRealSphericalHarmonic:
             # the one-key view returns the same row bit for bit
             assert np.array_equal(
                 real_spherical_harmonic(l, m, general, phi[2:]), row[2:])
+        # so does the per-key loop, here, and on a tensor grid for keys in
+        # any order and with repeats
+        assert np.array_equal(got, harmonics_loop(keys, ct, st, phi))
+        picks = np.random.default_rng(2).integers(0, len(keys), 200)
+        mixed = [keys[i] for i in picks]
+        grid = (ct[:, None], st[:, None], np.linspace(-3.0, 7.0, 11))
+        assert np.array_equal(
+            real_spherical_harmonics(*np.array(mixed).T, *grid),
+            harmonics_loop(mixed, *grid))
 
     def _sphere_rules(self, n_polar=40, n_azimuth=80):
         polar = quadrature_rule("gauss_legendre", n_polar, (-1.0, 1.0))
