@@ -6,23 +6,23 @@ gives the exact modal ODE
     du_n/dt = mu_n u_n - <v, T_n(phi_n)>_boundary,
 
 so G is diag(mu) minus a rank-N coupling through the extended boundary
-Gram on the leading N coordinates, which evolve on their own; every other
-coordinate sees only itself and the lead, and only the Gram rows of a head
-angular key are nonzero, which assembly cross-checks in full on every run.
-The loop is held only as that split, G = diag(d) + K on the N leading
-columns (CoupledSplit).  Both one-step maps are a Taylor polynomial power
-P(G dt / count)^count on it: the exact map by scaling and squaring (degree
-18, count a power of two), the Runge-Kutta cross-check with P of degree 4
-and count the number of substeps.  Each tail row t is a bordered block
-[[A, 0], [G[t, :N], d_t]] (Van Loan 1978) sharing the lead block A =
-G[:N, :N], so every product in that power is one N x N product plus one
-row update on the tail rows whose G[t, :N] is nonzero (the others keep an
-exact zero row), and a trajectory fills one array in place from the map's
-blocks, propagating only the tail rows that F or u0 reach; no n_sim x
-n_sim array or product is formed.  Green's second
-identity projects the initial state exactly (project_initial_condition).
-Every per-mode number is read off the arrays of the run's ModeTable, and
-assembly rejects a gain set built over a table that differs in any field.
+Gram on the leading N coordinates; only the Gram rows of a head angular
+key are nonzero, which assembly cross-checks in full on every run, and the
+N head keys are distinct, so G's N x N lead block is diagonal.  The loop
+is held only as that split, G = diag(d) + K on the N leading columns
+(CoupledSplit), and its flow is N scalar cascades: each lead coordinate
+evolves on its own, and each tail coordinate sees only itself and the
+lead.  Both one-step maps f(G dt) are therefore closed forms (f = exp for
+the exact map, the RK4 substep polynomial power for the cross-check):
+f(d dt) on the diagonal and, on each nonzero K entry, K dt times the
+divided difference of f between the lead's and the row's rate (the
+lower-left entry of f of a 2 x 2 triangular block).  A trajectory fills
+one array in place from the map's blocks, propagating only the tail rows
+that F or u0 reach; no n_sim x n_sim array or product is formed.
+Green's second identity projects the initial state exactly
+(project_initial_condition).  Every per-mode number is read off the arrays
+of the run's ModeTable, and assembly rejects a gain set built over a table
+that differs in any field.
 """
 
 import itertools
@@ -279,73 +279,68 @@ def _finalize(times, states, coupling) -> Trajectory:
 class CoupledSplit:
     """G = diag(d) + K on its s = K.shape[1] leading, coupled columns.
 
-    K = (G - diag(d))[:, :s], and every later column carries only its
-    diagonal, so the lead block evolves on its own and each tail
-    coordinate sees only itself and the lead.
+    K = (G - diag(d))[:, :s], every later column carries only its
+    diagonal, and K's s x s lead block is zero, which construction checks:
+    each lead coordinate evolves on its own and each tail coordinate sees
+    only itself and the lead, so the flow is s scalar cascades.
     """
 
     d: np.ndarray
     K: np.ndarray
 
-    def derivative(self, u):
-        """G u in O(n_sim s)."""
-        return self.d * u + self.K @ u[:self.K.shape[1]]
+    def __post_init__(self):
+        s = self.K.shape[1]
+        coupled = np.argwhere(self.K[:s] != 0.0)
+        if coupled.size:
+            i, j = coupled[0]
+            raise ValueError(f"lead block entry K[{i}, {j}] = {self.K[i, j]}"
+                             " is nonzero; the lead block must be diagonal")
 
-    def step_map(self, dt: float, degree: int = 18, count: int = None):
-        """The blocks (E, F, decay) of the one-step map u -> P(G dt /
-        count)^count u, P the degree-`degree` Taylor polynomial of exp: a
-        step takes the lead u[:s] to E u[:s] and the tail u[s:] to decay
-        u[s:] + F u[:s].
+    def step_map(self, dt: float, count: int = None):
+        """The blocks (E, F, decay) of the one-step map u -> f(G dt) u: a
+        step takes the lead u[:s] to E * u[:s] and the tail u[s:] to decay
+        * u[s:] + F u[:s].
 
-        By default count is the smallest power of two that brings the
-        largest block 1-norm to at most 1, where degree 18 is exp to double
-        precision: the exact map u -> exp(G dt) u by scaling and squaring
-        (Moler & Van Loan 2003).  With A = G[:s, :s], the lead takes the
-        lead block E of the power; tail row t takes the lower-left row F_t
-        and corner e_t of the same power of [[A, 0], [G[t, :s], d_t]] dt
-        (Van Loan 1978), u_t <- e_t u_t + F_t u[:s].  All blocks are
-        powered at once, and a tail rate resonant with eig(A) needs no
-        special handling.  F_t stays 0 through every product where
-        G[t, :s] is 0, so F is powered on the other, coupled rows only.
+        By default f = exp, the exact map; with a count, f(z) = P(z /
+        count)^count, P the degree-4 Taylor polynomial of exp: count
+        classical RK4 substeps of a linear system.  G dt is block lower
+        triangular with the diagonal lead diag(x), x = d[:s] dt, and tail
+        diagonal y = d[s:] dt, so E = f(x), decay = f(y), and F is K dt
+        times the divided difference f[x_j, y_t] on each nonzero entry (t,
+        j) of K[s:], the lower-left entry of f([[x_j, 0], [1, y_t]])
+        (Higham 2008, ch. 4); every other entry of F is an exact +0.0.
         """
         s = self.K.shape[1]
-        tail = self.K[s:]
-        coupled = np.flatnonzero(tail.any(axis=1))
-        x = ((self.K[:s] + np.diag(self.d[:s])) * dt, tail[coupled] * dt,
-             self.d[s:] * dt)
+        rows, cols = np.nonzero(self.K[s:])
+        z = self.d * dt
+        x, y = z[cols], z[s + rows]
         if count is None:
-            lead, rows, corner = (np.abs(b) for b in x)
-            norm = max(np.max(lead.sum(axis=0) + rows.max(axis=0, initial=0.0),
-                              initial=0.0), np.max(corner, initial=0.0))
-            count = 2 ** max(0, int(np.ceil(np.log2(norm)))) if norm else 1
-        x = tuple(b / count for b in x)
-
-        # [[E1, 0], [f1, e1]] [[E2, 0], [f2, e2]] on the coupled rows, and
-        # (I + x)(I + y) - I = x + y + xy
-        def bordered(x, y):
-            (E1, f1, e1), (E2, f2, e2) = x, y
-            return E1 @ E2, f1 @ E2 + e1[coupled, None] * f2, e1 * e2
-
-        def offset(x, y):
-            return tuple(a + b + c for a, b, c in zip(x, y, bordered(x, y)))
-        # every block is held as its offset w from the identity, so that
-        # the powering does not round I + w (about count ulps otherwise);
-        # Horner: I + w <- I + (x / j)(I + w)
-        w = tuple(b / degree for b in x)
-        for j in range(degree - 1, 0, -1):
-            xj = tuple(b / j for b in x)
-            w = tuple(a + b for a, b in zip(xj, bordered(xj, w)))
-        power = None
-        while True:
-            count, bit = divmod(count, 2)
-            if bit:
-                power = w if power is None else offset(power, w)
-            if not count:
-                break
-            w = offset(w, w)
-        F = np.zeros((tail.shape[0], s))
-        F[coupled] = power[1]
-        return np.eye(s) + power[0], F, 1.0 + power[2]
+            # e^max(x, y) (1 - e^-|x - y|) / |x - y|, the fraction 1 at x = y
+            gap = np.abs(x - y)
+            fraction = np.divide(-np.expm1(-gap), gap,
+                                 out=np.ones_like(gap), where=gap > 0.0)
+            f, slope = np.exp(z), np.exp(np.maximum(x, y)) * fraction
+        else:
+            # the count-th power of the triangular [[P(u), 0], [P[u, v] /
+            # count, P(v)]], u, v = x, y / count, by squaring; with |u|,
+            # |v| <= 0.5 (integrate's substep rule) P(u) and P[u, v] are
+            # positive, so no sum in the powering cancels
+            w, u, v = z / count, x / count, y / count
+            diag = 1.0 + w * (1.0 + w / 2.0 * (1.0 + w / 3.0
+                                                * (1.0 + w / 4.0)))
+            lower = (1.0 + (u + v) / 2.0 + (u * u + u * v + v * v) / 6.0
+                     + (u + v) * (u * u + v * v) / 24.0) / count
+            f, slope = np.ones_like(z), np.zeros_like(x)
+            while count:
+                count, bit = divmod(count, 2)
+                if bit:
+                    f, slope = (f * diag,
+                                slope * diag[cols] + f[s + rows] * lower)
+                diag, lower = (diag * diag,
+                               lower * (diag[cols] + diag[s + rows]))
+        F = np.zeros((self.d.size - s, s))
+        F[rows, cols] = self.K[s:][rows, cols] * dt * slope
+        return f[:s], F, f[s:]
 
 
 def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
@@ -353,17 +348,19 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
     """Propagate the linear system from the projected initial state.
 
     Both methods work on the system's coupled split of the generator
-    (CoupledSplit): the N leading, coupled columns and the diagonal rest.
-    Each builds the blocks of its one-step map once, as a Taylor
-    polynomial power on the split's bordered blocks in O(n_sim N^2).
-    expm_step samples the exact flow exp(G dt) by scaling and squaring.
-    rk4, an independent check, takes P(hG)^n_sub, the classical
-    fourth-order step of a linear system (the degree-4 Taylor polynomial of
-    h G) raised to the n_sub substeps sized to the spectral radius.  The
-    samples fill one array: the lead columns by an N x N product per step,
-    the tail by one F product over all steps and t_(k+1) += decay t_k on
-    the live rows (a nonzero F row or u0 entry, or a non-finite decay);
-    every other tail row stays exactly +0.0 past u0.
+    (CoupledSplit): the N leading columns, whose lead block is diagonal,
+    and the diagonal rest, so the flow is N scalar cascades.  Each builds
+    the blocks of its one-step map once, in closed form, in O(n_sim N)
+    (CoupledSplit.step_map): f(d dt) on the diagonal and K dt times the
+    divided difference of f on the nonzero entries of K.  expm_step takes f
+    = exp, the exact flow exp(G dt).  rk4, an independent check, takes
+    f(z) = P(z / n_sub)^n_sub, the classical fourth-order step of a linear
+    system (the degree-4 Taylor polynomial of h G) over the n_sub
+    substeps sized to the spectral radius.  The samples fill one array:
+    the lead columns by E * lead[k] per step, the tail by one F product
+    over all steps and t_(k+1) += decay t_k on the live rows (a nonzero F
+    row or u0 entry, or a non-finite decay); every other tail row stays
+    exactly +0.0 past u0.
     The first sample past u0 that is not finite or exceeds 1e12 in
     magnitude truncates the trajectory (_finalize, shared with open_loop).
     """
@@ -380,7 +377,7 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
         radius_bound = float(np.max(np.abs(system.mu))
                              + np.hypot(np.linalg.norm(split.K),
                                         np.linalg.norm(split.d - system.mu)))
-        args = (dt, 4, max(1, int(np.ceil(dt * radius_bound / 0.5))))
+        args = (dt, max(1, int(np.ceil(dt * radius_bound / 0.5))))
     else:
         raise ValueError(f"unknown method {method!r}")
     states = np.zeros((times.size, u0.size))
@@ -391,7 +388,7 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
     with np.errstate(over="ignore", invalid="ignore"):
         E, F, decay = split.step_map(*args)
         for k in range(times.size - 1):
-            np.matmul(E, lead[k], out=lead[k + 1])
+            np.multiply(E, lead[k], out=lead[k + 1])
         live = np.flatnonzero(F.any(axis=1) | (tail[0] != 0.0)
                               | ~np.isfinite(decay))
         F, decay = F[live], decay[live]

@@ -13,9 +13,10 @@ finder, since they pin the order, not the zeros.  mode_table_loop is the
 per-mode constant loop that enumerate_modes replaced, and step_loop the
 per-step loop over a step map's blocks that integrate replaced; both pin
 the arithmetic bit for bit, so they share the package's zero slopes (from
-a call of their own, cut where the k-th zero view cuts) and step maps.  step_map_all_rows powers
-F on every tail row, zero rows of G[s:, :s] included, which
-CoupledSplit.step_map skips; the two must agree bit for bit.
+a call of their own, cut where the k-th zero view cuts) and step maps.
+cascade_step is a step map's entry at 30 digits: f of the scalar cascade
+[[x, 0], [k, y]] by mpmath's matrix exponential, or by the RK4 Taylor
+polynomial power on mpmath matrices.
 dense_synthesis is the gain synthesis on full N x N matrices (an (N, N, N)
 stack of B_i, an SVD condition number, an LU solve for A and dense
 eigenvalue margins); it shares the package's Gram and denominators, since
@@ -192,7 +193,7 @@ def mode_table_loop(domain, lam, n_sim):
 
 def step_loop(split, blocks, u0, n_steps, limit=1e12):
     """Samples of the one-step map with blocks (E, F, decay) applied one
-    step at a time, u[:s] <- E u[:s] and u[s:] <- decay u[s:] + F u[:s],
+    step at a time, u[:s] <- E * u[:s] and u[s:] <- decay u[s:] + F u[:s],
     stopping before the first sample that is not finite or exceeds limit
     in magnitude; returns (states, truncated)."""
     E, F, decay = blocks
@@ -202,7 +203,7 @@ def step_loop(split, blocks, u0, n_steps, limit=1e12):
         for _ in range(n_steps):
             u = states[-1]
             nxt = np.empty_like(u)
-            nxt[:s] = E @ u[:s]
+            nxt[:s] = E * u[:s]
             nxt[s:] = decay * u[s:] + F @ u[:s]
             if not np.max(np.abs(nxt)) <= limit:
                 return np.array(states), True
@@ -210,39 +211,17 @@ def step_loop(split, blocks, u0, n_steps, limit=1e12):
     return np.array(states), False
 
 
-def step_map_all_rows(split, dt, degree=18, count=None):
-    """The blocks (E, F, decay) of split's one-step map P(G dt /
-    count)^count, the lower-left block F powered on every tail row,
-    whether or not its row of G[s:, :s] is zero."""
-    def bordered(x, y):
-        (E1, f1, e1), (E2, f2, e2) = x, y
-        return E1 @ E2, f1 @ E2 + e1[:, None] * f2, e1 * e2
-
-    def offset(x, y):
-        return tuple(a + b + c for a, b, c in zip(x, y, bordered(x, y)))
-
-    s = split.K.shape[1]
-    x = ((split.K[:s] + np.diag(split.d[:s])) * dt, split.K[s:] * dt,
-         split.d[s:] * dt)
+def cascade_step(x, y, coupling, count=None):
+    """(f(x), the lower-left entry of f([[x, 0], [coupling, y]])) at 30
+    digits, f = exp, or with a count f(z) = P(z / count)^count, P the
+    degree-4 Taylor polynomial of exp."""
+    m = mp.matrix([[mp.mpf(x), 0], [mp.mpf(coupling), mp.mpf(y)]])
     if count is None:
-        lead, rows, corner = (np.abs(b) for b in x)
-        norm = max(np.max(lead.sum(axis=0) + rows.max(axis=0, initial=0.0),
-                          initial=0.0), np.max(corner, initial=0.0))
-        count = 2 ** max(0, int(np.ceil(np.log2(norm)))) if norm else 1
-    x = tuple(b / count for b in x)
-    w = tuple(b / degree for b in x)
-    for j in range(degree - 1, 0, -1):
-        xj = tuple(b / j for b in x)
-        w = tuple(a + b for a, b in zip(xj, bordered(xj, w)))
-    power = None
-    while True:
-        count, bit = divmod(count, 2)
-        if bit:
-            power = w if power is None else offset(power, w)
-        if not count:
-            break
-        w = offset(w, w)
-    return np.eye(s) + power[0], power[1], 1.0 + power[2]
+        out = mp.expm(m)
+    else:
+        a = m / count
+        out = (mp.eye(2) + a + a**2 / 2 + a**3 / 6 + a**4 / 24) ** count
+    return float(out[0, 0]), float(out[1, 0])
 
 
 def quadrature_boundary_gram(domain, modes):

@@ -1,8 +1,8 @@
 """The mode table is one array per field, which every function takes: a
 sub-table keeps its rows' n, its arrays are read-only, and an int index
-raises TypeError; the step maps, which power F on the coupled tail rows
-only, give the blocks of the all-rows power; and no pipeline path indexes
-the table by an int."""
+raises TypeError; the step maps, which write F on the nonzero entries of
+K only, give every entry of every tail row's scalar cascade; and no
+pipeline path indexes the table by an int."""
 
 import dataclasses
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import modalstab.cli
-from _oracles import step_map_all_rows
+from _oracles import cascade_step
 from modalstab.basis import Domain, ModeTable, enumerate_modes
 from modalstab.controller import scaled_gain_set
 from modalstab.simulator import assemble_closed_loop
@@ -77,18 +77,34 @@ class TestTable:
 @pytest.mark.parametrize("shape", ["disk", "ball"])
 @pytest.mark.parametrize("n_sim", [40, 300, 800])
 def test_coupled_row_step_map_matches_all_rows(shape, n_sim):
-    # F is powered on the tail rows with a nonzero K entry only; the
-    # others are exact zeros, as the all-rows power leaves them
+    # every entry of the step maps, over all tail rows, against the scalar
+    # cascade at 30 digits: E and decay are exp(d dt), each F entry of a
+    # nonzero K entry (t, j) is the lower-left entry of exp([[d_j dt, 0],
+    # [K_tj dt, d_t dt]]), and every other F entry is an exact +0.0, as
+    # the cascade of a zero K entry gives; the RK4 power likewise, to the
+    # count ulps its squaring carries
     domain = Domain(shape, 2.0)
     modes, _ = enumerate_modes(domain, LAMBDA, n_sim)
     gains = scaled_gain_set(modes, GAMMAS[shape], -0.5)
     split = assemble_closed_loop(modes, gains, domain).split
-    tail = split.K[split.K.shape[1]:]
-    assert 0 < np.count_nonzero(tail.any(axis=1)) < tail.shape[0]
-    for args in ((0.05,), (0.05, 4, 37)):
-        got, want = split.step_map(*args), step_map_all_rows(split, *args)
-        for block, oracle in zip(got, want):
-            assert_same_bits(block, oracle)
+    s, dt = split.K.shape[1], 0.05
+    z, tail = split.d * dt, split.K[s:]
+    rows, cols = np.nonzero(tail)
+    assert 0 < np.unique(rows).size < tail.shape[0]
+    for count, rtol in ((None, 1e-15), (100, 1e-13)):
+        E, F, decay = split.step_map(dt, count=count)
+        diag = np.exp(z) if count is None else np.array(
+            [cascade_step(v, v, 0.0, count)[0] for v in z])
+        np.testing.assert_allclose(decay, diag[s:], rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(E, diag[:s], rtol=rtol, atol=0.0)
+        want = np.zeros_like(F)
+        want[rows, cols] = [cascade_step(z[j], z[s + t], tail[t, j] * dt,
+                                         count)[1]
+                            for t, j in zip(rows, cols)]
+        np.testing.assert_allclose(F, want, rtol=rtol, atol=0.0)
+        off = np.ones(F.shape, dtype=bool)
+        off[rows, cols] = False
+        assert_same_bits(F[off], np.zeros(np.count_nonzero(off)))
 
 
 def count_row_reads(monkeypatch):

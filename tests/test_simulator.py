@@ -202,9 +202,29 @@ class TestIntegrate:
         assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_nilpotent_generator(self):
-        system = system_of([[0.0, 1.0], [0.0, 0.0]])
-        traj = integrate(system, [0.0, 1.0], 0.25, 1.0)
+        # exp(G t) = I + G t; the tail rate equals the lead's, the divided
+        # difference's x == y limit, here at 0
+        system = system_of([[0.0, 0.0], [1.0, 0.0]])
+        traj = integrate(system, [1.0, 0.0], 0.25, 1.0)
         assert np.allclose(traj.states[-1], [1.0, 1.0], atol=1e-14)
+
+    @pytest.mark.parametrize("shape, n_sim", [
+        ("disk", 300), ("disk", 800), ("ball", 300), ("ball", 800)])
+    def test_matches_dense_expm(self, shape, n_sim):
+        # every coordinate against the dense exp(G t_k) u0, relative to its
+        # largest value; the dense expm's own error reaches 2.5e-14 on a
+        # stiff disk n_sim 800 tail row, which a 40-digit evaluation of
+        # the row's cascade shows the step map to be exact on
+        domain, modes = mode_table(shape, n_sim)
+        gains = controller.scaled_gain_set(modes, GAMMAS[shape], -0.5)
+        system = assemble_closed_loop(modes, gains, domain)
+        u0 = project_initial_condition(domain, modes, PolynomialSpec(), 1)
+        traj = integrate(system, u0, 0.05, 4.0)
+        gen = dense_generator(system, gains)
+        scale = np.max(np.abs(traj.states), axis=0)
+        for k in (1, 20, 80):
+            want = scipy.linalg.expm(gen * traj.times[k]) @ u0
+            assert np.all(np.abs(traj.states[k] - want) <= 5e-14 * scale), k
 
     def test_expm_vs_rk4_cross_check(self, disk_system, disk_u0_seed1):
         a = integrate(disk_system, disk_u0_seed1, 0.05, 4.0,
@@ -248,7 +268,6 @@ class TestIntegrate:
     @pytest.mark.parametrize("case", ("disk", "ball", "nilpotent"))
     def test_equals_step_loop_bitwise(self, case, method, request,
                                       monkeypatch):
-        # the nilpotent generator's lead block is both of its columns
         if case == "nilpotent":
             system = system_of(SPLIT_CASES[case][0](request))
         else:
@@ -265,10 +284,10 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
     def test_mid_run_overflow_matches_step_loop(self, method, monkeypatch):
-        # the lead block grows by about e^1.5 a step along (1, 1) and
-        # passes 1e12 at step 19; past it the samples run on to inf, and
-        # to NaN in the tail, whose coupling (1, -1) cancels along (1, 1)
-        system = system_of([[2.5, 0.5, 0.0], [0.5, 2.5, 0.0],
+        # the lead grows by e^1.5 a step and passes 1e12 at step 19; past
+        # it the samples run on to inf, and to NaN in the tail, whose
+        # coupling (1, -1) meets inf - inf once both lead entries overflow
+        system = system_of([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0],
                             [1.0, -1.0, -1.0]])
         blocks = record_step_maps(monkeypatch)
         u0 = np.array([1.0, 0.5, 0.0])
@@ -374,17 +393,18 @@ SPLIT_CASES = {
     "ball": (closed_loop_generator("ball"), 4),
     "open_loop_diagonal": (
         lambda req: np.diag(req.getfixturevalue("disk_system").mu), 0),
-    "nilpotent": (lambda req: np.array([[0.0, 1.0], [0.0, 0.0]]), 2),
-    "dense_2x2": (lambda req: np.array([[-1.0, 0.3], [0.2, -0.5]]), 2),
-    # tail rates -1 and -2 equal the eigenvalues of the leading 2x2 block
+    # G^2 = 0: the tail rate equals the lead's, both 0
+    "nilpotent": (lambda req: np.array([[0.0, 0.0], [1.0, 0.0]]), 1),
+    # tail rates -1 and -2 equal the lead rates bit for bit: the divided
+    # difference's x == y limit
     "resonant": (lambda req: np.array([[-1.0, 0.0, 0.0, 0.0],
-                                       [0.5, -2.0, 0.0, 0.0],
+                                       [0.0, -2.0, 0.0, 0.0],
                                        [0.7, 0.4, -1.0, 0.0],
                                        [0.2, -0.3, 0.0, -2.0]]), 2),
     # tail rates as stiff as disk n_sim 800's (d dt <= -40 at dt 0.05) next
-    # to a coupled lead block
-    "stiff_tail": (lambda req: np.array([[-1.0, 0.3, 0.0, 0.0],
-                                         [0.2, 0.5, 0.0, 0.0],
+    # to a growing and a decaying lead rate
+    "stiff_tail": (lambda req: np.array([[-1.0, 0.0, 0.0, 0.0],
+                                         [0.0, 0.5, 0.0, 0.0],
                                          [0.7, -0.4, -800.0, 0.0],
                                          [0.3, 0.9, 0.0, -1500.0]]), 2),
 }
@@ -412,11 +432,11 @@ class TestCoupledSplit:
         assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
         u = lcg_uniform(3, n)
         exact = gen @ u
-        assert np.linalg.norm(split.derivative(u) - exact) \
+        assert np.linalg.norm(split.d * u + split.K @ u[:lead] - exact) \
             <= 1e-14 * np.linalg.norm(exact)
 
-    # at dt 1.0 the stiff tail's block 1-norm passes 1500, so the exact map
-    # scales by 2^11 and squares 11 times
+    # at dt 1.0 the stiff tail decays by e^-800 and e^-1500, past the
+    # smallest double, and its divided differences span a gap of 1500
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_large_step_matches_dense_generator(self, case, request):
         gen = SPLIT_CASES[case][0](request)
@@ -424,6 +444,12 @@ class TestCoupledSplit:
         prop = one_step_matrix(split, split.step_map(1.0))
         dense = scipy.linalg.expm(gen)
         assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_dense_lead_block_rejected(self):
+        # the step map takes the lead block for diagonal; a coupled one is
+        # refused at construction, naming its first nonzero entry
+        with pytest.raises(ValueError, match=re.escape("K[0, 1] = 0.3 ")):
+            CoupledSplit(*dense_split([[-1.0, 0.3], [0.2, -0.5]]))
 
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
     def test_integrate_makes_no_pade_expm_call(self, method, disk_system,
@@ -461,20 +487,6 @@ class TestRK4Map:
         assert not traj.truncated and traj.states.shape == loop.shape
         gap = np.linalg.norm(traj.states - loop, axis=1)
         assert np.all(gap <= 1e-12 * np.linalg.norm(loop, axis=1))
-
-    def test_rk4_makes_no_substep_derivative_calls(self, disk_system,
-                                                   disk_u0_seed1,
-                                                   monkeypatch):
-        calls = []
-        original = CoupledSplit.derivative
-
-        def counting(self, u):
-            calls.append(u.shape)
-            return original(self, u)
-        monkeypatch.setattr(CoupledSplit, "derivative", counting)
-        traj = integrate(disk_system, disk_u0_seed1, 0.05, 4.0, method="rk4")
-        assert traj.times.size == 81
-        assert calls == []
 
 
 def two_mode_table(mu):
@@ -550,9 +562,13 @@ class TestOpenLoop:
 
 class TestReducedFit:
     def test_recovers_synthetic_generator(self):
+        # samples of a dense generator's exact flow, from scipy's expm
         gen = np.array([[-1.0, 0.3], [0.2, -0.5]])
-        system = system_of(gen)
-        traj = integrate(system, [1.0, -0.7], 0.01, 4.0)
+        times = np.arange(401) * 0.01
+        states = np.stack([scipy.linalg.expm(gen * t) @ [1.0, -0.7]
+                           for t in times])
+        traj = Trajectory(times=times, states=states,
+                          boundary_data=np.zeros((times.size, 2)))
         fit = reduced_dynamics_fit(traj)
         assert np.max(np.abs(fit.matrix - gen)) < 1e-4
         assert fit.residual < 1e-10
