@@ -1,6 +1,6 @@
 """Modal-decomposition boundary stabilization of the heat equation on the
-disk and ball: spectrum enumeration, lifting, gain synthesis, spectral
-Galerkin simulation, and decay verification.
+disk and ball: spectrum enumeration, lifting, gain synthesis, exact
+modal simulation, and decay verification.
 
 The runtime needs numpy only.  The environment variable MODALSTAB_THREADS
 caps BLAS parallelism.  It is applied here, before any submodule loads

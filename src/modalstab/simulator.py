@@ -1,4 +1,4 @@
-"""Spectral Galerkin simulation of the boundary-controlled heat equation.
+"""Exact modal propagation of the boundary-controlled heat equation.
 
 Projecting the PDE on the retained eigenfunctions through Green's identity
 gives the exact modal ODE
@@ -6,19 +6,17 @@ gives the exact modal ODE
     du_n/dt = mu_n u_n - <v, T_n(phi_n)>_boundary,
 
 so G is diag(mu) minus a rank-N coupling through the extended boundary
-Gram on the leading N coordinates; only the Gram rows of a head angular
+Gram on the leading N coordinates.  Only the Gram rows of a head angular
 key are nonzero, which assembly cross-checks in full on every run, and the
-N head keys are distinct, so G's N x N lead block is diagonal.  The loop
-is held only as that split, G = diag(d) + K on the N leading columns
-(CoupledSplit), and its flow is N scalar cascades: each lead coordinate
-evolves on its own, and each tail coordinate sees only itself and the
-lead.  Both one-step maps f(G dt) are therefore closed forms (f = exp for
-the exact map, the RK4 substep polynomial power for the cross-check):
-f(d dt) on the diagonal and, on each nonzero K entry, K dt times the
-divided difference of f between the lead's and the row's rate (the
-lower-left entry of f of a 2 x 2 triangular block).  A trajectory fills
-one array in place from the map's blocks, propagating only the tail rows
-that F or u0 reach; no n_sim x n_sim array or product is formed.
+N head keys are distinct, so G's N x N lead block is diagonal and every
+other row has at most one off-diagonal entry, in the lead column of its
+key.  The loop is held only as that split (CoupledSplit: d, and per tail
+row its lead and coefficient), and its flow is N scalar cascades [[a, 0],
+[k, d]], each solved in closed form at every time by the divided
+difference of exp (Higham 2008, ch. 4).  integrate evaluates that formula
+at all samples at once; the RK4 cross-check is the same formula on a
+modified split and the open loop its uncoupled case, so no time-stepping
+loop and no n_sim x n_sim array or product is formed.
 Green's second identity projects the initial state exactly
 (project_initial_condition).  Every per-mode number is read off the arrays
 of the run's ModeTable, and assembly rejects a gain set built over a table
@@ -53,7 +51,7 @@ class InsufficientExcitationError(ValueError):
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
-    split: "CoupledSplit"     # the generator diag(d) + K on its N lead columns
+    split: "CoupledSplit"     # the generator: d, and each tail row's lead
     coupling: np.ndarray      # N x N map from U to trace coefficients of v
     mu: np.ndarray
     gram_deviation: float = None  # max relative deviation of the Gram check
@@ -227,7 +225,9 @@ def _check_gram_block(modes, domain, gain_set) -> float:
 def assemble_closed_loop(modes, gain_set: GainSet,
                          domain) -> ClosedLoopSystem:
     """The closed loop diag(mu) - beta C on the leading N columns, as its
-    coupled split: K = -(beta C) with its diagonal moved into d.
+    cascade split: the diagonal of beta C moves into d, and each tail row
+    keeps the one entry of -(beta C) it can hold, in the lead column of
+    its angular key (CoupledSplit).
 
     Every entry of the closed-form gain_set.beta in the rows of a head
     angular key or with a nonzero entry is cross-checked against surface
@@ -246,17 +246,22 @@ def assemble_closed_loop(modes, gain_set: GainSet,
     product = beta * coupling.diagonal()     # beta C, C diagonal
     d = mu.copy()
     d[:n] -= product.diagonal()
-    # 0 - product, not -product: an exact zero stays +0.0, so K holds the
-    # off-diagonal entries of the dense diag(mu) - product bit for bit
-    K = 0.0 - product
-    np.fill_diagonal(K, 0.0)
-    return ClosedLoopSystem(split=CoupledSplit(d=d, K=K), coupling=coupling,
-                            mu=mu, gram_deviation=gram_deviation)
+    # beta pairs only equal angular keys and the N head keys are distinct,
+    # so a tail row has at most one nonzero entry; 0 - product, not
+    # -product: an exact zero stays +0.0, so k holds the entries of the
+    # dense diag(mu) - product bit for bit
+    tail = product[n:]
+    lead = np.argmax(tail != 0.0, axis=1)
+    k = 0.0 - tail[np.arange(lead.size), lead]
+    return ClosedLoopSystem(split=CoupledSplit(d=d, lead=lead, k=k),
+                            coupling=coupling, mu=mu,
+                            gram_deviation=gram_deviation)
 
 
 def _time_grid(dt: float, horizon: float) -> np.ndarray:
-    if dt <= 0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
+    # NaN fails every comparison, so it is rejected with inf
+    if not 0.0 < dt <= horizon < math.inf:
+        raise ValueError("need finite dt > 0 and horizon >= dt")
     return np.arange(int(round(horizon / dt)) + 1) * dt
 
 
@@ -277,92 +282,67 @@ def _finalize(times, states, coupling) -> Trajectory:
 
 @dataclass(frozen=True)
 class CoupledSplit:
-    """G = diag(d) + K on its s = K.shape[1] leading, coupled columns.
-
-    K = (G - diag(d))[:, :s], every later column carries only its
-    diagonal, and K's s x s lead block is zero, which construction checks:
-    each lead coordinate evolves on its own and each tail coordinate sees
-    only itself and the lead, so the flow is s scalar cascades.
+    """G = diag(d) plus one entry per tail row: row s + t, s = d.size -
+    lead.size, holds k[t] in its lead column lead[t] < s (k[t] = +0.0, lead
+    0, where the row sees no lead).  The s lead coordinates evolve on their
+    own and each tail coordinate sees only itself and one lead, so the
+    flow is s scalar cascades [[a, 0], [k, d]]; with no tail (lead and k
+    empty) it is the uncoupled diag(d).
     """
 
     d: np.ndarray
-    K: np.ndarray
+    lead: np.ndarray
+    k: np.ndarray
 
-    def __post_init__(self):
-        s = self.K.shape[1]
-        coupled = np.argwhere(self.K[:s] != 0.0)
-        if coupled.size:
-            i, j = coupled[0]
-            raise ValueError(f"lead block entry K[{i}, {j}] = {self.K[i, j]}"
-                             " is nonzero; the lead block must be diagonal")
-
-    def step_map(self, dt: float, count: int = None):
-        """The blocks (E, F, decay) of the one-step map u -> f(G dt) u: a
-        step takes the lead u[:s] to E * u[:s] and the tail u[s:] to decay
-        * u[s:] + F u[:s].
-
-        By default f = exp, the exact map; with a count, f(z) = P(z /
-        count)^count, P the degree-4 Taylor polynomial of exp: count
-        classical RK4 substeps of a linear system.  G dt is block lower
-        triangular with the diagonal lead diag(x), x = d[:s] dt, and tail
-        diagonal y = d[s:] dt, so E = f(x), decay = f(y), and F is K dt
-        times the divided difference f[x_j, y_t] on each nonzero entry (t,
-        j) of K[s:], the lower-left entry of f([[x_j, 0], [1, y_t]])
-        (Higham 2008, ch. 4); every other entry of F is an exact +0.0.
+    def rk4(self, h: float) -> "CoupledSplit":
+        """The split whose exact flow at t = m h is m classical RK4
+        substeps of size h, P(h G)^m, P the degree-4 Taylor polynomial of
+        exp.  P(h G) is block lower triangular with P(z) on the diagonal,
+        z = h d, and h k P[u, v] below, u, v the lead's and the row's z, so
+        its generator log P(h G) / h has the rates log P(z) / h and the
+        couplings k P[u, v] (log P(u) - log P(v)) / (P(u) - P(v)) = k
+        log1p(w) / (u - v), w = (u - v) P[u, v] / P(v).  P > 0 on the real
+        line, so every logarithm is real; integrate's substep rule keeps
+        |z| <= 0.5, where P(z) and P[u, v] lie in [0.6, 1.7].
         """
-        s = self.K.shape[1]
-        rows, cols = np.nonzero(self.K[s:])
-        z = self.d * dt
-        x, y = z[cols], z[s + rows]
-        if count is None:
-            # e^max(x, y) (1 - e^-|x - y|) / |x - y|, the fraction 1 at x = y
-            gap = np.abs(x - y)
-            fraction = np.divide(-np.expm1(-gap), gap,
-                                 out=np.ones_like(gap), where=gap > 0.0)
-            f, slope = np.exp(z), np.exp(np.maximum(x, y)) * fraction
-        else:
-            # the count-th power of the triangular [[P(u), 0], [P[u, v] /
-            # count, P(v)]], u, v = x, y / count, by squaring; with |u|,
-            # |v| <= 0.5 (integrate's substep rule) P(u) and P[u, v] are
-            # positive, so no sum in the powering cancels
-            w, u, v = z / count, x / count, y / count
-            diag = 1.0 + w * (1.0 + w / 2.0 * (1.0 + w / 3.0
-                                                * (1.0 + w / 4.0)))
-            lower = (1.0 + (u + v) / 2.0 + (u * u + u * v + v * v) / 6.0
-                     + (u + v) * (u * u + v * v) / 24.0) / count
-            f, slope = np.ones_like(z), np.zeros_like(x)
-            while count:
-                count, bit = divmod(count, 2)
-                if bit:
-                    f, slope = (f * diag,
-                                slope * diag[cols] + f[s + rows] * lower)
-                diag, lower = (diag * diag,
-                               lower * (diag[cols] + diag[s + rows]))
-        F = np.zeros((self.d.size - s, s))
-        F[rows, cols] = self.K[s:][rows, cols] * dt * slope
-        return f[:s], F, f[s:]
+        z = h * self.d
+        s = z.size - self.k.size
+        u, v = z[self.lead], z[s:]
+        # P[u, v] / P(v), P[u, v] the divided difference of P
+        ratio = (1.0 + (u + v) / 2.0 + (u * u + u * v + v * v) / 6.0
+                 + (u + v) * (u * u + v * v) / 24.0) \
+            / (1.0 + v * (1.0 + v / 2.0 * (1.0 + v / 3.0 * (1.0 + v / 4.0))))
+        w = (u - v) * ratio
+        # log1p(w) / w, 1 at w = 0
+        factor = np.divide(np.log1p(w), w, out=np.ones_like(w),
+                           where=w != 0.0)
+        rates = np.log1p(z * (1.0 + z / 2.0 * (1.0 + z / 3.0
+                                                * (1.0 + z / 4.0)))) / h
+        return CoupledSplit(d=rates, lead=self.lead,
+                            k=self.k * ratio * factor)
 
 
 def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
               method: str = "expm_step") -> Trajectory:
-    """Propagate the linear system from the projected initial state.
+    """The closed loop's flow from the projected initial state, in closed
+    form at every sample.
 
-    Both methods work on the system's coupled split of the generator
-    (CoupledSplit): the N leading columns, whose lead block is diagonal,
-    and the diagonal rest, so the flow is N scalar cascades.  Each builds
-    the blocks of its one-step map once, in closed form, in O(n_sim N)
-    (CoupledSplit.step_map): f(d dt) on the diagonal and K dt times the
-    divided difference of f on the nonzero entries of K.  expm_step takes f
-    = exp, the exact flow exp(G dt).  rk4, an independent check, takes
-    f(z) = P(z / n_sub)^n_sub, the classical fourth-order step of a linear
-    system (the degree-4 Taylor polynomial of h G) over the n_sub
-    substeps sized to the spectral radius.  The samples fill one array:
-    the lead columns by E * lead[k] per step, the tail by one F product
-    over all steps and t_(k+1) += decay t_k on the live rows (a nonzero F
-    row or u0 entry, or a non-finite decay); every other tail row stays
-    exactly +0.0 past u0.
-    The first sample past u0 that is not finite or exceeds 1e12 in
-    magnitude truncates the trajectory (_finalize, shared with open_loop).
+    The system's split (CoupledSplit) makes the flow N scalar cascades:
+    with i the lead of tail row j, a = d_i and g = |a - d_j|,
+
+        u_i(t) = e^(a t) u_i(0),
+        u_j(t) = e^(max(a, d_j) t) (u_j(0) + c_j phi_j(t)),
+
+    phi_j(t) = -expm1(-g t) / g (t at g = 0, the resonant limit) and c_j =
+    k_j u_i(0) - [a > d_j] g u_j(0); every other coordinate is e^(d t)
+    u(0).  expm_step evaluates this on the system's split.  rk4, an
+    independent check, evaluates it on split.rk4(dt / n_sub), whose exact
+    flow is n_sub classical RK4 substeps per sample, n_sub sized to the
+    spectral radius bound max|mu| + ||G - diag(mu)||_F.  Only the columns
+    the flow can move are computed (a nonzero u0 entry, a coupled row or
+    d > 0, whose exponential may overflow); every other column stays
+    exactly +0.0 past u0.  The first sample past u0 that is not finite or
+    exceeds 1e12 in magnitude truncates the trajectory (_finalize).
     """
     times = _time_grid(dt, horizon)
     u0 = np.asarray(u0_coeffs, dtype=float)
@@ -370,48 +350,58 @@ def integrate(system: ClosedLoopSystem, u0_coeffs, dt: float, horizon: float,
     if u0.shape != split.d.shape:
         raise ValueError(f"initial state has shape {u0.shape}, "
                          f"expected {split.d.shape}")
-    if method == "expm_step":
-        args = (dt,)
-    elif method == "rk4":
-        # ||G - diag(mu)||_F, whose off-diagonal part is all in K
+    if method == "rk4":
+        # ||G - diag(mu)||_F, whose off-diagonal part is all in k
         radius_bound = float(np.max(np.abs(system.mu))
-                             + np.hypot(np.linalg.norm(split.K),
+                             + np.hypot(np.linalg.norm(split.k),
                                         np.linalg.norm(split.d - system.mu)))
-        args = (dt, max(1, int(np.ceil(dt * radius_bound / 0.5))))
-    else:
+        split = split.rk4(dt / max(1, int(np.ceil(dt * radius_bound / 0.5))))
+    elif method != "expm_step":
         raise ValueError(f"unknown method {method!r}")
-    states = np.zeros((times.size, u0.size))
-    states[0] = u0
-    lead, tail = states[:, :split.K.shape[1]], states[:, split.K.shape[1]:]
-    # the map and the samples past an overflow may turn inf or NaN; they
-    # are cut in _finalize
+    s = split.d.size - split.k.size
+    tail = np.flatnonzero(split.k)
+    rows, lead = s + tail, split.lead[tail]
+    alone = (u0 != 0.0) | (split.d > 0.0)
+    alone[rows] = False
+    alone = np.flatnonzero(alone)
+    t = times[1:]
+    # outer products by einsum, and at most two blocks of samples alive at
+    # a time, the coupled rows' before the trajectory is allocated; past an
+    # overflow the samples may turn inf or NaN, and are cut in _finalize
     with np.errstate(over="ignore", invalid="ignore"):
-        E, F, decay = split.step_map(*args)
-        for k in range(times.size - 1):
-            np.multiply(E, lead[k], out=lead[k + 1])
-        live = np.flatnonzero(F.any(axis=1) | (tail[0] != 0.0)
-                              | ~np.isfinite(decay))
-        F, decay = F[live], decay[live]
-        rows = np.empty((times.size, live.size))
-        rows[0] = tail[0, live]
-        np.matmul(lead[:-1], F.T, out=rows[1:])
-        for k in range(times.size - 1):
-            rows[k + 1] += decay * rows[k]
-        tail[:, live] = rows
+        a, d = split.d[lead], split.d[rows]
+        gap = np.abs(a - d)
+        c = split.k[tail] * u0[lead] - np.where(a > d, gap * u0[rows], 0.0)
+        # u0 + c phi(t), phi(t) = -expm1(-gap t) / gap, t at gap = 0
+        block = np.einsum("i,j->ij", t, -gap)
+        np.expm1(block, out=block)
+        block *= np.divide(c, -gap, out=np.zeros_like(c), where=gap > 0.0)
+        resonant = gap == 0.0
+        block[:, resonant] = np.einsum("i,j->ij", t, c[resonant])
+        block += u0[rows]
+        rise = np.einsum("i,j->ij", t, np.maximum(a, d))
+        block *= np.exp(rise, out=rise)
+        del rise
+        states = np.zeros((times.size, u0.size))
+        states[0] = u0
+        states[1:, rows] = block
+        del block
+        block = np.einsum("i,j->ij", t, split.d[alone])
+        np.exp(block, out=block)
+        block *= u0[alone]
+        states[1:, alone] = block
     return _finalize(times, states, system.coupling)
 
 
 def open_loop(modes, u0_coeffs, dt: float, horizon: float) -> Trajectory:
-    """Exact uncontrolled evolution u_n(t) = u_n(0) exp(mu_n t), truncated
-    by integrate's rule (_finalize)."""
-    times = _time_grid(dt, horizon)
-    u0 = np.asarray(u0_coeffs, dtype=float)
-    states = np.empty((times.size, u0.size))
-    states[0] = u0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(u0, np.exp(np.outer(times[1:], modes.mu)), out=states[1:])
+    """The uncontrolled evolution u_n(t) = u_n(0) exp(mu_n t): integrate
+    on the uncoupled split diag(mu), with no boundary data."""
     n = count_unstable(modes)
-    return _finalize(times, states, np.zeros((n, n)))
+    uncoupled = CoupledSplit(d=modes.mu, lead=np.zeros(0, dtype=int),
+                             k=np.zeros(0))
+    return integrate(ClosedLoopSystem(split=uncoupled,
+                                      coupling=np.zeros((n, n)),
+                                      mu=modes.mu), u0_coeffs, dt, horizon)
 
 
 def reduced_dynamics_fit(trajectory: Trajectory,

@@ -10,13 +10,14 @@ pins the orthant reflection, not the eigenfunction values).  The candidate order
 ball_candidates) are the per-shape enumerators that basis._candidates
 replaced, with their explicit sort keys; they share the package's zero
 finder, since they pin the order, not the zeros.  mode_table_loop is the
-per-mode constant loop that enumerate_modes replaced, and step_loop the
-per-step loop over a step map's blocks that integrate replaced; both pin
-the arithmetic bit for bit, so they share the package's zero slopes (from
-a call of their own, cut where the k-th zero view cuts) and step maps.
-cascade_step is a step map's entry at 30 digits: f of the scalar cascade
-[[x, 0], [k, y]] by mpmath's matrix exponential, or by the RK4 Taylor
-polynomial power on mpmath matrices.
+per-mode constant loop that enumerate_modes replaced; it pins the
+arithmetic bit for bit, so it shares the package's zero slopes (from a
+call of its own, cut where the k-th zero view cuts).  cascade_split reads
+the split (d, lead, k) off a dense generator and refuses one outside the
+cascade form; cascade_step gives f of one scalar cascade [[x, 0], [k, y]]
+at 30 digits in mpmath (f = exp, or the RK4 Taylor polynomial power), and
+cascade_samples applies it to every coordinate at every sample, the
+reference for integrate's closed form.
 dense_synthesis is the gain synthesis on full N x N matrices (an (N, N, N)
 stack of B_i, an SVD condition number, an LU solve for A and dense
 eigenvalue margins); it shares the package's Gram and denominators, since
@@ -191,37 +192,56 @@ def mode_table_loop(domain, lam, n_sim):
     return modes
 
 
-def step_loop(split, blocks, u0, n_steps, limit=1e12):
-    """Samples of the one-step map with blocks (E, F, decay) applied one
-    step at a time, u[:s] <- E * u[:s] and u[s:] <- decay u[s:] + F u[:s],
-    stopping before the first sample that is not finite or exceeds limit
-    in magnitude; returns (states, truncated)."""
-    E, F, decay = blocks
-    s = split.K.shape[1]
-    states = [np.asarray(u0, dtype=float)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            u = states[-1]
-            nxt = np.empty_like(u)
-            nxt[:s] = E * u[:s]
-            nxt[s:] = decay * u[s:] + F @ u[:s]
-            if not np.max(np.abs(nxt)) <= limit:
-                return np.array(states), True
-            states.append(nxt)
-    return np.array(states), False
-
-
 def cascade_step(x, y, coupling, count=None):
-    """(f(x), the lower-left entry of f([[x, 0], [coupling, y]])) at 30
-    digits, f = exp, or with a count f(z) = P(z / count)^count, P the
-    degree-4 Taylor polynomial of exp."""
-    m = mp.matrix([[mp.mpf(x), 0], [mp.mpf(coupling), mp.mpf(y)]])
-    if count is None:
-        out = mp.expm(m)
-    else:
-        a = m / count
-        out = (mp.eye(2) + a + a**2 / 2 + a**3 / 6 + a**4 / 24) ** count
-    return float(out[0, 0]), float(out[1, 0])
+    """The entries (f(x), lower-left, f(y)) of f([[x, 0], [coupling, y]])
+    at 30 digits, f = exp, or with a count f(z) = P(z / count)^count, P
+    the degree-4 Taylor polynomial of exp (count classical RK4 substeps).
+    The lower-left entry is coupling times the divided difference (f(x) -
+    f(y)) / (x - y), f'(x) at x = y (Higham 2008, ch. 4), evaluated at 60
+    digits so that the difference of nearby values keeps 30."""
+    with mp.workdps(60):
+        x, y, coupling = mp.mpf(x), mp.mpf(y), mp.mpf(coupling)
+        if count is None:
+            f = slope = mp.exp
+        else:
+            taylor = lambda u: 1 + u * (1 + u / 2 * (1 + u / 3 * (1 + u / 4)))
+            f = lambda z: taylor(z / count) ** count
+            slope = lambda z: ((1 + z / count * (1 + z / count / 2
+                                                 * (1 + z / count / 3)))
+                               * taylor(z / count) ** (count - 1))
+        fx = f(x)
+        fy = fx if y == x else f(y)
+        if coupling == 0:
+            lower = 0
+        else:
+            lower = coupling * (slope(x) if x == y else (fx - fy) / (x - y))
+        return float(fx), float(lower), float(fy)
+
+
+def cascade_samples(split, u0, times, substeps=None):
+    """The split's flow from u0 at every sample time, cascade by cascade
+    at 30 digits: u_i(t) = f(a t) u_i(0) on a lead or uncoupled
+    coordinate, and on tail row j with lead i the lower row of f([[a t,
+    0], [k t, d_j t]]) (cascade_step) applied to (u_i(0), u_j(0)).  f =
+    exp, or with a substep count per sample the RK4 power at count =
+    substeps * m substeps at sample m.  A coordinate outside supp(u0) that
+    sees no lead is exactly 0.0."""
+    d, u0 = np.asarray(split.d), np.asarray(u0, dtype=float)
+    s = d.size - np.size(split.k)
+    out = np.zeros((len(times), d.size))
+    out[0] = u0
+    for j in range(d.size):
+        coupled = j >= s and split.k[j - s] != 0.0
+        if not (coupled or u0[j] != 0.0):
+            continue
+        i = split.lead[j - s] if coupled else j
+        k = split.k[j - s] if coupled else 0.0
+        for m, t in enumerate(times[1:], start=1):
+            _, lower, own = cascade_step(
+                d[i] * t, d[j] * t, k * t,
+                None if substeps is None else substeps * m)
+            out[m, j] = own * u0[j] + (lower * u0[i] if coupled else 0.0)
+    return out
 
 
 def quadrature_boundary_gram(domain, modes):
@@ -263,16 +283,27 @@ def quadrature_boundary_gram(domain, modes):
     return (traces * w) @ traces.T
 
 
-def dense_split(generator):
-    """(d, K) of the leading-column split through the dense off-diagonal
-    part G - diag(d): K = (G - diag(d))[:, :s], s one past the last column
-    with a nonzero off-diagonal entry."""
+def cascade_split(generator):
+    """(d, lead, k) of a dense generator in the cascade form: d its
+    diagonal, s one past the last column with a nonzero off-diagonal
+    entry, and for each tail row s + t its one off-diagonal entry k[t] in
+    column lead[t] (k[t] = +0.0 in column 0 where the row has none).
+    Raises ValueError for a lead row with an off-diagonal entry or a tail
+    row with two."""
     gen = np.asarray(generator, dtype=float)
     d = np.diag(gen).copy()
     off = gen - np.diag(d)
     s = int(np.max(np.flatnonzero(np.any(off != 0.0, axis=0)) + 1,
                    initial=0))
-    return d, off[:, :s]
+    if np.any(off[:s] != 0.0):
+        raise ValueError("the lead block is not diagonal")
+    counts = np.count_nonzero(off[s:], axis=1)
+    if np.any(counts > 1):
+        raise ValueError("a tail row sees more than one lead")
+    lead = np.array([int(np.flatnonzero(row)[0]) if row.any() else 0
+                     for row in off[s:] != 0.0], dtype=int)
+    k = off[s:][np.arange(lead.size), lead] if lead.size else np.zeros(0)
+    return d, lead, k
 
 
 def dense_generator(system, gain_set):

@@ -14,6 +14,7 @@ from modalstab.controller import (GainScalingError, ResonanceError,
                                   control_map, gain_set_to_json,
                                   nudge_gammas, scaled_gain_set, synthesize,
                                   validate_gains)
+from modalstab.diagnostics import GridEvaluator, compute_norm_series
 from modalstab.simulator import assemble_closed_loop, integrate
 from modalstab.special import quadrature_rule
 
@@ -227,12 +228,40 @@ class TestScaleInvariance:
         ref_run = integrate(ref, u0, dt / r2, horizon / r2)
         run = integrate(system, u0, dt, horizon)
         for got, want in ((r2 * system.split.d, ref.split.d),
-                          (r2 * system.split.K, ref.split.K),
+                          (r2 * system.split.k, ref.split.k),
                           (run.times, r2 * ref_run.times)):
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         assert run.states.shape == ref_run.states.shape == (51, 60)
         assert np.all(np.abs(run.states - ref_run.states)
                       <= 1e-13 * np.max(np.abs(ref_run.states), axis=0))
+
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("shape", ["disk", "ball"])
+    def test_norm_series_scale(self, shape, radius):
+        # with phi_n(x; R) = R^(-dim/2) phi_n(x / R; 1), one modal u0 gives
+        # homogeneous norm columns: l2 and u_norm as R^0, laplacian_l2 and
+        # dudt_l2 as R^-2, and linf (on the scaled grid) as R^(-dim/2)
+        u0 = np.cos(np.arange(60)) / np.arange(1, 61)
+        runs = []
+        for r2 in (1.0, radius**2):
+            domain = Domain(shape, math.sqrt(r2))
+            modes, _ = enumerate_modes(domain, 26.44 / r2, 60)
+            n = count_unstable(modes)
+            top = float(np.max(modes.mu[:n])) * r2
+            gains = synthesize(modes, [(top + i) / r2
+                                       for i in range(1, n + 1)])
+            traj = integrate(assemble_closed_loop(modes, gains, domain), u0,
+                             0.01 * r2, 0.5 * r2)
+            runs.append(compute_norm_series(
+                traj, gains, modes, GridEvaluator(modes, domain, 15)))
+        ref, got = runs
+        dim = 2 if shape == "disk" else 3
+        for name, power in (("l2", 0), ("u_norm", 0), ("laplacian_l2", -2),
+                            ("dudt_l2", -2), ("linf", -dim / 2)):
+            want = getattr(ref, name) * radius**power
+            assert np.all(np.abs(getattr(got, name) - want)
+                          <= 1e-12 * want), name
 
 
 class TestHurwitzMargin:

@@ -1,8 +1,6 @@
 """The mode table is one array per field, which every function takes: a
 sub-table keeps its rows' n, its arrays are read-only, and an int index
-raises TypeError; the step maps, which write F on the nonzero entries of
-K only, give every entry of every tail row's scalar cascade; and no
-pipeline path indexes the table by an int."""
+raises TypeError; and no pipeline path indexes the table by an int."""
 
 import dataclasses
 
@@ -10,14 +8,9 @@ import numpy as np
 import pytest
 
 import modalstab.cli
-from _oracles import cascade_step
 from modalstab.basis import Domain, ModeTable, enumerate_modes
-from modalstab.controller import scaled_gain_set
-from modalstab.simulator import assemble_closed_loop
 
 LAMBDA = 6.61
-GAMMAS = {"disk": (6.17, 7.17, 8.17, 9.17, 10.17),
-          "ball": (5.147, 6.147, 7.147, 8.147)}
 # rows of the n_sim 300 tables in no particular order, past the head too
 SUB_ROWS = np.array([0, 3, 17, 40, 121, 299, 5, 200])
 
@@ -27,12 +20,6 @@ def table(request):
     domain = Domain(request.param, 2.0)
     modes, _ = enumerate_modes(domain, LAMBDA, 300)
     return domain, modes
-
-
-def assert_same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 class TestTable:
@@ -72,39 +59,6 @@ class TestTable:
         other = dataclasses.replace(modes, mu=mu)
         assert not other.same_as(modes) and not other.mu.flags.writeable
         assert mu.flags.writeable and other.mu[-1] == mu[-1]
-
-
-@pytest.mark.parametrize("shape", ["disk", "ball"])
-@pytest.mark.parametrize("n_sim", [40, 300, 800])
-def test_coupled_row_step_map_matches_all_rows(shape, n_sim):
-    # every entry of the step maps, over all tail rows, against the scalar
-    # cascade at 30 digits: E and decay are exp(d dt), each F entry of a
-    # nonzero K entry (t, j) is the lower-left entry of exp([[d_j dt, 0],
-    # [K_tj dt, d_t dt]]), and every other F entry is an exact +0.0, as
-    # the cascade of a zero K entry gives; the RK4 power likewise, to the
-    # count ulps its squaring carries
-    domain = Domain(shape, 2.0)
-    modes, _ = enumerate_modes(domain, LAMBDA, n_sim)
-    gains = scaled_gain_set(modes, GAMMAS[shape], -0.5)
-    split = assemble_closed_loop(modes, gains, domain).split
-    s, dt = split.K.shape[1], 0.05
-    z, tail = split.d * dt, split.K[s:]
-    rows, cols = np.nonzero(tail)
-    assert 0 < np.unique(rows).size < tail.shape[0]
-    for count, rtol in ((None, 1e-15), (100, 1e-13)):
-        E, F, decay = split.step_map(dt, count=count)
-        diag = np.exp(z) if count is None else np.array(
-            [cascade_step(v, v, 0.0, count)[0] for v in z])
-        np.testing.assert_allclose(decay, diag[s:], rtol=rtol, atol=0.0)
-        np.testing.assert_allclose(E, diag[:s], rtol=rtol, atol=0.0)
-        want = np.zeros_like(F)
-        want[rows, cols] = [cascade_step(z[j], z[s + t], tail[t, j] * dt,
-                                         count)[1]
-                            for t, j in zip(rows, cols)]
-        np.testing.assert_allclose(F, want, rtol=rtol, atol=0.0)
-        off = np.ones(F.shape, dtype=bool)
-        off[rows, cols] = False
-        assert_same_bits(F[off], np.zeros(np.count_nonzero(off)))
 
 
 def count_row_reads(monkeypatch):

@@ -11,12 +11,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from modalstab import controller, simulator
 from modalstab.basis import (Domain, ModeTable, angular_nodes, angular_rule,
-                             boundary_gram, enumerate_modes,
+                             boundary_gram, count_unstable, enumerate_modes,
                              project_function)
-from modalstab.controller import synthesize
+from modalstab.controller import SynthesisError, synthesize
 from modalstab.special import quadrature_rule
 from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  CoupledSplit, InsufficientExcitationError,
@@ -30,8 +31,8 @@ from modalstab.simulator import (ClosedLoopSystem, ConsistencyError,
                                  write_trajectory_csv)
 from modalstab.diagnostics import decay_rate_fit
 
-from _oracles import (dense_generator, dense_split, rk4_substep_loop,
-                      step_loop)
+from _oracles import (cascade_samples, cascade_split, dense_generator,
+                      rk4_substep_loop)
 
 DISK_MU_1 = 5.1642035092633039
 LAMBDA = 6.61
@@ -40,12 +41,38 @@ GAMMAS = {"disk": (6.17, 7.17, 8.17, 9.17, 10.17),
 
 
 def system_of(gen):
-    """An uncontrolled ClosedLoopSystem on the leading-column split of a
-    given dense generator, for the synthetic cases."""
-    d, K = dense_split(gen)
-    s = K.shape[1]
-    return ClosedLoopSystem(split=CoupledSplit(d=d, K=K),
+    """An uncontrolled ClosedLoopSystem on the cascade split of a given
+    dense generator, for the synthetic cases."""
+    d, lead, k = cascade_split(gen)
+    s = d.size - lead.size
+    return ClosedLoopSystem(split=CoupledSplit(d=d, lead=lead, k=k),
                             coupling=np.zeros((s, s)), mu=d.copy())
+
+
+def substeps(system, dt):
+    """integrate's RK4 substep count: h (max|mu| + ||G - diag(mu)||_F) <=
+    0.5, with the off-diagonal part of G all in the split's k."""
+    split = system.split
+    radius = np.max(np.abs(system.mu)) + np.hypot(
+        np.linalg.norm(split.k), np.linalg.norm(split.d - system.mu))
+    return max(1, int(np.ceil(dt * radius / 0.5)))
+
+
+def assert_cascade_reference(system, u0, traj, method, rtol):
+    """The trajectory against the split's flow at 30 digits, cascade by
+    cascade at every sample (cascade_samples): each coordinate to rtol of
+    its largest magnitude, and every coordinate outside supp(u0) that sees
+    no lead is +0.0 past u0."""
+    split = system.split
+    ref = cascade_samples(split, u0, traj.times,
+                          substeps(system, traj.times[1])
+                          if method == "rk4" else None)
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(traj.states - ref) <= rtol * scale)
+    still = np.asarray(u0) == 0.0
+    still[split.d.size - split.k.size:] &= split.k == 0.0
+    rest = traj.states[1:, still]
+    assert rest.tobytes() == np.zeros_like(rest).tobytes()
 
 
 def with_beta(gains, beta):
@@ -55,18 +82,6 @@ def with_beta(gains, beta):
     return copy
 
 
-def record_step_maps(monkeypatch):
-    """The blocks of every step map built from now on, in order."""
-    built = []
-    step_map = CoupledSplit.step_map
-
-    def recording(self, *args):
-        built.append(step_map(self, *args))
-        return built[-1]
-    monkeypatch.setattr(CoupledSplit, "step_map", recording)
-    return built
-
-
 class TestAssemble:
     def test_leading_block_matches_direct_generator(self, disk_system,
                                                     disk_gains):
@@ -74,16 +89,22 @@ class TestAssemble:
         assert np.max(np.abs(lead - np.diag(disk_gains.a_direct))) < 1e-12
 
     def test_coupling_restricted_to_leading_columns(self, disk_system):
-        assert disk_system.split.K.shape == (300, 5)
-        assert disk_system.split.d.shape == (300,)
+        split = disk_system.split
+        assert split.d.shape == (300,)
+        assert split.lead.shape == split.k.shape == (295,)
+        assert np.all((split.lead >= 0) & (split.lead < 5))
 
     def test_tail_rows_follow_angular_sparsity(self, disk_system, disk_modes):
+        # a tail row is coupled exactly when its key is a head key, and
+        # then to the head of that key
         modes, _ = disk_modes
-        heads = set(modes.code[:5].tolist())
-        K = disk_system.split.K
+        heads = modes.code[:5].tolist()
+        split = disk_system.split
         for n in range(5, 300):
-            row_active = np.any(K[n] != 0.0)
-            assert row_active == (modes.code[n] in heads)
+            coupled = modes.code[n] in heads
+            assert (split.k[n - 5] != 0.0) == coupled
+            if coupled:
+                assert split.lead[n - 5] == heads.index(modes.code[n])
 
     @pytest.mark.parametrize("shape", ["disk", "ball"])
     def test_assembled_split_bit_identical_to_dense_formula(self, shape,
@@ -92,8 +113,8 @@ class TestAssemble:
         # off the dense generator diag(mu) - beta C, bit for bit
         system = request.getfixturevalue(f"{shape}_system")
         gains = request.getfixturevalue(f"{shape}_gains")
-        dense = dense_split(dense_generator(system, gains))
-        for name, want in zip(("d", "K"), dense):
+        dense = cascade_split(dense_generator(system, gains))
+        for name, want in zip(("d", "lead", "k"), dense):
             got = getattr(system.split, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
@@ -213,8 +234,8 @@ class TestIntegrate:
     def test_matches_dense_expm(self, shape, n_sim):
         # every coordinate against the dense exp(G t_k) u0, relative to its
         # largest value; the dense expm's own error reaches 2.5e-14 on a
-        # stiff disk n_sim 800 tail row, which a 40-digit evaluation of
-        # the row's cascade shows the step map to be exact on
+        # stiff disk n_sim 800 tail row, where a 40-digit evaluation of
+        # the row's cascade shows the closed form to be exact
         domain, modes = mode_table(shape, n_sim)
         gains = controller.scaled_gain_set(modes, GAMMAS[shape], -0.5)
         system = assemble_closed_loop(modes, gains, domain)
@@ -265,42 +286,22 @@ class TestIntegrate:
         assert np.max(np.abs(traj.states)) <= 1e12
 
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
-    @pytest.mark.parametrize("case", ("disk", "ball", "nilpotent"))
-    def test_equals_step_loop_bitwise(self, case, method, request,
-                                      monkeypatch):
-        if case == "nilpotent":
-            system = system_of(SPLIT_CASES[case][0](request))
-        else:
-            system = request.getfixturevalue(f"{case}_system")
-        blocks = record_step_maps(monkeypatch)
-        u0 = lcg_uniform(5, system.mu.size)
-        traj = integrate(system, u0, 0.05, 4.0, method=method)
-        states, truncated = step_loop(system.split, blocks[0], u0, 80)
-        assert not traj.truncated and not truncated
-        assert traj.states.shape == states.shape
-        assert traj.states.tobytes() == states.tobytes()
-        boundary = states[:, :system.coupling.shape[0]] @ system.coupling.T
-        assert traj.boundary_data.tobytes() == boundary.tobytes()
-
-    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
-    def test_mid_run_overflow_matches_step_loop(self, method, monkeypatch):
-        # the lead grows by e^1.5 a step and passes 1e12 at step 19; past
-        # it the samples run on to inf, and to NaN in the tail, whose
-        # coupling (1, -1) meets inf - inf once both lead entries overflow
-        system = system_of([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0],
-                            [1.0, -1.0, -1.0]])
-        blocks = record_step_maps(monkeypatch)
-        u0 = np.array([1.0, 0.5, 0.0])
+    def test_mid_run_overflow_matches_cascade_reference(self, method):
+        # lead 0 grows by e^1.5 a step and passes 1e12 at step 19; past it
+        # the samples run on to inf, and to NaN in lead 1 and its tail row,
+        # whose zero data meets the overflowing e^(3 t)
+        system = system_of([[3.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
+                            [1.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, -1.0]])
+        u0 = np.array([1.0, 0.0, 0.5, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = integrate(system, u0, 0.5, 300.0, method=method)
-        states, truncated = step_loop(system.split, blocks[0], u0, 600)
-        assert traj.truncated and truncated
-        assert 10 < traj.times.size == states.shape[0] < 30
-        # the tail's one-row F product may round differently from the
-        # loop's, relative to the sample's size, as the tail cancels
-        scale = np.max(np.abs(states), axis=1, keepdims=True)
-        assert np.all(np.abs(traj.states - states) <= 1e-14 * scale)
+        assert traj.truncated and traj.times.size == 19
+        assert_cascade_reference(system, u0, traj, method, 1e-14)
+        ref = cascade_samples(system.split, u0, np.arange(20) * 0.5,
+                              substeps(system, 0.5)
+                              if method == "rk4" else None)
+        assert np.max(np.abs(ref[19])) > 1e12
 
     def test_trajectory_is_the_only_large_allocation(self, disk,
                                                      disk800_modes,
@@ -324,6 +325,19 @@ class TestIntegrate:
             integrate(disk_system, np.zeros(300), 0.0, 1.0)
         with pytest.raises(ValueError):
             integrate(disk_system, np.zeros(300), 0.5, 0.1)
+
+    @pytest.mark.parametrize("dt, horizon", [
+        (math.nan, 1.0), (0.05, math.nan), (0.05, math.inf),
+        (math.inf, math.inf)])
+    def test_non_finite_time_grid_rejected(self, dt, horizon, disk_system,
+                                           disk_modes):
+        # rejected by the grid check itself, not by an OverflowError or
+        # numpy's NaN-to-integer conversion
+        for run in (lambda: integrate(disk_system, np.ones(300), dt, horizon),
+                    lambda: open_loop(disk_modes[0], np.ones(300), dt,
+                                      horizon)):
+            with pytest.raises(ValueError, match="need finite dt > 0"):
+                run()
 
     def test_initial_state_shape_checked(self, disk_system):
         for size in (299, 301):
@@ -361,25 +375,30 @@ class TestIntegrate:
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
     @pytest.mark.parametrize("shape, n_sim", [
         ("disk", 300), ("disk", 800), ("ball", 300), ("ball", 800)])
-    def test_live_rows_equal_every_row_loop(self, shape, n_sim, method,
-                                            monkeypatch):
-        # only the tail rows with a nonzero F row or u0 entry are
-        # propagated; every other row is the +0.0 that a loop over every
-        # tail row gives, signed zeros included
+    def test_live_rows_equal_every_row_loop(self, shape, n_sim, method):
+        # only the columns the flow can move are computed; every sample of
+        # every column equals a loop over every row's scalar cascade at 30
+        # digits (cascade_samples), to 1e-14 of the column's largest value,
+        # and every other column is the +0.0 that loop gives
         domain, modes = mode_table(shape, n_sim)
         gains = controller.scaled_gain_set(modes, GAMMAS[shape], -0.5)
         system = assemble_closed_loop(modes, gains, domain)
         u0 = project_initial_condition(domain, modes, PolynomialSpec(), 1)
-        blocks = record_step_maps(monkeypatch)
         traj = integrate(system, u0, 0.05, 4.0, method=method)
-        states, truncated = step_loop(system.split, blocks[0], u0, 80)
-        assert not traj.truncated and not truncated
-        assert traj.states.tobytes() == states.tobytes()
-        n = gains.n_unstable
-        live = blocks[0][1].any(axis=1) | (u0[n:] != 0.0)
-        assert 0 < np.count_nonzero(live) < live.size / 4
-        rest = traj.states[1:, n:][:, ~live]
-        assert rest.tobytes() == np.zeros_like(rest).tobytes()
+        assert not traj.truncated and traj.times.size == 81
+        assert_cascade_reference(system, u0, traj, method, 1e-14)
+        moved = np.any(traj.states[1:] != 0.0, axis=0)
+        assert 0 < np.count_nonzero(moved) < moved.size / 4
+
+    @pytest.mark.parametrize("method", ("expm_step", "rk4"))
+    @pytest.mark.parametrize("case", ("nilpotent", "resonant", "stiff_tail"))
+    def test_synthetic_cascades_match_reference(self, case, method,
+                                                request):
+        system = system_of(SPLIT_CASES[case][0](request))
+        u0 = lcg_uniform(5, system.mu.size)
+        traj = integrate(system, u0, 0.05, 4.0, method=method)
+        assert not traj.truncated
+        assert_cascade_reference(system, u0, traj, method, 1e-14)
 
 
 def closed_loop_generator(shape):
@@ -395,27 +414,36 @@ SPLIT_CASES = {
         lambda req: np.diag(req.getfixturevalue("disk_system").mu), 0),
     # G^2 = 0: the tail rate equals the lead's, both 0
     "nilpotent": (lambda req: np.array([[0.0, 0.0], [1.0, 0.0]]), 1),
-    # tail rates -1 and -2 equal the lead rates bit for bit: the divided
-    # difference's x == y limit
+    # tail rates -1 and -2 equal their lead's rate bit for bit: the
+    # divided difference's x == y limit
     "resonant": (lambda req: np.array([[-1.0, 0.0, 0.0, 0.0],
                                        [0.0, -2.0, 0.0, 0.0],
-                                       [0.7, 0.4, -1.0, 0.0],
-                                       [0.2, -0.3, 0.0, -2.0]]), 2),
+                                       [0.7, 0.0, -1.0, 0.0],
+                                       [0.0, -0.3, 0.0, -2.0]]), 2),
     # tail rates as stiff as disk n_sim 800's (d dt <= -40 at dt 0.05) next
-    # to a growing and a decaying lead rate
-    "stiff_tail": (lambda req: np.array([[-1.0, 0.0, 0.0, 0.0],
-                                         [0.0, 0.5, 0.0, 0.0],
-                                         [0.7, -0.4, -800.0, 0.0],
-                                         [0.3, 0.9, 0.0, -1500.0]]), 2),
+    # to a growing and a decaying lead rate, and one tail rate above its
+    # lead's
+    "stiff_tail": (lambda req: np.array([[-1.0, 0.0, 0.0, 0.0, 0.0],
+                                         [0.0, 0.5, 0.0, 0.0, 0.0],
+                                         [0.7, 0.0, -800.0, 0.0, 0.0],
+                                         [0.0, 0.9, 0.0, -1500.0, 0.0],
+                                         [0.4, 0.0, 0.0, 0.0, -0.2]]), 2),
 }
 
 
-def one_step_matrix(split, blocks):
-    """The one-step map with the given blocks as a dense matrix: its
-    columns are one step of step_loop from the identity's."""
-    eye = np.eye(split.d.size)
-    return np.stack([step_loop(split, blocks, e, 1)[0][1] for e in eye],
+def one_step_matrix(system, dt):
+    """exp(G dt) as integrate gives it: column i is the sample at dt from
+    the i-th unit vector."""
+    eye = np.eye(system.mu.size)
+    return np.stack([integrate(system, e, dt, dt).states[1] for e in eye],
                     axis=1)
+
+
+def generator_product(split, u):
+    """G u from the split: d * u, plus k u[lead] on the tail rows."""
+    out = split.d * u
+    out[split.d.size - split.k.size:] += split.k * u[split.lead]
+    return out
 
 
 class TestCoupledSplit:
@@ -424,15 +452,15 @@ class TestCoupledSplit:
         build, lead = SPLIT_CASES[case]
         gen = build(request)
         n = gen.shape[0]
-        split = CoupledSplit(*dense_split(gen))
-        assert split.K.shape == (n, lead)
+        system = system_of(gen)
+        assert system.split.lead.size == n - lead
         dt = 0.05
-        prop = one_step_matrix(split, split.step_map(dt))
+        prop = one_step_matrix(system, dt)
         dense = scipy.linalg.expm(gen * dt)
         assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
         u = lcg_uniform(3, n)
         exact = gen @ u
-        assert np.linalg.norm(split.d * u + split.K @ u[:lead] - exact) \
+        assert np.linalg.norm(generator_product(system.split, u) - exact) \
             <= 1e-14 * np.linalg.norm(exact)
 
     # at dt 1.0 the stiff tail decays by e^-800 and e^-1500, past the
@@ -440,16 +468,18 @@ class TestCoupledSplit:
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
     def test_large_step_matches_dense_generator(self, case, request):
         gen = SPLIT_CASES[case][0](request)
-        split = CoupledSplit(*dense_split(gen))
-        prop = one_step_matrix(split, split.step_map(1.0))
+        prop = one_step_matrix(system_of(gen), 1.0)
         dense = scipy.linalg.expm(gen)
         assert np.max(np.abs(prop - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    def test_dense_lead_block_rejected(self):
-        # the step map takes the lead block for diagonal; a coupled one is
-        # refused at construction, naming its first nonzero entry
-        with pytest.raises(ValueError, match=re.escape("K[0, 1] = 0.3 ")):
-            CoupledSplit(*dense_split([[-1.0, 0.3], [0.2, -0.5]]))
+    def test_generator_outside_cascade_form_rejected(self):
+        # the oracle's converter refuses what the split cannot hold: a
+        # coupled lead block, or a tail row that sees two leads
+        with pytest.raises(ValueError, match="lead block"):
+            cascade_split([[-1.0, 0.3], [0.2, -0.5]])
+        with pytest.raises(ValueError, match="more than one lead"):
+            cascade_split([[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0],
+                           [0.5, 0.5, -3.0]])
 
     @pytest.mark.parametrize("method", ("expm_step", "rk4"))
     def test_integrate_makes_no_pade_expm_call(self, method, disk_system,
@@ -487,6 +517,42 @@ class TestRK4Map:
         assert not traj.truncated and traj.states.shape == loop.shape
         gap = np.linalg.norm(traj.states - loop, axis=1)
         assert np.all(gap <= 1e-12 * np.linalg.norm(loop, axis=1))
+
+
+# lambda R^2 from the first eigenvalue to the first repeated leading key
+LAMBDA_R2_WINDOWS = {"disk": (5.78, 30.47), "ball": (9.87, 39.48)}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_flow_matches_dense_references(data):
+    # any design in the window: the closed form against the dense exp(G t)
+    # u0 to 1e-13 of each coordinate's largest value, and RK4 against
+    # textbook substeps on the dense generator
+    shape = data.draw(st.sampled_from(sorted(LAMBDA_R2_WINDOWS)))
+    lam = data.draw(st.floats(*LAMBDA_R2_WINDOWS[shape], exclude_min=True,
+                              exclude_max=True))
+    n_sim = data.draw(st.integers(20, 200))
+    domain = Domain(shape, 1.0)
+    modes, _ = enumerate_modes(domain, lam, n_sim)
+    n = count_unstable(modes)
+    try:
+        gains = synthesize(modes, [float(np.max(modes.mu[:n])) + i
+                                   for i in range(1, n + 1)])
+    except SynthesisError:
+        assume(False)
+    system = assemble_closed_loop(modes, gains, domain)
+    gen = dense_generator(system, gains)
+    u0 = lcg_uniform(n_sim, n_sim)
+    traj = integrate(system, u0, 0.01, 0.1)
+    scale = np.max(np.abs(traj.states), axis=0)
+    for k in (1, 5, 10):
+        want = scipy.linalg.expm(gen * traj.times[k]) @ u0
+        assert np.all(np.abs(traj.states[k] - want) <= 1e-13 * scale), k
+    rk4 = integrate(system, u0, 0.01, 0.1, method="rk4").states
+    loop = rk4_substep_loop(gen, system.mu, u0, 0.01, 10)
+    gap = np.linalg.norm(rk4 - loop, axis=1)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(loop, axis=1))
 
 
 def two_mode_table(mu):
@@ -548,10 +614,10 @@ class TestOpenLoop:
     @pytest.mark.parametrize("mu, u0, kept", BAD_ROW_CASES)
     def test_integrate_truncates_by_the_same_rule(self, mu, u0, kept,
                                                   method):
-        # an uncoupled system (no lead column) cut where the closed form
-        # is; at mu 2000 the step map itself overflows
+        # an uncoupled system (no lead column) cut where open_loop is; at
+        # mu 2000 e^(mu t) overflows at the first sample
         system = system_of(np.diag(mu))
-        assert system.split.K.shape == (2, 0)
+        assert system.split.lead.size == system.split.k.size == 2
         with np.errstate(all="raise"):
             traj = integrate(system, u0, 0.5, 10.0, method=method)
             exact = open_loop(two_mode_table(mu), u0, 0.5, 10.0)
