@@ -11,8 +11,9 @@ normalization constants, from one zero-finder call, `zeros_fn(orders, cut)`,
 and the radial factor, which depends only on (order, k), is evaluated once
 per distinct pair at the distinct radii, then gathered per mode
 (`_radial_values`, shared by the grid values and the quadrature
-projection).  Each (order, k) x radius is a lane of one Bessel call: its
-order's row of one recurrence table at the pairs' top order.
+projection).  One Bessel table call gives every order up to the pairs'
+top one at the points 0.5, 1.0, ..., and each (order, k) x radius lane is
+the Taylor series of its order about its nearest table point.
 
 The table is one `ModeTable` of per-mode arrays; every evaluator reads the
 arrays, and compares angular keys by one integer code per mode.
@@ -37,6 +38,8 @@ from .special import (
     bessel_j_zeros,
     quadrature_rule,
     real_spherical_harmonics,
+    series_lanes,
+    series_points,
     spherical_bessel_zeros,
     spherical_j_all,
 )
@@ -341,20 +344,27 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
     """norm_const * (radial Bessel factor) for each mode at radii r.
 
     The factor depends only on (order, k): each distinct pair is evaluated
-    once, at the distinct radii only, by one lane call over every pair x
-    radius, and the table is gathered per mode.
+    once, at the distinct radii only, and the values are gathered per mode.
+    One table call gives every order up to the pairs' top one at the
+    points 0.5, 1.0, ... up to the largest argument, and each (pair,
+    radius) lane is the Taylor series of its order about its nearest table
+    point (`special.series_lanes`).
     """
     R = domain.radius
-    lane_fn = bessel_j_all if domain.shape == "disk" else spherical_j_all
+    disk = domain.shape == "disk"
+    table_fn = bessel_j_all if disk else spherical_j_all
     r_unique, r_index = np.unique(r, return_inverse=True)
     # the distinct (order, k) pairs, sorted, by one integer per pair
     _, first, rows = np.unique(modes.order * (modes.k.max(initial=0) + 1)
                                + modes.k, return_index=True,
                                return_inverse=True)
+    orders = modes.order[first]
     x = np.outer(modes.alpha[first], r_unique) / R
-    table = lane_fn(np.broadcast_to(modes.order[first][:, None], x.shape), x)
+    table = table_fn(max(int(orders.max(initial=0)), 1),
+                     series_points(float(x.max(initial=0.0))))
+    values = series_lanes(not disk, table, orders[:, None], x)
     # gathered in place, so that no second modes x radii array is needed
-    out = table[rows[:, None], r_index]
+    out = values[rows[:, None], r_index]
     out *= modes.norm_const[:, None]
     return out
 

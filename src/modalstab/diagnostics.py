@@ -50,6 +50,10 @@ class MetricFit:
     degenerate: bool = False
 
 
+# the most bytes that GridEvaluator.linf's class fields take at once
+_CLASS_FIELDS_BYTES = 8_000_000
+
+
 class GridEvaluator:
     """Eigenfunction values on a uniform Cartesian grid inside the closed
     domain (resolution points per axis, endpoints included), held on the
@@ -93,17 +97,32 @@ class GridEvaluator:
     def linf(self, states) -> np.ndarray:
         """max |sum_n u_n phi_n| over the whole grid for each row u of
         states: one product per parity class on the orthant, then a
-        running max over the reflections."""
+        running max over the reflections.
+
+        The samples are taken in blocks sized so that the class fields of
+        one block fit in _CLASS_FIELDS_BYTES; one buffer serves every
+        block, and a small grid's samples are one block.
+        """
         states = np.asarray(states, dtype=float)[:, self._columns]
-        classes = np.empty((len(self._signs), states.shape[0],
-                            self.points.shape[0]))
-        for fields, lo, hi in zip(classes, self._bounds[:-1],
-                                  self._bounds[1:]):
-            np.matmul(states[:, lo:hi], self.values[lo:hi], out=fields)
-        out = np.zeros(states.shape[0])
-        for signs in self._signs:
-            field = np.tensordot(signs, classes, axes=1)
-            np.maximum(out, np.abs(field, out=field).max(axis=1), out=out)
+        n_samples, n_points = states.shape[0], self.points.shape[0]
+        n_classes = len(self._signs)
+        block = min(max(1, n_samples), max(
+            1, _CLASS_FIELDS_BYTES // (8 * n_classes * n_points)))
+        # flat, so that a short last block's fields are contiguous too
+        buffer = np.empty(n_classes * block * n_points)
+        out = np.zeros(n_samples)
+        for start in range(0, n_samples, block):
+            rows = states[start:start + block]
+            fields = buffer[:n_classes * len(rows) * n_points].reshape(
+                n_classes, len(rows), n_points)
+            for field, lo, hi in zip(fields, self._bounds[:-1],
+                                     self._bounds[1:]):
+                np.matmul(rows[:, lo:hi], self.values[lo:hi], out=field)
+            peak = out[start:start + block]
+            for signs in self._signs:
+                field = np.tensordot(signs, fields, axes=1)
+                np.maximum(peak, np.abs(field, out=field).max(axis=1),
+                           out=peak)
         return out
 
 
@@ -121,10 +140,12 @@ def decay_rate_fit(times, values, window):
     mask = (times >= t_a) & (times <= t_b)
     if int(mask.sum()) < 5:
         raise ValueError("need at least 5 samples inside the fit window")
-    if np.any(values[mask] <= 0.0):
-        raise ValueError("values must be positive on the fit window")
+    window = values[mask]
+    if not np.all((window > 0.0) & (window < math.inf)):
+        raise ValueError(
+            "values must be positive and finite on the fit window")
     t = times[mask]
-    logv = np.log(values[mask])
+    logv = np.log(window)
     design = np.stack([t, np.ones_like(t)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(design, logv)
     deviation = logv - (np.multiply.outer(t, slope) + intercept)

@@ -13,6 +13,11 @@ family and sum (2l+1) j_l^2 = 1 for the spherical family.  One loop
 the top one.  An order array (one order per point, a lane) is answered
 from the table at the lanes' top order: each lane is its own order's row,
 so its last bits depend on the call's top order and largest argument.
+Many lanes of a few orders, as the grid's radial factors are, are cheaper
+as Taylor series of the Bessel equation about one table at the points
+0.5, 1.0, ... (`series_points`, `series_lanes`): its coefficients are
+built once per (order, point) by the recurrence that also refines the
+zeros (`_taylor_coefficients`).
 
 Zeros have one call form: every zero below a cut of each order in a 1-D
 integer array, as flat (order, zero, slope) arrays, from one sign-change
@@ -225,25 +230,25 @@ def spherical_bessel_j(degree: int, x):
     return spherical_j_all(degree, x)[degree]
 
 
-def _lane_series(shift: int, orders: np.ndarray, x0: np.ndarray,
-                 f0: np.ndarray, below: np.ndarray):
-    """Evaluator x -> (f, f', f'') of each lane's own order n near its
-    point x0, from a Taylor series about x0.
+def _taylor_coefficients(shift: int, orders, x0, f0, below) -> np.ndarray:
+    """Taylor coefficients c_k = f^(k)(x0)/k!, k < _TAYLOR_TERMS, of each
+    order n about its point x0 (arrays that broadcast), shape
+    (_TAYLOR_TERMS,) + their broadcast shape.
 
     f0 = f_n(x0) and below = f_{|n-1|}(x0) give f_n'(x0) = f_{n-1} -
     ((n + shift)/x0) f_n, or -f_1 at n = 0 (DLMF 10.6.2, 10.51.2).  The
     Bessel equation x^2 f'' + (1 + shift) x f' + (x^2 - n(n + shift)) f = 0
-    fixes the other coefficients by its recurrence in c_k = f^(k)(x0)/k!:
+    fixes the other coefficients by its recurrence in c_k:
 
         x0^2 (k+2)(k+1) c_{k+2} = -[x0 (k+1)(2k+1+shift) c_{k+1}
             + (k(k+shift) + x0^2 - n(n+shift)) c_k + 2 x0 c_{k-1} + c_{k-2}].
 
     Since |f^(k)| <= 1, _TAYLOR_TERMS terms reach rounding level within
-    half a unit of x0 (0.5^15/15! ~ 2e-17).  The series of f, f' and f''
-    are summed by one Horner loop over elementwise operations, so each
-    lane's values depend on that lane alone.
+    half a unit of x0 (0.5^15/15! ~ 2e-17).  Every operation is
+    elementwise, so each coefficient depends on its (n, x0) alone.
     """
-    c = np.zeros((_TAYLOR_TERMS + 2, x0.size))   # c_{-2}, c_{-1} = 0
+    shape = np.broadcast_shapes(np.shape(orders), np.shape(x0), np.shape(f0))
+    c = np.zeros((_TAYLOR_TERMS + 2,) + shape)   # c_{-2}, c_{-1} = 0
     c[2] = f0
     c[3] = np.where(orders == 0, -below, below - ((orders + shift) / x0) * f0)
     q = x0 * x0 - orders * (orders + shift)
@@ -253,7 +258,18 @@ def _lane_series(shift: int, orders: np.ndarray, x0: np.ndarray,
                     + (k * (k + shift) + q) * c[k + 2]
                     + 2.0 * x0 * c[k + 1] + c[k]) \
             * (scale / ((k + 2) * (k + 1)))
-    c = c[2:]
+    return c[2:]
+
+
+def _lane_series(shift: int, orders: np.ndarray, x0: np.ndarray,
+                 f0: np.ndarray, below: np.ndarray):
+    """Evaluator x -> (f, f', f'') of each lane's own order n near its
+    point x0, from its Taylor series about x0 (`_taylor_coefficients`).
+    The series of f, f' and f'' are summed by one Horner loop over
+    elementwise operations, so each lane's values depend on that lane
+    alone.
+    """
+    c = _taylor_coefficients(shift, orders, x0, f0, below)
     k = np.arange(_TAYLOR_TERMS)[:, None]
     # row k holds the k-th coefficients of f, f' and f''
     poly = np.zeros((_TAYLOR_TERMS, 3, x0.size))
@@ -270,6 +286,44 @@ def _lane_series(shift: int, orders: np.ndarray, x0: np.ndarray,
         return acc[0], acc[1], acc[2]
 
     return evaluate
+
+
+def series_points(x_max: float) -> np.ndarray:
+    """The table points 0.5, 1.0, ... that `series_lanes` expands about:
+    every one up to the point nearest x_max, and at least 0.5."""
+    count = max(1, math.floor(x_max / _SCAN_STEP + 0.5))
+    return _SCAN_STEP * np.arange(1, count + 1)
+
+
+def series_lanes(spherical: bool, table: np.ndarray, orders,
+                 x: np.ndarray) -> np.ndarray:
+    """f_n(x) of each lane, its order n from `orders` (an integer array
+    that broadcasts against x), from `table`: every order 0..max(top, 1)
+    of one family (J, or j if `spherical`) at series_points(x.max()), as
+    the int form of bessel_j_all / spherical_j_all gives it.
+
+    Each lane is the Taylor series of its order about its nearest table
+    point (`_taylor_coefficients`), within a quarter of a unit, or half of
+    one below x = 0.25, whose nearest point is 0.5: rounding level, as
+    every derivative is bounded by 1.  The coefficients are built once per
+    (order, point), and Horner's rule gathers one coefficient row at a
+    time, so no terms x lanes array is built.  A lane depends only on its
+    order, its x and the table.
+    """
+    used, row = np.unique(orders, return_inverse=True)
+    size = table.shape[1]
+    points = _SCAN_STEP * np.arange(1, size + 1)
+    coeffs = _taylor_coefficients(
+        int(spherical), used[:, None], points, table[used],
+        table[np.abs(used - 1)]).reshape(_TAYLOR_TERMS, -1)
+    near = np.clip(np.floor(x / _SCAN_STEP + 0.5).astype(np.intp), 1, size)
+    h = x - _SCAN_STEP * near
+    index = row.reshape(np.shape(orders)) * size + (near - 1)
+    acc = coeffs[-1][index]
+    for c in coeffs[-2::-1]:
+        acc *= h
+        acc += c[index]
+    return acc
 
 
 def _refine_zeros(derivatives, lo: np.ndarray, hi: np.ndarray,

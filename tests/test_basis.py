@@ -472,26 +472,34 @@ class TestRadialLanes:
             assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
 
     def test_rows_of_one_table_call(self, disk, ball, disk_modes,
-                                    ball_modes):
-        # r = 0 puts the small-argument series and the recurrence in one
-        # call; each mode's values are its order's row of the table at the
-        # top order, bit for bit
+                                    ball_modes, monkeypatch):
+        # one table call, through basis's own binding, at the points 0.5,
+        # 1.0, ... up to the largest argument; r = 0, below the first
+        # point, expands about 0.5.  Each mode's values are the lane
+        # form's, its order's row of a recurrence table, to rounding level
         for domain, (modes, _) in [(disk, disk_modes), (ball, ball_modes)]:
-            table_fn = bessel_j_all if domain.shape == "disk" \
-                else spherical_j_all
+            name = "bessel_j_all" if domain.shape == "disk" \
+                else "spherical_j_all"
+            table_fn = getattr(special, name)
+            calls = []
+
+            def counted(order, x):
+                calls.append((order, x))
+                return table_fn(order, x)
+
+            monkeypatch.setattr(basis, name, counted)
             r = _odd_grid_radii(domain)
-            r_unique, r_index = np.unique(r, return_inverse=True)
-            _, pair = np.unique(np.column_stack([modes.order, modes.k]),
-                                axis=0, return_inverse=True)
-            pair = pair.ravel()
-            alpha = np.zeros(pair.max() + 1)
-            alpha[pair] = modes.alpha
-            table = table_fn(int(modes.order.max()),
-                             np.outer(alpha, r_unique) / domain.radius)
-            want = table[modes.order[:, None], pair[:, None], r_index] \
-                * modes.norm_const[:, None]
             got = _radial_values(modes, domain, r)
-            assert got.tobytes() == want.tobytes()
+            x = np.outer(modes.alpha, r) / domain.radius
+            assert len(calls) == 1
+            order, points = calls[0]
+            assert order == int(modes.order.max())
+            assert points.tolist() == (0.5 * np.arange(
+                1, math.floor(2 * x.max() + 0.5) + 1)).tolist()
+            want = table_fn(np.broadcast_to(modes.order[:, None], x.shape),
+                            x) * modes.norm_const[:, None]
+            assert np.all(np.abs(got - want)
+                          <= 1e-14 * modes.norm_const[:, None])
 
     def test_one_call_over_many_lanes(self, disk, ball, disk_modes,
                                       ball_modes):
@@ -506,7 +514,7 @@ class TestRadialLanes:
             ref = _per_order_radial(modes, domain, r)
             scale = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.all(np.abs(vals - ref) <= 1e-13 * scale)
-            # the top pair: its order sets the depth of the whole call
+            # the top pair, of the highest order, against the oracle
             n = row_pairs.index(pairs[-1])
             exact = modes.norm_const[n] * np.array(
                 [oracle_bessel(modes.order[n], modes.alpha[n] * rk / R,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -79,6 +80,27 @@ class TestSpectrumCommand:
         summary = json.loads(
             (tmp_path / "out" / "spectrum_summary.json").read_text())
         assert summary["N"] == 4
+
+    @pytest.mark.parametrize("shape, n_sim, table, summary", [
+        ("disk", 300, "faa268cf95e00744504bc654c8ecdac7",
+         "134bac55ee3957406da827936f0a7f24"),
+        ("disk", 800, "32608c9eeffe670317d9e4c366b68835",
+         "f5d7ebc9503d3d42197a62e1546d699c"),
+        ("ball", 300, "0e10d75c409d23302ea89445cdeff5fc",
+         "eb08c5bf753eff08f643fbf19a48c093"),
+        ("ball", 800, "1ad577a8ec04964d71ff641b417b52b7",
+         "0565dfa86b8616e374e2aca1d67bd1dd")])
+    def test_artifacts_frozen(self, tmp_path, shape, n_sim, table, summary):
+        # the default spectrum's artifacts, bit for bit as recorded before
+        # the Taylor coefficients of the zero refinement were shared with
+        # the grid's radial factors (sha256 prefixes)
+        cfg = RunConfig(shape=shape, n_sim=n_sim)
+        cfg.output_dir = str(tmp_path / "out")
+        assert cmd_spectrum(cfg) == EXIT_OK
+        digests = [hashlib.sha256((tmp_path / "out" / name).read_bytes())
+                   .hexdigest()[:32]
+                   for name in ("mode_table.csv", "spectrum_summary.json")]
+        assert digests == [table, summary]
 
     def test_lambda_zero(self, tmp_path):
         cfg = make_cfg(tmp_path, lam=0.0, n_sim=20)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,29 @@ class TestMovedModesLinf:
                               np.zeros(3))
 
 
+class TestLinfBlocks:
+    def test_large_grid_stays_within_the_block_buffer(self, ball,
+                                                        ball_modes,
+                                                        ball_traj_seed1,
+                                                        monkeypatch):
+        # the class fields of ball grid 61, 8 classes x 81 samples x 15216
+        # points, would take 79 MB at once; blocks of samples keep them
+        # under 8 MB and give the one-block result bit for bit
+        modes, _ = ball_modes
+        states = ball_traj_seed1.states
+        moved = np.flatnonzero(np.any(states, axis=0))
+        evaluator = GridEvaluator(modes[moved], ball, 61)
+        tracemalloc.start()
+        try:
+            blocked = evaluator.linf(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+        monkeypatch.setattr(diagnostics, "_CLASS_FIELDS_BYTES", 10**12)
+        assert evaluator.linf(states).tobytes() == blocked.tobytes()
+
+
 class TestDecayFit:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 4.0, 81)
@@ -237,6 +261,18 @@ class TestDecayFit:
         v = np.exp(-t)
         v[40] = 0.0
         with pytest.raises(ValueError):
+            decay_rate_fit(t, v, (0.5, 3.5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_non_finite_values_rejected(self, bad, columns):
+        # NaN and +inf pass a test for nonpositive values; the fit would
+        # return NaN
+        t = np.linspace(0.0, 4.0, 81)
+        v = np.exp(-t) if columns is None \
+            else np.exp(np.outer(-t, np.arange(1, columns + 1)))
+        v.reshape(81, -1)[40, -1] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
             decay_rate_fit(t, v, (0.5, 3.5))
 
     def test_needs_five_samples(self):

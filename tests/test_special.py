@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import mpmath as mp
@@ -14,7 +15,8 @@ from modalstab.special import (MAX_ORDER, UnsupportedOrderError,
                                bessel_j, bessel_j_all, bessel_j_zero,
                                bessel_j_zeros, quadrature_rule,
                                real_spherical_harmonic,
-                               real_spherical_harmonics, spherical_bessel_j,
+                               real_spherical_harmonics, series_lanes,
+                               series_points, spherical_bessel_j,
                                spherical_bessel_zero, spherical_bessel_zeros,
                                spherical_j_all)
 
@@ -282,6 +284,21 @@ class TestZerosBelow:
                 (m, k): v for (m, k), v in full.items()
                 if m in sub and v[0] <= cut}, (sub, cut)
 
+    @pytest.mark.parametrize("zeros_fn, digest", [
+        (bessel_j_zeros, "6ce106600acc7e5d3a207925d6790fc9"
+                         "523c10ed5f1ad92fb7783d71d6ed0d25"),
+        (spherical_bessel_zeros, "c7051ea6f14c2f7518b92c8640bcbd74"
+                                 "a5ad2be9531c94082d71f7aaf342910b")])
+    def test_zeros_and_slopes_frozen(self, zeros_fn, digest):
+        # every zero and slope below 90 of every order, bit for bit as
+        # recorded before the Taylor coefficients were shared with the
+        # grid's radial factors (elementwise IEEE arithmetic and sqrt
+        # only, so the bits do not depend on the platform's libm or BLAS)
+        h = hashlib.sha256()
+        for a in zeros_fn(np.arange(MAX_ORDER + 1), 90.0):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
     @pytest.mark.parametrize("zeros_fn, spherical", [
         (bessel_j_zeros, False), (spherical_bessel_zeros, True)])
     def test_slopes_are_minus_the_next_order(self, zeros_fn, spherical):
@@ -526,6 +543,39 @@ class TestLaneMode:
             bessel_j_all(np.array([2, -1]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             spherical_j_all(np.array([2, 1]), np.array([1.0, -2.0]))
+
+
+class TestSeriesLanes:
+    """Lanes as Taylor series about one table at the points 0.5, 1.0, ..."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_random_lanes_match_lane_form_and_scipy(self, data):
+        size = data.draw(st.integers(1, 40))
+        orders = data.draw(hnp.arrays(np.int64, size,
+                                      elements=st.integers(0, MAX_ORDER)))
+        # no subnormal x: scipy's spherical_jn returns NaN there
+        xs = data.draw(hnp.arrays(np.float64, size, elements=st.one_of(
+            st.just(0.0), st.floats(0.0, 1e-6, exclude_max=True,
+                                    allow_subnormal=False),
+            st.floats(1e-6, 90.0))))
+        for spherical, table_fn, ref_fn in (
+                (False, bessel_j_all, scipy.special.jv),
+                (True, spherical_j_all, scipy.special.spherical_jn)):
+            table = table_fn(max(int(orders.max()), 1),
+                             series_points(float(xs.max())))
+            got = series_lanes(spherical, table, orders, xs)
+            assert got.shape == xs.shape
+            assert np.all(np.abs(got - table_fn(orders, xs)) <= 1e-14)
+            assert np.all(np.abs(got - ref_fn(orders, xs)) <= 1e-14)
+
+    def test_points_reach_the_largest_argument(self):
+        assert series_points(0.0).tolist() == [0.5]
+        assert series_points(0.7).tolist() == [0.5]
+        assert series_points(0.76).tolist() == [0.5, 1.0]
+        assert series_points(36.1).tolist() == (
+            0.5 * np.arange(1, 73)).tolist()
 
 
 class TestRealSphericalHarmonic:
