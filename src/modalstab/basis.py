@@ -39,7 +39,6 @@ from .special import (
     quadrature_rule,
     real_spherical_harmonics,
     series_lanes,
-    series_points,
     spherical_bessel_zeros,
     spherical_j_all,
 )
@@ -345,10 +344,10 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
 
     The factor depends only on (order, k): each distinct pair is evaluated
     once, at the distinct radii only, and the values are gathered per mode.
-    One table call gives every order up to the pairs' top one at the
-    points 0.5, 1.0, ... up to the largest argument, and each (pair,
-    radius) lane is the Taylor series of its order about its nearest table
-    point (`special.series_lanes`).
+    `special.series_lanes` makes one table call through this module's
+    binding, every order up to the pairs' top one at the points 0.5, 1.0,
+    ... up to the largest argument, and sums each (pair, radius) lane as
+    the Taylor series of its order about its nearest table point.
     """
     R = domain.radius
     disk = domain.shape == "disk"
@@ -358,11 +357,9 @@ def _radial_values(modes, domain: Domain, r: np.ndarray) -> np.ndarray:
     _, first, rows = np.unique(modes.order * (modes.k.max(initial=0) + 1)
                                + modes.k, return_index=True,
                                return_inverse=True)
-    orders = modes.order[first]
     x = np.outer(modes.alpha[first], r_unique) / R
-    table = table_fn(max(int(orders.max(initial=0)), 1),
-                     series_points(float(x.max(initial=0.0))))
-    values = series_lanes(not disk, table, orders[:, None], x)
+    values = series_lanes(table_fn, 0 if disk else 1,
+                          modes.order[first][:, None], x)
     # gathered in place, so that no second modes x radii array is needed
     out = values[rows[:, None], r_index]
     out *= modes.norm_const[:, None]

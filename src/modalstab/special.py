@@ -15,9 +15,9 @@ from the table at the lanes' top order: each lane is its own order's row,
 so its last bits depend on the call's top order and largest argument.
 Many lanes of a few orders, as the grid's radial factors are, are cheaper
 as Taylor series of the Bessel equation about one table at the points
-0.5, 1.0, ... (`series_points`, `series_lanes`): its coefficients are
-built once per (order, point) by the recurrence that also refines the
-zeros (`_taylor_coefficients`).
+0.5, 1.0, ... (`series_lanes`, which makes that table call itself): its
+coefficients are built once per (order, point) by the recurrence that also
+refines the zeros (`_taylor_coefficients`).
 
 Zeros have one call form: every zero below a cut of each order in a 1-D
 integer array, as flat (order, zero, slope) arrays, from one sign-change
@@ -288,19 +288,19 @@ def _lane_series(shift: int, orders: np.ndarray, x0: np.ndarray,
     return evaluate
 
 
-def series_points(x_max: float) -> np.ndarray:
+def _series_points(x_max: float) -> np.ndarray:
     """The table points 0.5, 1.0, ... that `series_lanes` expands about:
     every one up to the point nearest x_max, and at least 0.5."""
     count = max(1, math.floor(x_max / _SCAN_STEP + 0.5))
     return _SCAN_STEP * np.arange(1, count + 1)
 
 
-def series_lanes(spherical: bool, table: np.ndarray, orders,
-                 x: np.ndarray) -> np.ndarray:
-    """f_n(x) of each lane, its order n from `orders` (an integer array
-    that broadcasts against x), from `table`: every order 0..max(top, 1)
-    of one family (J, or j if `spherical`) at series_points(x.max()), as
-    the int form of bessel_j_all / spherical_j_all gives it.
+def series_lanes(table_fn, shift: int, orders, x: np.ndarray) -> np.ndarray:
+    """f_n(x) of each lane of J (shift 0) or j (shift 1), its order n from
+    `orders` (an integer array that broadcasts against x), from one call
+    table_fn(max(top, 1), points): bessel_j_all or spherical_j_all (or a
+    binding of one) in its int form, at the points 0.5, 1.0, ... up to the
+    one nearest x.max().  An order-0 lane reads f_1 for its slope.
 
     Each lane is the Taylor series of its order about its nearest table
     point (`_taylor_coefficients`), within a quarter of a unit, or half of
@@ -311,11 +311,12 @@ def series_lanes(spherical: bool, table: np.ndarray, orders,
     order, its x and the table.
     """
     used, row = np.unique(orders, return_inverse=True)
-    size = table.shape[1]
-    points = _SCAN_STEP * np.arange(1, size + 1)
+    points = _series_points(float(np.max(x, initial=0.0)))
+    table = table_fn(max(int(used.max(initial=0)), 1), points)
     coeffs = _taylor_coefficients(
-        int(spherical), used[:, None], points, table[used],
+        shift, used[:, None], points, table[used],
         table[np.abs(used - 1)]).reshape(_TAYLOR_TERMS, -1)
+    size = points.size
     near = np.clip(np.floor(x / _SCAN_STEP + 0.5).astype(np.intp), 1, size)
     h = x - _SCAN_STEP * near
     index = row.reshape(np.shape(orders)) * size + (near - 1)

@@ -12,13 +12,12 @@ from hypothesis.extra import numpy as hnp
 from _oracles import harmonics_loop, oracle_bessel
 from modalstab.special import (MAX_ORDER, UnsupportedOrderError,
                                _lane_series, _miller, _refine_zeros,
-                               bessel_j, bessel_j_all, bessel_j_zero,
-                               bessel_j_zeros, quadrature_rule,
-                               real_spherical_harmonic,
+                               _series_points, bessel_j, bessel_j_all,
+                               bessel_j_zero, bessel_j_zeros,
+                               quadrature_rule, real_spherical_harmonic,
                                real_spherical_harmonics, series_lanes,
-                               series_points, spherical_bessel_j,
-                               spherical_bessel_zero, spherical_bessel_zeros,
-                               spherical_j_all)
+                               spherical_bessel_j, spherical_bessel_zero,
+                               spherical_bessel_zeros, spherical_j_all)
 
 mp.mp.dps = 30
 
@@ -560,21 +559,19 @@ class TestSeriesLanes:
             st.just(0.0), st.floats(0.0, 1e-6, exclude_max=True,
                                     allow_subnormal=False),
             st.floats(1e-6, 90.0))))
-        for spherical, table_fn, ref_fn in (
-                (False, bessel_j_all, scipy.special.jv),
-                (True, spherical_j_all, scipy.special.spherical_jn)):
-            table = table_fn(max(int(orders.max()), 1),
-                             series_points(float(xs.max())))
-            got = series_lanes(spherical, table, orders, xs)
+        for shift, table_fn, ref_fn in (
+                (0, bessel_j_all, scipy.special.jv),
+                (1, spherical_j_all, scipy.special.spherical_jn)):
+            got = series_lanes(table_fn, shift, orders, xs)
             assert got.shape == xs.shape
             assert np.all(np.abs(got - table_fn(orders, xs)) <= 1e-14)
             assert np.all(np.abs(got - ref_fn(orders, xs)) <= 1e-14)
 
     def test_points_reach_the_largest_argument(self):
-        assert series_points(0.0).tolist() == [0.5]
-        assert series_points(0.7).tolist() == [0.5]
-        assert series_points(0.76).tolist() == [0.5, 1.0]
-        assert series_points(36.1).tolist() == (
+        assert _series_points(0.0).tolist() == [0.5]
+        assert _series_points(0.7).tolist() == [0.5]
+        assert _series_points(0.76).tolist() == [0.5, 1.0]
+        assert _series_points(36.1).tolist() == (
             0.5 * np.arange(1, 73)).tolist()
 
 
